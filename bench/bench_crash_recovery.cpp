@@ -149,13 +149,6 @@ struct Child {
   ~Child() { stop(); }
 };
 
-double metric_value(const std::string& text, const std::string& name) {
-  const std::string needle = "\n" + name + " ";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return -1;
-  return std::atof(text.c_str() + pos + needle.size());
-}
-
 net::Client::Config client_config(std::uint16_t port) {
   net::Client::Config cc;
   cc.host = "127.0.0.1";
@@ -184,21 +177,18 @@ struct RunTotals {
   double seconds = 0;
 };
 
-std::string scrape(std::uint16_t port) {
+obs::MetricsRegistry scrape(std::uint16_t port) {
   net::Client c(client_config(port));
   return c.fetch_metrics();
 }
 
-std::uint64_t dropped_total(const std::string& m) {
+/// Recovery drops summed over the four reason series.
+std::uint64_t recovery_dropped(const obs::MetricsRegistry& m) {
   std::uint64_t total = 0;
-  for (const char* reason : {"crc", "truncated", "stale_epoch", "malformed"}) {
-    const std::string needle = "\ntgp_recovery_dropped_total{reason=\"" +
-                               std::string(reason) + "\"} ";
-    std::size_t pos = m.find(needle);
-    if (pos != std::string::npos)
-      total += static_cast<std::uint64_t>(
-          std::atof(m.c_str() + pos + needle.size()));
-  }
+  for (const char* reason : {"crc", "truncated", "stale_epoch", "malformed"})
+    total += static_cast<std::uint64_t>(
+        m.value("tgp_recovery_dropped_total", {{"reason", reason}})
+            .value_or(0));
   return total;
 }
 
@@ -273,11 +263,11 @@ RunTotals run_once(const std::string& served, std::uint64_t seed, int cycles,
     row.prekill_rate = prekill_rate;
 
     {
-      const std::string m = scrape(child.port);
-      row.recovered =
-          static_cast<std::uint64_t>(metric_value(m, "tgp_recovered_entries_total"));
-      row.dropped = dropped_total(m);
-      const double clean = metric_value(m, "tgp_durability_clean_start");
+      const obs::MetricsRegistry m = scrape(child.port);
+      row.recovered = static_cast<std::uint64_t>(
+          m.value("tgp_recovered_entries_total").value_or(0));
+      row.dropped = recovery_dropped(m);
+      const double clean = m.value("tgp_durability_clean_start").value_or(-1);
       if (c == 0 && row.recovered != 0)
         fail("cycle 0 recovered entries from an empty dir");
       if (c > 0 && row.recovered == 0)
@@ -358,21 +348,21 @@ RunTotals run_once(const std::string& served, std::uint64_t seed, int cycles,
   // marker that the next boot reads, and the set must come back warm.
   {
     Child child(served, dir, 0, "", 8);
-    totals.dropped += dropped_total(scrape(child.port));
+    totals.dropped += recovery_dropped(scrape(child.port));
     net::Client client(client_config(child.port));
     (void)drive_core(client, "pre-flush pass");
     child.stop();  // SIGTERM → final journal sync + clean marker
   }
   {
     Child child(served, dir, 0, "", 8);
-    const std::string m = scrape(child.port);
-    if (metric_value(m, "tgp_durability_clean_start") != 1)
+    const obs::MetricsRegistry m = scrape(child.port);
+    if (m.value("tgp_durability_clean_start").value_or(-1) != 1)
       fail("SIGTERM flush did not leave a clean-shutdown marker");
-    if (metric_value(m, "tgp_recovered_entries_total") < 1)
+    if (m.value("tgp_recovered_entries_total").value_or(-1) < 1)
       fail("clean restart recovered nothing");
-    totals.dropped += dropped_total(m);
+    totals.dropped += recovery_dropped(m);
     totals.quarantined = static_cast<std::uint64_t>(
-        metric_value(m, "tgp_quarantined_total"));
+        m.value("tgp_quarantined_total").value_or(0));
     net::Client client(client_config(child.port));
     const double warm = drive_core(client, "post-flush pass");
     if (warm < 0.8) fail("clean restart did not come back warm");

@@ -136,13 +136,6 @@ struct Child {
   ~Child() { stop(); }
 };
 
-double metric_value(const std::string& text, const std::string& name) {
-  const std::string needle = "\n" + name + " ";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return -1;
-  return std::atof(text.c_str() + pos + needle.size());
-}
-
 struct RunTotals {
   std::size_t requests = 0;
   std::size_t ok = 0;
@@ -296,12 +289,12 @@ RunTotals run_once(const std::string& served, std::uint64_t seed,
       if (std::chrono::steady_clock::now() > deadline)
         fail("fleet never returned to all-up after the restart");
       net::Client scrape(client_config(router_server.port(), seed + 1));
-      const std::string metrics = scrape.fetch_metrics();
+      const obs::MetricsRegistry metrics = scrape.fetch_metrics();
       all_up = true;
       for (std::uint32_t s = 0; s < kShards; ++s) {
-        const std::string gauge = "tgp_shard_health{shard=\"" +
-                                  std::to_string(s) + "\",state=\"up\"} 1";
-        if (metrics.find(gauge) == std::string::npos) all_up = false;
+        if (metrics.value("tgp_shard_health", {{"shard", std::to_string(s)},
+                                               {"state", "up"}}) != 1.0)
+          all_up = false;
       }
       if (!all_up)
         std::this_thread::sleep_for(std::chrono::milliseconds(25));
@@ -320,17 +313,17 @@ RunTotals run_once(const std::string& served, std::uint64_t seed,
   // Router counters over the wire (its loop is still running).
   {
     net::Client scrape(client_config(router_server.port(), seed + 2));
-    const std::string m = scrape.fetch_metrics();
+    const obs::MetricsRegistry m = scrape.fetch_metrics();
     totals.handoffs = static_cast<std::uint64_t>(
-        metric_value(m, "tgp_router_handoffs_total"));
+        m.value("tgp_router_handoffs_total").value_or(0));
     totals.rerouted = static_cast<std::uint64_t>(
-        metric_value(m, "tgp_router_requests_rerouted_total"));
+        m.value("tgp_router_requests_rerouted_total").value_or(0));
     totals.router_dups = static_cast<std::uint64_t>(
-        metric_value(m, "tgp_router_duplicates_dropped_total"));
+        m.value("tgp_router_duplicates_dropped_total").value_or(0));
     totals.failovers = static_cast<std::uint64_t>(
-        metric_value(m, "tgp_router_failovers_total"));
+        m.value("tgp_router_failovers_total").value_or(0));
     totals.recoveries = static_cast<std::uint64_t>(
-        metric_value(m, "tgp_router_recoveries_total"));
+        m.value("tgp_router_recoveries_total").value_or(0));
   }
   if (totals.failovers < 1) fail("the SIGKILL never registered as down");
   if (totals.recoveries < 1) fail("the restart never registered as up");

@@ -13,7 +13,7 @@
 //   * routing is fingerprint-affine and cache ownership disjoint: every
 //     shard's foreign/unrouted submit counters and foreign cache-hit
 //     counters are exactly zero — verified both from the in-process
-//     ShardStats and from each shard's Prometheus text, the same
+//     ShardStats and from each shard's exported metrics, the same
 //     counters an operator would alert on;
 //   * the fleet deduplicates globally: each distinct job is solved at
 //     most once per owning shard, everything else is a memo hit.
@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,12 +73,6 @@ struct Shard {
   }
 };
 
-/// Pull one `name{labels}` counter value out of Prometheus text.
-long long prom_counter(const std::string& text, const std::string& series) {
-  std::size_t pos = text.find(series + " ");
-  if (pos == std::string::npos) fail("metrics text lacks series " + series);
-  return std::atoll(text.c_str() + pos + series.size() + 1);
-}
 
 }  // namespace
 
@@ -161,8 +156,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Disjointness assertions -----------------------------------------
-  // Once from the in-process stats, once from each shard's Prometheus
-  // text — the operator-facing view must agree with the ground truth.
+  // Once from the in-process stats, once from each shard's exported
+  // metrics — the operator-facing view must agree with the ground truth.
   std::uint64_t owned_submits = 0;
   std::uint64_t owned_hits = 0;
   for (std::uint32_t s = 0; s < kShards; ++s) {
@@ -177,18 +172,20 @@ int main(int argc, char** argv) {
     owned_hits += st.owned_cache_hits;
 
     net::Client scrape("127.0.0.1", shards[s]->server->port());
-    std::string metrics = scrape.fetch_metrics();
-    const std::string shard_label = "{shard=\"" + std::to_string(s) + "\",";
-    if (prom_counter(metrics, "tgp_net_shard_submits_total" + shard_label +
-                                  "ownership=\"foreign\"}") != 0 ||
-        prom_counter(metrics, "tgp_net_shard_cache_hits_total" + shard_label +
-                                  "ownership=\"foreign\"}") != 0)
+    const obs::MetricsRegistry metrics = scrape.fetch_metrics();
+    auto series = [&](const char* family, const char* ownership) {
+      const std::optional<double> v = metrics.value(
+          family, {{"shard", std::to_string(s)}, {"ownership", ownership}});
+      if (!v) fail(std::string("metrics lack ") + family + " " + ownership);
+      return *v;
+    };
+    if (series("tgp_net_shard_submits_total", "foreign") != 0 ||
+        series("tgp_net_shard_cache_hits_total", "foreign") != 0)
       fail("shard " + std::to_string(s) +
            " exports nonzero foreign counters");
-    if (prom_counter(metrics, "tgp_net_shard_submits_total" + shard_label +
-                                  "ownership=\"owned\"}") !=
-        static_cast<long long>(st.owned_submits))
-      fail("Prometheus text disagrees with in-process shard stats");
+    if (series("tgp_net_shard_submits_total", "owned") !=
+        static_cast<double>(st.owned_submits))
+      fail("exported metrics disagree with in-process shard stats");
   }
   if (owned_submits != kRequests)
     fail("owned submits across the fleet != requests sent");

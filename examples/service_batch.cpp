@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "graph/generators.hpp"
+#include "obs/registry.hpp"
 #include "svc/service.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
@@ -93,6 +94,8 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  std::printf("\n%s\n", service.metrics().format().c_str());
+  obs::MetricsRegistry metrics;
+  service.metrics().record(metrics);
+  std::printf("\n%s\n", obs::render_text(metrics, "service metrics").c_str());
   return 0;
 }

@@ -184,6 +184,17 @@ TreePartitionResult bottleneck_then_proc_min(const graph::Tree& tree,
   std::vector<int> original_edge;
   graph::Tree contracted =
       graph::contract_components(tree, stage1.cut, &original_edge);
+  // Stage 1 keeps components up to the checker's K + eps, so a
+  // super-node may weigh a rounding error more than K (0.1 + 0.2 under
+  // K = 0.3), which proc_min's precondition rejects.  Such a super-node
+  // is full: it enters stage 2 at weight K, where nothing heavier than
+  // proc_min's half-eps margin can join it.  (Raising proc_min's bound
+  // instead would let it merge lighter super-nodes past K + eps.)
+  if (contracted.max_vertex_weight() > K) {
+    std::vector<graph::Weight> capped = contracted.vertex_weights();
+    for (graph::Weight& w : capped) w = std::min(w, K);
+    contracted = graph::Tree::from_edges(capped, contracted.edges());
+  }
   ProcMinResult stage2 = proc_min(contracted, K, nullptr, cancel, arena);
 
   TreePartitionResult out;

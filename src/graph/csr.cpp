@@ -52,44 +52,6 @@ CsrView csr_from_chain(const Chain& chain, util::Arena& arena) {
   return v;
 }
 
-CsrView csr_from_task_graph(const TaskGraph& g, util::Arena& arena) {
-  CsrView v;
-  v.n = g.n();
-  v.m = g.edge_count();
-  std::size_t n = static_cast<std::size_t>(v.n);
-  std::size_t m = static_cast<std::size_t>(v.m);
-
-  Weight* vw = arena.alloc_array<Weight>(n);
-  for (int i = 0; i < v.n; ++i) vw[i] = g.vertex_weight(i);
-  v.vertex_weight = vw;
-
-  int* off = arena.alloc_array<int>(n + 1);
-  auto* adj = arena.alloc_array<std::pair<int, int>>(2 * m);
-  off[0] = 0;
-  std::size_t k = 0;
-  for (int i = 0; i < v.n; ++i) {
-    for (auto [u, e] : g.neighbors(i)) adj[k++] = {u, e};
-    off[i + 1] = static_cast<int>(k);
-  }
-  v.offsets = off;
-  v.adj = adj;
-
-  int* eu = arena.alloc_array<int>(m);
-  int* ev = arena.alloc_array<int>(m);
-  Weight* ew = arena.alloc_array<Weight>(m);
-  for (int e = 0; e < v.m; ++e) {
-    const TaskGraph::Edge& edge = g.edge(e);
-    eu[e] = edge.u;
-    ev[e] = edge.v;
-    ew[e] = edge.weight;
-  }
-  v.edge_u = eu;
-  v.edge_v = ev;
-  v.edge_weight = ew;
-  v.prefix = build_prefix(v.vertex_weight, v.n, arena);
-  return v;
-}
-
 RootedView root_csr(const CsrView& g, int root, util::Arena& arena) {
   TGP_REQUIRE(g.offsets != nullptr, "root_csr needs adjacency");
   TGP_REQUIRE(0 <= root && root < g.n, "root out of range");

@@ -1,7 +1,7 @@
 // Flat CSR views over task graphs — the storage layout of the hot paths.
 //
-// The Tree/TaskGraph/Chain classes are the construction-and-validation
-// API; the solvers iterate over a CsrView instead: plain arrays (half-edge
+// The Tree/Chain classes are the construction-and-validation API; the
+// solvers iterate over a CsrView instead: plain arrays (half-edge
 // offsets, neighbor pairs, SoA edge endpoints/weights, prefix-summed
 // vertex weights) with no per-vertex indirection.  Views are built once
 // per solve into a util::Arena — for a Tree this is zero-copy for the
@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "graph/chain.hpp"
-#include "graph/task_graph.hpp"
 #include "graph/tree.hpp"
 #include "graph/weight.hpp"
 #include "util/arena.hpp"
@@ -61,10 +60,6 @@ CsrView csr_from_tree(const Tree& tree, util::Arena& arena);
 /// View of a Chain: vertex/edge weights alias the chain's vectors; prefix
 /// sums are laid out in `arena`.  No adjacency (offsets/adj stay null).
 CsrView csr_from_chain(const Chain& chain, util::Arena& arena);
-
-/// Flat snapshot of a (mutable) TaskGraph: all arrays are copied into
-/// `arena`.  Mutating the TaskGraph afterwards does not update the view.
-CsrView csr_from_task_graph(const TaskGraph& g, util::Arena& arena);
 
 /// Rooted orientation of a tree CSR, arena-backed: vertices in BFS order
 /// from `root` (parent before child), parent vertex and parent edge per

@@ -62,7 +62,14 @@ Weight chain_cut_max_edge(const Chain& chain, const Cut& cut) {
   return best;
 }
 
-std::vector<int> tree_components(const Tree& tree, const Cut& cut) {
+namespace {
+
+/// Labels the components of T − S by depth-first flood from the lowest
+/// unlabelled vertex, calling visit(v, component) as each vertex leaves
+/// the stack — the order core::feasible_with_removed floods in.
+template <class Visit>
+std::vector<int> flood_components(const Tree& tree, const Cut& cut,
+                                  Visit&& visit) {
   std::vector<char> removed(static_cast<std::size_t>(tree.edge_count()), 0);
   for (int e : cut.edges) {
     TGP_REQUIRE(0 <= e && e < tree.edge_count(),
@@ -79,6 +86,7 @@ std::vector<int> tree_components(const Tree& tree, const Cut& cut) {
     while (!stack.empty()) {
       int v = stack.back();
       stack.pop_back();
+      visit(v, next);
       for (auto [u, e] : tree.neighbors(v)) {
         if (removed[static_cast<std::size_t>(e)]) continue;
         if (comp[static_cast<std::size_t>(u)] == -1) {
@@ -92,6 +100,12 @@ std::vector<int> tree_components(const Tree& tree, const Cut& cut) {
   return comp;
 }
 
+}  // namespace
+
+std::vector<int> tree_components(const Tree& tree, const Cut& cut) {
+  return flood_components(tree, cut, [](int, int) {});
+}
+
 std::vector<Weight> tree_component_weights(const Tree& tree, const Cut& cut) {
   std::vector<int> comp = tree_components(tree, cut);
   int count = comp.empty() ? 0 : *std::max_element(comp.begin(), comp.end()) + 1;
@@ -103,9 +117,17 @@ std::vector<Weight> tree_component_weights(const Tree& tree, const Cut& cut) {
 }
 
 bool tree_cut_feasible(const Tree& tree, const Cut& cut, Weight K) {
-  Weight eps = load_epsilon(tree.total_vertex_weight(), tree.n());
-  for (Weight w : tree_component_weights(tree, cut))
-    if (w > K + eps) return false;
+  // Each component is weighed in flood order, as the solvers' checker
+  // weighs it, not in vertex order: with decimal weights the two orders
+  // can round to opposite sides of K + eps.
+  const Weight limit = K + load_epsilon(tree.total_vertex_weight(), tree.n());
+  std::vector<Weight> weights;
+  flood_components(tree, cut, [&](int v, int c) {
+    if (static_cast<std::size_t>(c) == weights.size()) weights.push_back(0);
+    weights[static_cast<std::size_t>(c)] += tree.vertex_weight(v);
+  });
+  for (Weight w : weights)
+    if (w > limit) return false;
   return true;
 }
 

@@ -48,7 +48,9 @@ std::vector<int> tree_components(const Tree& tree, const Cut& cut);
 /// Total vertex weight per component of T − S.
 std::vector<Weight> tree_component_weights(const Tree& tree, const Cut& cut);
 
-/// True iff every component of T − S has vertex weight ≤ K.
+/// True iff every component of T − S has vertex weight ≤ K (+ the
+/// load_epsilon tolerance), each weighed in the order the solvers'
+/// checker (core/csr_feasible) floods it so both agree to the last bit.
 bool tree_cut_feasible(const Tree& tree, const Cut& cut, Weight K);
 
 /// Σ δ(e) over cut edges.

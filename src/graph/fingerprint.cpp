@@ -44,7 +44,6 @@ std::uint64_t weight_bits(Weight w) { return std::bit_cast<std::uint64_t>(w); }
 constexpr std::uint64_t kChainTag = 0xC4A11ull;
 constexpr std::uint64_t kTreeTag = 0x73EEull;
 constexpr std::uint64_t kChainContentTag = 0xC4A12ull;
-constexpr std::uint64_t kTreeContentTag = 0x73EFull;
 
 // Rooted canonical data for one candidate root: per-vertex subtree hash
 // (edge-to-parent included via `lifted`), and children sorted canonically.
@@ -347,18 +346,6 @@ Fingerprint chain_content_digest(const Chain& chain) {
   absorb(f, static_cast<std::uint64_t>(chain.n()));
   for (Weight w : chain.vertex_weight) absorb(f, weight_bits(w));
   for (Weight w : chain.edge_weight) absorb(f, weight_bits(w));
-  return f;
-}
-
-Fingerprint tree_content_digest(const Tree& tree) {
-  Fingerprint f = seed_fp(kTreeContentTag);
-  absorb(f, static_cast<std::uint64_t>(tree.n()));
-  for (Weight w : tree.vertex_weights()) absorb(f, weight_bits(w));
-  for (const TreeEdge& e : tree.edges()) {
-    absorb(f, static_cast<std::uint64_t>(e.u));
-    absorb(f, static_cast<std::uint64_t>(e.v));
-    absorb(f, weight_bits(e.weight));
-  }
   return f;
 }
 

@@ -118,11 +118,10 @@ Fingerprint chain_fingerprint(const Chain& chain);
 /// fallback); allocates nothing in steady state.
 Fingerprint tree_fingerprint(const Tree& tree, util::Arena* arena = nullptr);
 
-/// Exact content digest of a graph *as submitted* — NOT isomorphism
+/// Exact content digest of a chain *as submitted* — NOT isomorphism
 /// stable.  The service pairs this with the canonical fingerprint to tell
 /// "same graph, same presentation" apart from "equivalent graph".
 Fingerprint chain_content_digest(const Chain& chain);
-Fingerprint tree_content_digest(const Tree& tree);
 
 }  // namespace tgp::graph
 

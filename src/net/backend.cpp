@@ -1,11 +1,9 @@
 #include "net/backend.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "obs/build_info.hpp"
-#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "svc/metrics.hpp"
 #include "util/assert.hpp"
@@ -127,53 +125,52 @@ Backend::ShardStats Backend::shard_stats() const {
   return s;
 }
 
-void Backend::render_net_metrics(std::ostream& out) const {
-  obs::PromWriter w(out);
+void Backend::record_net_metrics(obs::MetricsRegistry& r) const {
   const std::string shard = std::to_string(config_.shard_index);
 
   if (server_ != nullptr) {
     const obs::NetCounters& c = server_->counters();
-    const obs::PromWriter::Labels l{{"shard", shard}};
-    w.counter("tgp_net_accepts_total", "Connections accepted", c.accepts, l);
-    w.counter("tgp_net_closes_total", "Connections closed", c.closes, l);
-    w.counter("tgp_net_frames_in_total", "Frames received", c.frames_in, l);
-    w.counter("tgp_net_frames_out_total", "Frames sent", c.frames_out, l);
-    w.counter("tgp_net_bytes_in_total", "Bytes received", c.bytes_in, l);
-    w.counter("tgp_net_bytes_out_total", "Bytes sent", c.bytes_out, l);
-    w.counter("tgp_net_decode_errors_total", "Unparseable frames",
+    const obs::Labels l{{"shard", shard}};
+    r.counter("tgp_net_accepts_total", "Connections accepted", c.accepts, l);
+    r.counter("tgp_net_closes_total", "Connections closed", c.closes, l);
+    r.counter("tgp_net_frames_in_total", "Frames received", c.frames_in, l);
+    r.counter("tgp_net_frames_out_total", "Frames sent", c.frames_out, l);
+    r.counter("tgp_net_bytes_in_total", "Bytes received", c.bytes_in, l);
+    r.counter("tgp_net_bytes_out_total", "Bytes sent", c.bytes_out, l);
+    r.counter("tgp_net_decode_errors_total", "Unparseable frames",
               c.decode_errors, l);
-    w.counter("tgp_net_oversized_frames_total",
+    r.counter("tgp_net_oversized_frames_total",
               "Length prefixes over the payload cap", c.oversized_frames, l);
-    w.counter("tgp_net_rejects_sent_total", "kReject frames sent",
+    r.counter("tgp_net_rejects_sent_total", "kReject frames sent",
               c.rejects_sent, l);
-    w.counter("tgp_net_checksum_failures_total",
+    r.counter("tgp_net_checksum_failures_total",
               "Frame-checksum suffix mismatches", c.checksum_failures, l);
-    w.counter("tgp_net_http_requests_total", "Plain-HTTP requests served",
+    r.counter("tgp_net_http_requests_total", "Plain-HTTP requests served",
               c.http_requests, l);
   }
 
   const ShardStats s = shard_stats();
-  w.counter("tgp_net_shard_submits_total",
+  r.counter("tgp_net_shard_submits_total",
             "Submits by ring ownership (foreign ≈ 0 under a fingerprint-"
             "affine router)",
             s.owned_submits, {{"shard", shard}, {"ownership", "owned"}});
-  w.counter("tgp_net_shard_submits_total", "", s.foreign_submits,
+  r.counter("tgp_net_shard_submits_total", "", s.foreign_submits,
             {{"shard", shard}, {"ownership", "foreign"}});
-  w.counter("tgp_net_shard_submits_total", "", s.unrouted_submits,
+  r.counter("tgp_net_shard_submits_total", "", s.unrouted_submits,
             {{"shard", shard}, {"ownership", "unrouted"}});
-  w.counter("tgp_net_shard_cache_hits_total",
+  r.counter("tgp_net_shard_cache_hits_total",
             "Memo-cache hits by ring ownership", s.owned_cache_hits,
             {{"shard", shard}, {"ownership", "owned"}});
-  w.counter("tgp_net_shard_cache_hits_total", "", s.foreign_cache_hits,
+  r.counter("tgp_net_shard_cache_hits_total", "", s.foreign_cache_hits,
             {{"shard", shard}, {"ownership", "foreign"}});
 }
 
-std::string Backend::on_metrics() {
-  std::ostringstream out;
-  out << service_.metrics().render_prometheus();
-  render_net_metrics(out);
-  obs::render_process_metrics(out);
-  return out.str();
+obs::MetricsRegistry Backend::on_metrics() {
+  obs::MetricsRegistry r;
+  service_.metrics().record(r);
+  record_net_metrics(r);
+  obs::record_process_metrics(r);
+  return r;
 }
 
 }  // namespace tgp::net

@@ -62,13 +62,13 @@ class Backend : public Server::Handler {
 
   void on_frame(std::uint64_t conn, const FrameHeader& header,
                 std::span<const std::uint8_t> payload) override;
-  std::string on_metrics() override;
+  obs::MetricsRegistry on_metrics() override;
 
   ShardStats shard_stats() const;
 
-  /// Prometheus families this backend adds on top of the service
-  /// snapshot: net_* loop counters and shard-ownership counters.
-  void render_net_metrics(std::ostream& out) const;
+  /// Families this backend adds on top of the service snapshot: net_*
+  /// loop counters and shard-ownership counters.
+  void record_net_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   void handle_submit(std::uint64_t conn, const FrameHeader& header,

@@ -402,7 +402,7 @@ svc::JobResult Client::run_one(const SubmitRequest& request) {
   return run_batch(one).front();
 }
 
-std::string Client::fetch_metrics() {
+obs::MetricsRegistry Client::fetch_metrics() {
   std::vector<Entry> entries(1);
   entries[0].id = next_id_++;
   entries[0].frame = encode_metrics_request(entries[0].id);

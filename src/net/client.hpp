@@ -118,8 +118,9 @@ class Client {
 
   svc::JobResult run_one(const SubmitRequest& request);
 
-  /// Prometheus text over the binary port (kMetricsRequest).
-  std::string fetch_metrics();
+  /// The server's metrics registry over the binary port
+  /// (kMetricsRequest); obs::render_prometheus prints it.
+  obs::MetricsRegistry fetch_metrics();
 
   /// Round-trip a kPing; throws on anything but a matching kPong.
   void ping();

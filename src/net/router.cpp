@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 
 #include "graph/fingerprint.hpp"
 #include "obs/build_info.hpp"
-#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -305,13 +303,17 @@ void Router::handle_backend_frame(std::uint32_t backend,
     return;
   }
   if (header.type == FrameType::kMetricsReply) {
-    // A fleet-metrics poll answering: cache the shard's exposition text
-    // for the next /metrics render.  A stale reply (the poll id was
-    // re-issued) is dropped rather than overwriting fresher text.
+    // A fleet-metrics poll answering: cache the shard's registry for the
+    // next /metrics render.  A stale reply (the poll id was re-issued) is
+    // dropped rather than overwriting a fresher one; one that fails to
+    // decode throws WireError with the shard's cached registry already
+    // cleared, so the fleet view leaves the shard out until a good reply
+    // arrives — its link and health are untouched.
     BackendLink& link = backends_[backend];
     if (link.metrics_id != 0 && header.request_id == link.metrics_id) {
       link.metrics_id = 0;
-      link.metrics_text = decode_metrics_reply(payload);
+      link.metrics = {};
+      link.metrics = decode_metrics_reply(payload);
     }
     return;
   }
@@ -558,71 +560,60 @@ Router::Stats Router::stats() const {
   return s;
 }
 
-std::string Router::on_metrics() {
-  std::ostringstream out;
-  {
-    obs::PromWriter w(out);
-    render_own_metrics(w);
-  }
-  obs::render_process_metrics(out);
-
-  // Fleet aggregation: fold every cached shard exposition into this
-  // scrape under a shard="<i>" label (keys the backend already stamped —
-  // its own shard label on the net families — win over the injected one).
-  bool any_shard = false;
-  for (const BackendLink& b : backends_) any_shard |= !b.metrics_text.empty();
-  if (!any_shard) return out.str();
-  obs::PromAggregator agg;
-  agg.add(out.str(), {});
-  for (std::uint32_t i = 0; i < backends_.size(); ++i) {
-    if (backends_[i].metrics_text.empty()) continue;
-    agg.add(backends_[i].metrics_text, {{"shard", std::to_string(i)}});
-  }
-  return agg.render();
+obs::MetricsRegistry Router::on_metrics() {
+  obs::MetricsRegistry r;
+  record_own_metrics(r);
+  obs::record_process_metrics(r);
+  // Fleet aggregation: fold every cached shard registry into this scrape
+  // under a shard="<i>" label (keys the backend already stamped — its
+  // own shard label on the net families — win over the injected one).
+  for (std::uint32_t i = 0; i < backends_.size(); ++i)
+    r.merge(backends_[i].metrics, {{"shard", std::to_string(i)}});
+  return r;
 }
 
-void Router::render_own_metrics(obs::PromWriter& w) {
+void Router::record_own_metrics(obs::MetricsRegistry& r) {
   const Stats s = stats();
-  w.counter("tgp_router_forwarded_total", "Submits forwarded to backends",
+  r.counter("tgp_router_forwarded_total", "Submits forwarded to backends",
             s.forwarded);
-  w.counter("tgp_router_returned_total", "Responses returned to clients",
+  r.counter("tgp_router_returned_total", "Responses returned to clients",
             s.returned);
-  w.counter("tgp_router_quota_rejects_total",
+  r.counter("tgp_router_quota_rejects_total",
             "Submits rejected by tenant quota", s.quota_rejects);
-  w.counter("tgp_router_overload_rejects_total",
+  r.counter("tgp_router_overload_rejects_total",
             "Submits rejected with the fair queue full", s.overload_rejects);
-  w.counter("tgp_router_shard_down_rejects_total",
+  r.counter("tgp_router_shard_down_rejects_total",
             "Submits or in-flight jobs failed by a dead shard",
             s.shard_down_rejects);
-  w.counter("tgp_router_fingerprints_computed_total",
+  r.counter("tgp_router_fingerprints_computed_total",
             "Canonical fingerprints computed router-side",
             s.fingerprints_computed);
-  w.counter("tgp_router_requests_rerouted_total",
+  r.counter("tgp_router_requests_rerouted_total",
             "Submits routed or handed off away from the owning shard",
             s.requests_rerouted);
-  w.counter("tgp_router_handoffs_total",
+  r.counter("tgp_router_handoffs_total",
             "In-flight jobs re-sent to a successor after a shard died",
             s.handoffs);
-  w.counter("tgp_router_duplicates_dropped_total",
+  r.counter("tgp_router_duplicates_dropped_total",
             "Late responses for already-settled requests dropped",
             s.duplicates_dropped);
-  w.counter("tgp_router_failovers_total", "Shard transitions into down",
+  r.counter("tgp_router_failovers_total", "Shard transitions into down",
             s.failovers);
-  w.counter("tgp_router_recoveries_total",
+  r.counter("tgp_router_recoveries_total",
             "Shard transitions recovering -> up", s.recoveries);
-  w.counter("tgp_router_reconnects_total",
+  r.counter("tgp_router_reconnects_total",
             "Successful re-dials of down shards", s.reconnects);
-  w.counter("tgp_router_pings_sent_total", "Health probes sent",
+  r.counter("tgp_router_pings_sent_total", "Health probes sent",
             s.pings_sent);
-  w.counter("tgp_router_ping_misses_total",
+  r.counter("tgp_router_ping_misses_total",
             "Health probes unanswered past the deadline", s.ping_misses);
-  w.gauge("tgp_router_outstanding", "Forwarded submits awaiting a response",
+  r.gauge("tgp_router_outstanding", "Forwarded submits awaiting a response",
           static_cast<double>(s.outstanding_now));
-  w.gauge("tgp_router_queued", "Submits waiting in the fair queue",
+  r.gauge("tgp_router_queued", "Submits waiting in the fair queue",
           static_cast<double>(s.queued_now));
-  w.gauge("tgp_router_queued_peak", "Fair-queue high watermark",
+  r.gauge("tgp_router_queued_peak", "Fair-queue high watermark",
           static_cast<double>(s.queued_peak));
-  w.gauge("tgp_router_backends_up", "Serving (up or suspect) backends",
+  r.gauge("tgp_router_backends_up", "Serving (up or suspect) backends",
           static_cast<double>(s.backends_up));
   static constexpr ShardState kStates[] = {
       ShardState::kUp, ShardState::kSuspect, ShardState::kDown,
@@ -630,60 +621,57 @@ void Router::render_own_metrics(obs::PromWriter& w) {
   for (std::uint32_t i = 0; i < backends_.size(); ++i) {
     const ShardState cur = backends_[i].health.state();
     for (ShardState st : kStates) {
-      const obs::PromWriter::Labels l{{"shard", std::to_string(i)},
-                                      {"state", shard_state_name(st)}};
-      w.gauge("tgp_shard_health",
+      const obs::Labels l{{"shard", std::to_string(i)},
+                          {"state", shard_state_name(st)}};
+      r.gauge("tgp_shard_health",
               "1 for the shard's current health state, 0 otherwise",
               st == cur ? 1.0 : 0.0, l);
     }
   }
   for (const auto& [tenant, st] : quota_.stats()) {
-    const obs::PromWriter::Labels l{{"tenant", std::to_string(tenant)}};
-    w.counter("tgp_router_tenant_admitted_total",
+    const obs::Labels l{{"tenant", std::to_string(tenant)}};
+    r.counter("tgp_router_tenant_admitted_total",
               "Submits admitted per tenant", st.admitted, l);
-    w.counter("tgp_router_tenant_rejected_total",
+    r.counter("tgp_router_tenant_rejected_total",
               "Submits quota-rejected per tenant", st.rejected, l);
   }
   if (server_ != nullptr) {
     const obs::NetCounters& c = server_->counters();
-    w.counter("tgp_net_frames_in_total", "Frames received", c.frames_in);
-    w.counter("tgp_net_frames_out_total", "Frames sent", c.frames_out);
-    w.counter("tgp_net_bytes_in_total", "Bytes received", c.bytes_in);
-    w.counter("tgp_net_bytes_out_total", "Bytes sent", c.bytes_out);
-    w.counter("tgp_net_decode_errors_total", "Unparseable frames",
+    r.counter("tgp_net_frames_in_total", "Frames received", c.frames_in);
+    r.counter("tgp_net_frames_out_total", "Frames sent", c.frames_out);
+    r.counter("tgp_net_bytes_in_total", "Bytes received", c.bytes_in);
+    r.counter("tgp_net_bytes_out_total", "Bytes sent", c.bytes_out);
+    r.counter("tgp_net_decode_errors_total", "Unparseable frames",
               c.decode_errors);
-    w.counter("tgp_net_rejects_sent_total", "kReject frames sent",
+    r.counter("tgp_net_rejects_sent_total", "kReject frames sent",
               c.rejects_sent);
-    w.counter("tgp_net_ticks_total", "Timer ticks on the event loop",
+    r.counter("tgp_net_ticks_total", "Timer ticks on the event loop",
               c.ticks);
-    w.counter("tgp_net_injected_sock_faults_total",
+    r.counter("tgp_net_injected_sock_faults_total",
               "Injected socket-level faults observed", c.injected_sock_faults);
-    w.counter("tgp_net_injected_frame_faults_total",
+    r.counter("tgp_net_injected_frame_faults_total",
               "Injected frame-level faults applied", c.injected_frame_faults);
   }
 
   // End-to-end latency as the router sees it (client submit accepted →
   // response forwarded), across every shard including hand-offs — the
   // fleet-level histogram a per-shard scrape cannot produce.
-  w.histogram_log2_micros(
-      "tgp_router_e2e_latency_seconds",
-      "End-to-end request latency observed at the router",
-      e2e_latency_.counts.data(), e2e_latency_.counts.size(),
-      e2e_latency_.count,
-      static_cast<std::uint64_t>(e2e_latency_.total_micros));
+  r.histogram("tgp_router_e2e_latency_seconds",
+              "End-to-end request latency observed at the router",
+              e2e_latency_);
 
   // Tail exemplars: the slowest-K requests with their phase breakdown.
   // rank 0 is the slowest seen so far.
   std::vector<SlowRequest> slow = slow_requests();
-  for (std::size_t r = 0; r < slow.size(); ++r) {
-    const obs::PromWriter::Labels l{{"rank", std::to_string(r)},
-                                    {"shard", std::to_string(slow[r].shard)}};
-    w.gauge("tgp_router_slow_e2e_micros",
-            "Slowest-K request end-to-end latency", slow[r].e2e_micros, l);
-    w.gauge("tgp_router_slow_queue_micros",
-            "Slowest-K request fair-queue wait", slow[r].queue_micros, l);
-    w.gauge("tgp_router_slow_backend_micros",
-            "Slowest-K request backend round trip", slow[r].backend_micros,
+  for (std::size_t k = 0; k < slow.size(); ++k) {
+    const obs::Labels l{{"rank", std::to_string(k)},
+                        {"shard", std::to_string(slow[k].shard)}};
+    r.gauge("tgp_router_slow_e2e_micros",
+            "Slowest-K request end-to-end latency", slow[k].e2e_micros, l);
+    r.gauge("tgp_router_slow_queue_micros",
+            "Slowest-K request fair-queue wait", slow[k].queue_micros, l);
+    r.gauge("tgp_router_slow_backend_micros",
+            "Slowest-K request backend round trip", slow[k].backend_micros,
             l);
   }
 }

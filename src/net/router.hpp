@@ -64,9 +64,8 @@
 #include "net/server.hpp"
 #include "net/shard.hpp"
 #include "net/wire.hpp"
-#include "obs/prom.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "svc/metrics.hpp"
 #include "svc/tenant.hpp"
 
 namespace tgp::net {
@@ -96,8 +95,8 @@ class Router : public Server::Handler {
     /// Deadline for reconnect attempts to down shards (loop-blocking!).
     int connect_timeout_ms = 250;
 
-    /// Poll every serving backend for its Prometheus text each this many
-    /// ticks; the cached replies are folded into /metrics with a
+    /// Poll every serving backend for its metrics registry each this many
+    /// ticks; the cached replies are merged into /metrics with a
     /// shard="<i>" label so one router scrape covers the fleet.  0 = the
     /// router exports only its own families.
     int metrics_every_ticks = 0;
@@ -150,7 +149,7 @@ class Router : public Server::Handler {
                 std::span<const std::uint8_t> payload) override;
   void on_close(std::uint64_t conn) override;
   void on_tick() override;
-  std::string on_metrics() override;
+  obs::MetricsRegistry on_metrics() override;
 
   Stats stats() const;
 
@@ -177,7 +176,7 @@ class Router : public Server::Handler {
 
   /// End-to-end latency (client submit accepted → response forwarded)
   /// across all shards, as observed by the router.
-  const svc::LatencyHistogram& e2e_latency() const { return e2e_latency_; }
+  const obs::LatencyHistogram& e2e_latency() const { return e2e_latency_; }
 
  private:
   struct BackendLink {
@@ -190,7 +189,7 @@ class Router : public Server::Handler {
     std::int64_t ping_sent_us = 0;
     ShardState last_state = ShardState::kUp;  ///< for transition counters
     std::uint64_t metrics_id = 0;   ///< outstanding metrics poll, 0 = none
-    std::string metrics_text;       ///< last kMetricsReply body (cached)
+    obs::MetricsRegistry metrics;   ///< last decoded kMetricsReply
 
     explicit BackendLink(const ShardHealthConfig& hc) : health(hc) {}
   };
@@ -244,9 +243,9 @@ class Router : public Server::Handler {
                        std::uint32_t responder, std::int64_t done_ns);
   void poll_shard_metrics();
   /// The router's own families (stats counters, health gauges, the e2e
-  /// histogram, slow-request exemplars) — everything except the
-  /// aggregated shard scrape-through.
-  void render_own_metrics(obs::PromWriter& w);
+  /// histogram, slow-request exemplars) — everything except the merged
+  /// shard registries.
+  void record_own_metrics(obs::MetricsRegistry& registry);
   std::int64_t now_micros() const;
 
   Config config_;
@@ -289,7 +288,7 @@ class Router : public Server::Handler {
   std::uint64_t ping_misses_ = 0;
 
   /// Fleet-level latency + tail exemplars (loop thread only).
-  svc::LatencyHistogram e2e_latency_;
+  obs::LatencyHistogram e2e_latency_;
   std::vector<SlowRequest> slow_;  ///< unsorted slowest-K pool
 };
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -428,7 +429,7 @@ void Server::parse_http(Conn& c) {
     target = std::string(text.substr(sp1 + 1, sp2 - sp1 - 1));
   std::string response;
   if (target == "/metrics" || target.rfind("/metrics?", 0) == 0) {
-    std::string body = handler_.on_metrics();
+    std::string body = obs::render_prometheus(handler_.on_metrics());
     response = "HTTP/1.1 200 OK\r\n"
                "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
                "Content-Length: " + std::to_string(body.size()) + "\r\n"

@@ -20,9 +20,10 @@
 //     kReject carrying the request id, and the connection lives on —
 //     the length prefix kept the stream in sync.
 //
-// The same port also answers plain-HTTP `GET /metrics` (Prometheus text
-// from Handler::on_metrics): a connection whose first bytes are not the
-// frame magic is sniffed as HTTP, served one response, and closed.
+// The same port also answers plain-HTTP `GET /metrics` (Handler::
+// on_metrics rendered as Prometheus text): a connection whose first
+// bytes are not the frame magic is sniffed as HTTP, served one
+// response, and closed.
 #pragma once
 
 #include <atomic>
@@ -39,6 +40,7 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/counters.hpp"
+#include "obs/registry.hpp"
 
 namespace tgp::net {
 
@@ -69,8 +71,9 @@ class Server {
     }
     virtual void on_frame(std::uint64_t conn, const FrameHeader& header,
                           std::span<const std::uint8_t> payload) = 0;
-    /// Body for `GET /metrics` (Prometheus text exposition).
-    virtual std::string on_metrics() { return ""; }
+    /// Metrics for kMetricsRequest and, as Prometheus text, for
+    /// `GET /metrics`.
+    virtual obs::MetricsRegistry on_metrics() { return {}; }
     virtual void on_close(std::uint64_t conn) { (void)conn; }
     /// Timer callback (loop thread), every Config::tick_interval_ms.
     virtual void on_tick() {}

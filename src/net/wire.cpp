@@ -65,6 +65,16 @@ std::uint32_t checked_count(WireReader& r, std::size_t elem_bytes,
   return count;
 }
 
+/// A u32 length prefix, then the bytes.
+void put_str(std::vector<std::uint8_t>& b, std::string_view s) {
+  put_u32(b, static_cast<std::uint32_t>(s.size()));
+  b.insert(b.end(), s.begin(), s.end());
+}
+
+std::string get_str(WireReader& r, const char* what) {
+  return r.str(checked_count(r, 1, what));
+}
+
 }  // namespace
 
 void WireReader::f64_array(std::vector<double>& out, std::size_t n) {
@@ -398,8 +408,7 @@ std::vector<std::uint8_t> encode_result(const svc::JobResult& r,
     put_f64(out, r.objective);
     put_f64(out, r.latency_micros);
     put_counters(out, r.counters);
-    put_u32(out, static_cast<std::uint32_t>(r.error.size()));
-    out.insert(out.end(), r.error.begin(), r.error.end());
+    put_str(out, r.error);
     put_u32(out, static_cast<std::uint32_t>(r.cut.edges.size()));
     for (int e : r.cut.edges)
       put_u32(out, static_cast<std::uint32_t>(e));
@@ -421,8 +430,7 @@ svc::JobResult decode_result(std::span<const std::uint8_t> payload) {
   out.objective = r.f64();
   out.latency_micros = r.f64();
   out.counters = get_counters(r);
-  std::uint32_t error_len = checked_count(r, 1, "error byte");
-  out.error = r.str(error_len);
+  out.error = get_str(r, "error byte");
   std::uint32_t cut = checked_count(r, sizeof(std::uint32_t), "cut edge");
   out.cut.edges.reserve(cut);
   for (std::uint32_t i = 0; i < cut; ++i)
@@ -437,8 +445,7 @@ std::vector<std::uint8_t> encode_reject(RejectCode code,
                                         std::uint64_t request_id) {
   return make_frame(FrameType::kReject, request_id, [&](auto& out) {
     put_u8(out, static_cast<std::uint8_t>(code));
-    put_u32(out, static_cast<std::uint32_t>(reason.size()));
-    out.insert(out.end(), reason.begin(), reason.end());
+    put_str(out, reason);
   });
 }
 
@@ -450,8 +457,7 @@ Reject decode_reject(std::span<const std::uint8_t> payload) {
       code > static_cast<std::uint8_t>(RejectCode::kInternal))
     throw WireError("unknown reject code " + std::to_string(code));
   rej.code = static_cast<RejectCode>(code);
-  std::uint32_t len = checked_count(r, 1, "reason byte");
-  rej.reason = r.str(len);
+  rej.reason = get_str(r, "reason byte");
   if (!r.done()) throw WireError("trailing bytes after the reject payload");
   return rej;
 }
@@ -477,20 +483,92 @@ std::vector<std::uint8_t> encode_metrics_request(std::uint64_t request_id) {
   return make_frame(FrameType::kMetricsRequest, request_id, [](auto&) {});
 }
 
-std::vector<std::uint8_t> encode_metrics_reply(std::string_view text,
-                                               std::uint64_t request_id) {
+std::vector<std::uint8_t> encode_metrics_reply(
+    const obs::MetricsRegistry& registry, std::uint64_t request_id) {
   return make_frame(FrameType::kMetricsReply, request_id, [&](auto& out) {
-    put_u32(out, static_cast<std::uint32_t>(text.size()));
-    out.insert(out.end(), text.begin(), text.end());
+    put_u32(out, static_cast<std::uint32_t>(registry.families().size()));
+    for (const obs::MetricsRegistry::Family& f : registry.families()) {
+      put_u8(out, static_cast<std::uint8_t>(f.type));
+      put_str(out, f.name);
+      put_str(out, f.help);
+      put_u32(out, static_cast<std::uint32_t>(f.samples.size()));
+      for (const obs::MetricsRegistry::Sample& s : f.samples) {
+        put_u32(out, static_cast<std::uint32_t>(s.labels.size()));
+        for (const auto& [key, value] : s.labels) {
+          put_str(out, key);
+          put_str(out, value);
+        }
+        switch (f.type) {
+          case obs::MetricType::kCounter: put_u64(out, s.counter); break;
+          case obs::MetricType::kGauge: put_f64(out, s.gauge); break;
+          case obs::MetricType::kHistogram: {
+            const obs::LatencyHistogram& h = s.histogram;
+            std::size_t used = h.counts.size();
+            while (used > 0 && h.counts[used - 1] == 0) --used;
+            put_u32(out, static_cast<std::uint32_t>(used));
+            for (std::size_t b = 0; b < used; ++b) put_u64(out, h.counts[b]);
+            put_u64(out, h.count);
+            put_f64(out, h.total_micros);
+            put_f64(out, h.max_micros);
+            break;
+          }
+        }
+      }
+    }
   });
 }
 
-std::string decode_metrics_reply(std::span<const std::uint8_t> payload) {
+obs::MetricsRegistry decode_metrics_reply(
+    std::span<const std::uint8_t> payload) {
+  // Minimum wire bytes per element, for checked_count: a family is a
+  // type byte plus three u32 prefixes, a sample a label count plus an
+  // 8-byte value, a label two length prefixes.
+  constexpr std::size_t kFamilyBytes = 13;
+  constexpr std::size_t kSampleBytes = 12;
+  constexpr std::size_t kLabelBytes = 8;
   WireReader r(payload);
-  std::uint32_t len = checked_count(r, 1, "metrics byte");
-  std::string text = r.str(len);
+  obs::MetricsRegistry registry;
+  const std::uint32_t families = checked_count(r, kFamilyBytes, "family");
+  for (std::uint32_t i = 0; i < families; ++i) {
+    const std::uint8_t type_byte = r.u8();
+    if (type_byte > static_cast<std::uint8_t>(obs::MetricType::kHistogram))
+      throw WireError("unknown metric type " + std::to_string(type_byte));
+    const auto type = static_cast<obs::MetricType>(type_byte);
+    const std::string name = get_str(r, "metric name byte");
+    const std::string help = get_str(r, "metric help byte");
+    const obs::MetricsRegistry::Family* known = registry.family(name);
+    if (known != nullptr && known->type != type)
+      throw WireError("metric " + name + " sent under two types");
+    const std::uint32_t samples = checked_count(r, kSampleBytes, "sample");
+    for (std::uint32_t j = 0; j < samples; ++j) {
+      obs::Labels labels(checked_count(r, kLabelBytes, "label"));
+      for (auto& [key, value] : labels) {
+        key = get_str(r, "label key byte");
+        value = get_str(r, "label value byte");
+      }
+      obs::MetricsRegistry::Sample& s =
+          registry.record(name, help, type, std::move(labels));
+      switch (type) {
+        case obs::MetricType::kCounter: s.counter = r.u64(); break;
+        case obs::MetricType::kGauge: s.gauge = r.f64(); break;
+        case obs::MetricType::kHistogram: {
+          obs::LatencyHistogram& h = s.histogram;
+          const std::uint32_t used = checked_count(r, 8, "histogram bucket");
+          if (used > h.counts.size())
+            throw WireError("histogram with " + std::to_string(used) +
+                            " buckets exceeds " +
+                            std::to_string(h.counts.size()));
+          for (std::uint32_t b = 0; b < used; ++b) h.counts[b] = r.u64();
+          h.count = r.u64();
+          h.total_micros = r.f64();
+          h.max_micros = r.f64();
+          break;
+        }
+      }
+    }
+  }
   if (!r.done()) throw WireError("trailing bytes after the metrics payload");
-  return text;
+  return registry;
 }
 
 std::vector<std::uint8_t> encode_ping(std::uint64_t request_id) {

@@ -31,8 +31,10 @@
 //                   too large, bad version, shutdown.  Carries a
 //                   RejectCode and a reason string.
 //   kMetricsRequest / kMetricsReply
-//                   Prometheus text exposition over the binary port
-//                   (the server also answers plain `GET /metrics`).
+//                   the server's metrics registry as typed samples
+//                   (families, label sets, counter/gauge/histogram
+//                   values); plain `GET /metrics` on the same port
+//                   answers with its Prometheus text.
 //   kPing / kPong   liveness probe, empty payloads.
 //
 // Decoding is defensive: every read is bounds-checked and malformed
@@ -52,6 +54,7 @@
 #include <optional>
 
 #include "graph/fingerprint.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "svc/job.hpp"
 
@@ -350,9 +353,17 @@ svc::JobResult reject_to_result(const Reject& rej);
 // ---- Metrics / ping frames ------------------------------------------------
 
 std::vector<std::uint8_t> encode_metrics_request(std::uint64_t request_id);
-std::vector<std::uint8_t> encode_metrics_reply(std::string_view text,
-                                               std::uint64_t request_id);
-std::string decode_metrics_reply(std::span<const std::uint8_t> payload);
+/// A kMetricsReply carries a registry as typed samples:
+///   u32 family count, then per family: u8 MetricType, u32-prefixed name
+///   and help, u32 sample count; per sample: u32 label count and
+///   u32-prefixed key/value pairs, then the value — u64 counter, f64
+///   gauge, or a histogram as u32 bucket count (≤ kBuckets; trailing
+///   empty buckets elided) + that many u64 + u64 count + f64 total µs +
+///   f64 max µs.
+std::vector<std::uint8_t> encode_metrics_reply(
+    const obs::MetricsRegistry& registry, std::uint64_t request_id);
+obs::MetricsRegistry decode_metrics_reply(
+    std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_ping(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_pong(std::uint64_t request_id);

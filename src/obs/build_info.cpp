@@ -1,9 +1,7 @@
 #include "obs/build_info.hpp"
 
 #include <chrono>
-#include <ostream>
 
-#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 
 namespace tgp::obs {
@@ -33,15 +31,14 @@ double process_start_unix_seconds() {
   return start;
 }
 
-void render_process_metrics(std::ostream& out) {
-  PromWriter w(out);
-  w.gauge("tgp_build_info",
+void record_process_metrics(MetricsRegistry& r) {
+  r.gauge("tgp_build_info",
           "Build provenance; value is always 1, identity in the labels", 1.0,
           {{"version", build_version()}, {"git_sha", build_git_sha()}});
-  w.gauge("tgp_process_start_time_seconds",
+  r.gauge("tgp_process_start_time_seconds",
           "Unix time the process initialized the obs layer",
           process_start_unix_seconds());
-  w.counter("tgp_trace_dropped_total",
+  r.counter("tgp_trace_dropped_total",
             "Span-ring events overwritten before export (all threads)",
             trace::dropped_total());
 }

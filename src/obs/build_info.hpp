@@ -1,15 +1,15 @@
 // Build/process provenance: version, git sha, process start time.
 //
-// Every Prometheus exporter in the repo (tgp_serve --metrics-out, the
-// backend's /metrics, the router's aggregated /metrics) renders these
-// through render_process_metrics(), and bench_harness stamps them into
+// Every metrics exporter in the repo (tgp_serve --metrics-out, the
+// backend's /metrics, the router's aggregated /metrics) records these
+// through record_process_metrics(), and bench_harness stamps them into
 // BENCH JSON artifacts so a committed baseline records exactly which
 // build produced it.  The values come from TGP_VERSION / TGP_GIT_SHA
 // compile definitions (set by src/obs/CMakeLists.txt from `git
 // rev-parse`); unset builds report "unknown" rather than failing.
 #pragma once
 
-#include <iosfwd>
+#include "obs/registry.hpp"
 
 namespace tgp::obs {
 
@@ -24,10 +24,10 @@ const char* build_git_sha();
 /// wins — effectively process start for any binary that exports metrics).
 double process_start_unix_seconds();
 
-/// Render the process-wide families every exporter shares:
+/// Record the process-wide families every exporter shares:
 ///   tgp_build_info{version,git_sha} 1
 ///   tgp_process_start_time_seconds
 ///   tgp_trace_dropped_total        (span-ring overwrites, obs/trace)
-void render_process_metrics(std::ostream& out);
+void record_process_metrics(MetricsRegistry& registry);
 
 }  // namespace tgp::obs

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace tgp::obs {
 
@@ -19,10 +20,22 @@ void append_micros(std::string& out, std::int64_t ns) {
   out += buf;
 }
 
-void append_json_string(std::string& out, const char* s) {
+void append_hex_id(std::string& out, std::uint64_t hi, std::uint64_t lo) {
+  char buf[40];
+  if (hi != 0) {
+    std::snprintf(buf, sizeof(buf), "\"%016" PRIx64 "%016" PRIx64 "\"", hi,
+                  lo);
+  } else {
+    std::snprintf(buf, sizeof(buf), "\"%016" PRIx64 "\"", lo);
+  }
+  out += buf;
+}
+
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
-  for (; s && *s; ++s) {
-    const char c = *s;
+  for (const char c : s) {
     if (c == '"' || c == '\\') {
       out += '\\';
       out += c;
@@ -36,19 +49,6 @@ void append_json_string(std::string& out, const char* s) {
   }
   out += '"';
 }
-
-void append_hex_id(std::string& out, std::uint64_t hi, std::uint64_t lo) {
-  char buf[40];
-  if (hi != 0) {
-    std::snprintf(buf, sizeof(buf), "\"%016" PRIx64 "%016" PRIx64 "\"", hi,
-                  lo);
-  } else {
-    std::snprintf(buf, sizeof(buf), "\"%016" PRIx64 "\"", lo);
-  }
-  out += buf;
-}
-
-}  // namespace
 
 void write_chrome_trace(std::ostream& out,
                         const trace::TraceSnapshot& snap) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 
@@ -40,5 +41,9 @@ struct ChromeTraceMeta {
 void write_chrome_trace(std::ostream& out, const trace::TraceSnapshot& snap);
 void write_chrome_trace(std::ostream& out, const trace::TraceSnapshot& snap,
                         const ChromeTraceMeta& meta);
+
+/// Append `s` to `out` as a quoted JSON string (quote, backslash and
+/// control characters escaped).  Shared with the metrics JSON walk.
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace tgp::obs

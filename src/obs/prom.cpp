@@ -1,6 +1,5 @@
 #include "obs/prom.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -33,107 +32,16 @@ std::string prom_escape_help(std::string_view text) {
   return out;
 }
 
-void PromWriter::header(std::string_view name, std::string_view help,
-                        std::string_view type) {
-  std::string key(name);
-  if (std::find(seen_.begin(), seen_.end(), key) != seen_.end()) return;
-  seen_.push_back(std::move(key));
-  if (!help.empty())
-    out_ << "# HELP " << name << ' ' << prom_escape_help(help) << '\n';
-  out_ << "# TYPE " << name << ' ' << type << '\n';
-}
-
-void PromWriter::sample(std::string_view name, const Labels& labels,
-                        std::string_view value) {
-  out_ << name;
-  if (!labels.empty()) {
-    out_ << '{';
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (i) out_ << ',';
-      out_ << labels[i].first << "=\"" << prom_escape(labels[i].second)
-           << '"';
-    }
-    out_ << '}';
-  }
-  out_ << ' ' << value << '\n';
-}
-
-void PromWriter::counter(std::string_view name, std::string_view help,
-                         std::uint64_t value, const Labels& labels) {
-  header(name, help, "counter");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  sample(name, labels, buf);
-}
-
-void PromWriter::gauge(std::string_view name, std::string_view help,
-                       double value, const Labels& labels) {
-  header(name, help, "gauge");
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  sample(name, labels, buf);
-}
-
-void PromWriter::histogram_log2_micros(std::string_view name,
-                                       std::string_view help,
-                                       const std::uint64_t* buckets,
-                                       std::size_t num_buckets,
-                                       std::uint64_t count,
-                                       std::uint64_t sum_micros,
-                                       const Labels& labels) {
-  header(name, help, "histogram");
-  std::string bucket_name(name);
-  bucket_name += "_bucket";
-
-  // Elide trailing empty buckets; +Inf still closes the family.
-  std::size_t last = num_buckets;
-  while (last > 0 && buckets[last - 1] == 0) --last;
-
-  std::uint64_t cum = 0;
-  char num[64];
-  for (std::size_t b = 0; b < last; ++b) {
-    cum += buckets[b];
-    // Upper bound of log₂ bucket b is 2^(b+1) µs, rendered in seconds.
-    const double le = static_cast<double>(std::uint64_t{1} << (b + 1)) * 1e-6;
-    Labels ls = labels;
-    std::snprintf(num, sizeof(num), "%.9g", le);
-    ls.emplace_back("le", num);
-    std::snprintf(num, sizeof(num), "%" PRIu64, cum);
-    sample(bucket_name, ls, num);
-  }
-  {
-    Labels ls = labels;
-    ls.emplace_back("le", "+Inf");
-    std::snprintf(num, sizeof(num), "%" PRIu64, count);
-    sample(bucket_name, ls, num);
-  }
-  {
-    std::string sum_name(name);
-    sum_name += "_sum";
-    std::snprintf(num, sizeof(num), "%.9g",
-                  static_cast<double>(sum_micros) * 1e-6);
-    sample(sum_name, labels, num);
-  }
-  {
-    std::string count_name(name);
-    count_name += "_count";
-    std::snprintf(num, sizeof(num), "%" PRIu64, count);
-    sample(count_name, labels, num);
-  }
-}
-
-// ---- Scrape-through aggregation -------------------------------------------
-
 namespace {
 
-/// Metric name of a sample line: the prefix up to '{' or the first space.
-std::string_view sample_name(std::string_view line) {
-  std::size_t end = line.find_first_of("{ ");
-  return end == std::string_view::npos ? line : line.substr(0, end);
-}
-
-std::string render_labels(const PromWriter::Labels& labels) {
-  std::string out;
+/// `name suffix{labels[,le="le"]}`.
+void append_series(std::string& out, std::string_view name,
+                   std::string_view suffix, const Labels& labels,
+                   std::string_view le) {
+  out += name;
+  out += suffix;
+  if (labels.empty() && le.empty()) return;
+  out += '{';
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i) out += ',';
     out += labels[i].first;
@@ -141,152 +49,92 @@ std::string render_labels(const PromWriter::Labels& labels) {
     out += prom_escape(labels[i].second);
     out += '"';
   }
-  return out;
+  if (!le.empty()) {
+    if (!labels.empty()) out += ',';
+    out += "le=\"";
+    out += le;
+    out += '"';
+  }
+  out += '}';
+}
+
+void append_sample(std::string& out, std::string_view name,
+                   std::string_view suffix, const Labels& labels,
+                   std::string_view le, std::string_view value) {
+  append_series(out, name, suffix, labels, le);
+  out += ' ';
+  out += value;
+  out += '\n';
+}
+
+void append_histogram(std::string& out, std::string_view name,
+                      const Labels& labels, const LatencyHistogram& h) {
+  // Elide trailing empty buckets; +Inf still closes the family.
+  std::size_t last = h.counts.size();
+  while (last > 0 && h.counts[last - 1] == 0) --last;
+
+  std::uint64_t cum = 0;
+  char le[32];
+  char num[32];
+  for (std::size_t b = 0; b < last; ++b) {
+    cum += h.counts[b];
+    // Upper bound of log₂ bucket b is 2^(b+1) µs, rendered in seconds.
+    std::snprintf(le, sizeof(le), "%.9g",
+                  static_cast<double>(std::uint64_t{1} << (b + 1)) * 1e-6);
+    std::snprintf(num, sizeof(num), "%" PRIu64, cum);
+    append_sample(out, name, "_bucket", labels, le, num);
+  }
+  std::snprintf(num, sizeof(num), "%" PRIu64, h.count);
+  append_sample(out, name, "_bucket", labels, "+Inf", num);
+  // The sum is whole microseconds, as the exposition always carried it.
+  std::snprintf(
+      num, sizeof(num), "%.9g",
+      static_cast<double>(static_cast<std::uint64_t>(h.total_micros)) * 1e-6);
+  append_sample(out, name, "_sum", labels, {}, num);
+  std::snprintf(num, sizeof(num), "%" PRIu64, h.count);
+  append_sample(out, name, "_count", labels, {}, num);
 }
 
 }  // namespace
 
-namespace {
-
-/// True when the label block starting at `open` already binds `key` —
-/// matched at label-name positions only ('{' or ',' before the key, '='
-/// after), so a key appearing inside another label's *value* is ignored.
-bool block_has_key(std::string_view line, std::size_t open,
-                   std::string_view key) {
-  bool in_quotes = false;
-  for (std::size_t i = open; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_quotes = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-    } else if (c == '}') {
-      return false;
-    } else if (c == '{' || c == ',') {
-      if (line.compare(i + 1, key.size(), key) == 0 &&
-          i + 1 + key.size() < line.size() && line[i + 1 + key.size()] == '=')
-        return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string prom_inject_labels(std::string_view line,
-                               const PromWriter::Labels& extra) {
-  if (extra.empty() || line.empty() || line[0] == '#')
-    return std::string(line);
+std::string render_prometheus(const MetricsRegistry& registry) {
   std::string out;
-  std::size_t open = line.find('{');
-  std::size_t space = line.find(' ');
-  if (open != std::string_view::npos &&
-      (space == std::string_view::npos || open < space)) {
-    // Keys the line already carries win: a backend that stamps its own
-    // shard label keeps it, the router's copy is dropped — re-binding the
-    // same key twice would be invalid exposition text.
-    PromWriter::Labels fresh;
-    for (const auto& kv : extra)
-      if (!block_has_key(line, open, kv.first)) fresh.push_back(kv);
-    if (fresh.empty()) return std::string(line);
-    const bool has_existing =
-        open + 1 < line.size() && line[open + 1] != '}';
-    out.append(line.substr(0, open + 1));
-    out += render_labels(fresh);
-    if (has_existing) out += ',';
-    out.append(line.substr(open + 1));
-  } else {
-    std::size_t name_end =
-        space == std::string_view::npos ? line.size() : space;
-    out.append(line.substr(0, name_end));
-    out += '{';
-    out += render_labels(extra);
-    out += '}';
-    out.append(line.substr(name_end));
+  char num[64];
+  for (const MetricsRegistry::Family& f : registry.families()) {
+    if (!f.help.empty()) {
+      out += "# HELP ";
+      out += f.name;
+      out += ' ';
+      out += prom_escape_help(f.help);
+      out += '\n';
+    }
+    out += "# TYPE ";
+    out += f.name;
+    out += ' ';
+    out += metric_type_name(f.type);
+    out += '\n';
+    for (const MetricsRegistry::Sample& s : f.samples) {
+      switch (f.type) {
+        case MetricType::kCounter:
+          std::snprintf(num, sizeof(num), "%" PRIu64, s.counter);
+          append_sample(out, f.name, {}, s.labels, {}, num);
+          break;
+        case MetricType::kGauge:
+          std::snprintf(num, sizeof(num), "%.17g", s.gauge);
+          append_sample(out, f.name, {}, s.labels, {}, num);
+          break;
+        case MetricType::kHistogram:
+          append_histogram(out, f.name, s.labels, s.histogram);
+          break;
+      }
+    }
   }
   return out;
 }
 
-PromAggregator::Family& PromAggregator::family_for(
-    std::string_view sample_base) {
-  // Histogram/summary children group under the parent family.
-  std::string_view base = sample_base;
-  for (std::string_view suffix :
-       {std::string_view("_bucket"), std::string_view("_sum"),
-        std::string_view("_count")}) {
-    if (base.size() > suffix.size() &&
-        base.substr(base.size() - suffix.size()) == suffix) {
-      std::string_view stripped = base.substr(0, base.size() - suffix.size());
-      for (Family& f : families_)
-        if (f.name == stripped) return f;
-    }
-  }
-  for (Family& f : families_)
-    if (f.name == base) return f;
-  families_.push_back(Family{std::string(base), {}, {}, {}});
-  return families_.back();
-}
-
-void PromAggregator::add(std::string_view text,
-                         const PromWriter::Labels& extra) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      // "# HELP name ..." / "# TYPE name type"; other comments dropped.
-      if (line.size() < 8) continue;
-      std::string_view kind = line.substr(2, 4);
-      std::string_view rest = line.substr(7);
-      std::string_view name = rest.substr(0, rest.find(' '));
-      if (name.empty()) continue;
-      Family& f = family_for(name);
-      // The _for lookup may have grouped "name" under a parent via the
-      // suffix rule; headers name their family exactly, so fix up.
-      Family* fam = &f;
-      if (f.name != name) {
-        families_.push_back(Family{std::string(name), {}, {}, {}});
-        fam = &families_.back();
-      }
-      if (kind == "HELP") {
-        if (fam->help_line.empty()) fam->help_line = std::string(line);
-      } else if (kind == "TYPE") {
-        if (fam->type_line.empty()) fam->type_line = std::string(line);
-      }
-      continue;
-    }
-    Family& f = family_for(sample_name(line));
-    f.samples.push_back(prom_inject_labels(line, extra));
-  }
-}
-
-std::string PromAggregator::render() const {
+std::string prom_series(std::string_view name, const Labels& labels) {
   std::string out;
-  for (const Family& f : families_) {
-    if (f.help_line.empty() && f.type_line.empty() && f.samples.empty())
-      continue;
-    if (!f.help_line.empty()) {
-      out += f.help_line;
-      out += '\n';
-    }
-    if (!f.type_line.empty()) {
-      out += f.type_line;
-      out += '\n';
-    }
-    for (const std::string& s : f.samples) {
-      out += s;
-      out += '\n';
-    }
-  }
+  append_series(out, name, {}, labels, {});
   return out;
 }
 

@@ -1,63 +1,29 @@
-// Prometheus text-exposition writer (version 0.0.4 format).
+// Prometheus text exposition (version 0.0.4) of a MetricsRegistry.
 //
-// Generic building blocks only — this layer knows nothing about the
-// service's MetricsSnapshot; svc renders itself through a PromWriter so
-// obs stays dependent on util alone.
-//
-// Usage:
-//   PromWriter w(out);
-//   w.counter("tgp_jobs_completed_total", "Jobs finished", 123);
-//   w.counter("tgp_jobs_completed_total", "", 45, {{"problem", "bandwidth"}});
-//   w.histogram_log2_micros("tgp_solve_latency", "Solve wall time",
-//                           buckets, count, sum_micros, labels);
-//
-// HELP/TYPE headers are emitted once per metric family (the first sample
-// wins); repeated samples with different label sets append under the same
-// family, matching the exposition-format requirement that a family's
-// samples are contiguous as long as callers group their calls.
+// The one place that knows the exposition grammar: svc, net and the
+// tools record into an obs::MetricsRegistry and call render_prometheus()
+// for `--metrics-format prom`, `GET /metrics` and `tgp_client --metrics`.
+// Each family renders as one block — `# HELP` (when the help text is
+// non-empty), `# TYPE`, then its samples in record order:
+//   counters  `name{labels} 123`
+//   gauges    `name{labels} %.17g`
+//   log₂ histograms as cumulative `name_bucket{labels,le="..."}` series
+//   in *seconds* (le rendered %.9g, trailing empty buckets elided, a
+//   `+Inf` bucket always closing), then `name_sum` (seconds, %.9g, whole
+//   microseconds) and `name_count`.
 #pragma once
 
-#include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
+
+#include "obs/registry.hpp"
 
 namespace tgp::obs {
 
-class PromWriter {
- public:
-  using Labels = std::vector<std::pair<std::string, std::string>>;
+std::string render_prometheus(const MetricsRegistry& registry);
 
-  explicit PromWriter(std::ostream& out) : out_(out) {}
-
-  void counter(std::string_view name, std::string_view help,
-               std::uint64_t value, const Labels& labels = {});
-
-  void gauge(std::string_view name, std::string_view help, double value,
-             const Labels& labels = {});
-
-  /// Render a log₂ histogram (bucket b counts samples with value ≤ 2^(b+1)
-  /// µs, matching svc::LatencyHistogram) as a Prometheus histogram family:
-  /// cumulative `name_bucket{le="..."}` series in *seconds*, a `+Inf`
-  /// bucket, and `name_sum` (seconds) / `name_count`.  Trailing empty
-  /// buckets are elided (the +Inf bucket always carries the total).
-  void histogram_log2_micros(std::string_view name, std::string_view help,
-                             const std::uint64_t* buckets,
-                             std::size_t num_buckets, std::uint64_t count,
-                             std::uint64_t sum_micros,
-                             const Labels& labels = {});
-
- private:
-  void header(std::string_view name, std::string_view help,
-              std::string_view type);
-  void sample(std::string_view name, const Labels& labels,
-              std::string_view value);
-
-  std::ostream& out_;
-  std::vector<std::string> seen_;  // families whose HELP/TYPE already went out
-};
+/// `name{k="v",...}` with escaped values (bare `name` without labels).
+std::string prom_series(std::string_view name, const Labels& labels);
 
 /// Escape a label value per the exposition format (backslash, quote, \n).
 std::string prom_escape(std::string_view value);
@@ -65,37 +31,5 @@ std::string prom_escape(std::string_view value);
 /// Escape HELP text per the exposition format (backslash and \n only —
 /// quotes are legal in help text).
 std::string prom_escape_help(std::string_view text);
-
-/// Inject extra labels into one exposition *sample* line, preserving any
-/// labels already present (escaped quotes in existing label values are
-/// honored when locating the label block).  Comment/blank lines are
-/// returned unchanged.  The router's scrape-through uses this to stamp
-/// `shard="N"` onto every series a backend exports.
-std::string prom_inject_labels(std::string_view line,
-                               const PromWriter::Labels& extra);
-
-/// Merge several exposition documents into one valid document: families
-/// keep their first-seen HELP/TYPE header, samples from every source
-/// stay contiguous under their family, and each source's samples get the
-/// extra labels it was added with.  Histogram children (_bucket/_sum/
-/// _count) group under their parent family.
-class PromAggregator {
- public:
-  /// Fold one document in, stamping `extra` onto each sample line.
-  void add(std::string_view text, const PromWriter::Labels& extra);
-
-  std::string render() const;
-
- private:
-  struct Family {
-    std::string name;
-    std::string help_line;  // "# HELP ..." (may stay empty)
-    std::string type_line;  // "# TYPE ..." (may stay empty)
-    std::vector<std::string> samples;
-  };
-
-  Family& family_for(std::string_view sample_base);
-  std::vector<Family> families_;
-};
 
 }  // namespace tgp::obs

@@ -3,50 +3,20 @@
 // Workers record into their own histogram slabs (no shared cache line on
 // the hot path); metrics() merges the slabs plus the queue and cache
 // gauges into one MetricsSnapshot — a plain value, safe to hold after the
-// service is gone.  Latencies land in power-of-two microsecond buckets,
-// so quantiles are estimates with ≤ 2× resolution, which is plenty for a
-// throughput dashboard and costs one bit-scan per record.
+// service is gone.  MetricsSnapshot::record() is the one place its fields
+// become metrics: every exporter (text report, Prometheus, JSON, the
+// backend's /metrics) walks the obs::MetricsRegistry it fills.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 
+#include "obs/registry.hpp"
 #include "svc/cache.hpp"
 #include "svc/job.hpp"
 #include "svc/resilience.hpp"
 
 namespace tgp::svc {
-
-/// Log₂-bucketed latency histogram.  Bucket b counts latencies in
-/// [2^b, 2^(b+1)) microseconds (bucket 0 also takes < 1 µs).
-struct LatencyHistogram {
-  static constexpr int kBuckets = 28;  // up to ~2^28 µs ≈ 4.5 minutes
-
-  std::array<std::uint64_t, kBuckets> counts{};
-  std::uint64_t count = 0;
-  double total_micros = 0;
-  double max_micros = 0;
-
-  static int bucket_of(double micros);
-  /// Upper edge of bucket b in microseconds.
-  static double bucket_upper(int b);
-
-  void record(double micros);
-  void merge(const LatencyHistogram& other);
-
-  double mean_micros() const {
-    return count == 0 ? 0.0 : total_micros / static_cast<double>(count);
-  }
-  /// Upper edge of the bucket holding the q-quantile.  q is clamped into
-  /// (0, 1]: q ≤ 0 asks for the first recorded sample, q ≥ 1 for the
-  /// last; an empty histogram (or NaN q) returns 0.  The target rank is
-  /// computed with a scale-relative tolerance so a q that lands exactly
-  /// on a cumulative-count boundary (e.g. q=0.07 over 100 samples, where
-  /// 0.07*100 rounds to just above 7 in binary) selects that boundary's
-  /// bucket instead of overshooting into the next one.
-  double quantile_upper_micros(double q) const;
-};
 
 /// Point-in-time view of the runtime.  Everything here is cumulative
 /// since service construction.
@@ -114,17 +84,13 @@ struct MetricsSnapshot {
     // Independent-verifier outcomes (recovered hits + --verify solves).
     std::uint64_t verified_ok = 0;
     std::uint64_t verify_failed = 0;
-
-    bool any() const {
-      return enabled || verified_ok != 0 || verify_failed != 0;
-    }
   };
   DurabilityStats durability;
 
-  std::array<LatencyHistogram, kProblemCount> latency_by_problem{};
+  std::array<obs::LatencyHistogram, kProblemCount> latency_by_problem{};
 
   /// Time from submit to a worker dequeuing, all problems merged.
-  LatencyHistogram queue_wait;
+  obs::LatencyHistogram queue_wait;
 
   /// Solver work counters accumulated per problem kind (sums over
   /// completed-ok jobs; peaks are maxima).  Cache hits re-contribute the
@@ -135,18 +101,12 @@ struct MetricsSnapshot {
     return by_status[static_cast<std::size_t>(s)];
   }
 
-  LatencyHistogram overall_latency() const;
+  obs::LatencyHistogram overall_latency() const;
   obs::SolveCounters counters_total() const;
 
-  /// Human-readable multi-section report (counters, cache, latency table).
-  std::string format() const;
-
-  /// Prometheus text exposition (version 0.0.4): counters, gauges, and
-  /// the log₂ latency histograms as cumulative `*_bucket` series.
-  std::string render_prometheus() const;
-
-  /// Machine-readable JSON object with the same content as format().
-  std::string render_json() const;
+  /// Record every field into `registry` as tgp_* families (counters,
+  /// gauges and the log₂ latency histograms).
+  void record(obs::MetricsRegistry& registry) const;
 };
 
 }  // namespace tgp::svc

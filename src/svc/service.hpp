@@ -257,8 +257,8 @@ class PartitionService {
   // path touches the heap only for the cut it returns.
   struct WorkerState {
     mutable std::mutex mu;
-    std::array<LatencyHistogram, kProblemCount> latency{};
-    LatencyHistogram queue_wait;
+    std::array<obs::LatencyHistogram, kProblemCount> latency{};
+    obs::LatencyHistogram queue_wait;
     /// Solver counters summed over this worker's ok jobs (under mu).
     std::array<obs::SolveCounters, kProblemCount> counters{};
     std::atomic<std::int64_t> busy_since_micros{-1};

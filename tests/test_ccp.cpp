@@ -70,6 +70,11 @@ struct CcpSweep {
   int trials;
 };
 
+// gtest puts the printed parameter into each case's listed name. Without a
+// printer it dumps the struct's raw bytes, and those hold the load address of
+// `name` and uninitialised padding, so the name would change on every run.
+void PrintTo(const CcpSweep& sc, std::ostream* os) { *os << sc.name; }
+
 class CcpAgreement : public testing::TestWithParam<CcpSweep> {};
 
 TEST_P(CcpAgreement, AllThreeSolversAgree) {

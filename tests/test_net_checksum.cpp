@@ -269,9 +269,9 @@ TEST_F(ChecksumServerTest, CorruptFrameDrawsRejectAndKeepsTheConnection) {
 
   // And the failure is visible on the metrics surface.
   Client metrics_client(client_config(false));
-  const std::string metrics = metrics_client.fetch_metrics();
-  EXPECT_NE(metrics.find("tgp_net_checksum_failures_total{shard=\"0\"} 1"),
-            std::string::npos);
+  EXPECT_EQ(metrics_client.fetch_metrics().value(
+                "tgp_net_checksum_failures_total", {{"shard", "0"}}),
+            1.0);
 }
 
 }  // namespace

@@ -110,17 +110,7 @@ class FailoverTest : public ::testing::Test {
     return requests;
   }
 
-  /// Value of a label-less metric's sample line ("\nNAME VALUE") in
-  /// Prometheus text, or -1 (the name also appears in # HELP/# TYPE
-  /// comments, so match at line start only).
-  static double metric_value(const std::string& text, const std::string& name) {
-    const std::string needle = "\n" + name + " ";
-    std::size_t pos = text.find(needle);
-    if (pos == std::string::npos) return -1;
-    return std::stod(text.substr(pos + needle.size()));
-  }
-
-  std::string fetch_router_metrics() {
+  obs::MetricsRegistry fetch_router_metrics() {
     Client probe("127.0.0.1", router_port());
     return probe.fetch_metrics();
   }
@@ -129,14 +119,14 @@ class FailoverTest : public ::testing::Test {
   /// tgp_shard_health{shard="S",state="NAME"} reads 1 (or fail after
   /// ~5s).  Goes over the wire so no off-loop-thread state is touched.
   void wait_for_state(std::uint32_t shard, const char* name) {
-    const std::string needle = "tgp_shard_health{shard=\"" +
-                               std::to_string(shard) + "\",state=\"" + name +
-                               "\"} 1";
+    const obs::Labels series{{"shard", std::to_string(shard)},
+                             {"state", name}};
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline) {
       Client probe("127.0.0.1", router_port());
-      if (probe.fetch_metrics().find(needle) != std::string::npos) return;
+      if (probe.fetch_metrics().value("tgp_shard_health", series) == 1.0)
+        return;
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     FAIL() << "shard " << shard << " never reached state " << name;
@@ -224,10 +214,10 @@ TEST_F(FailoverTest, RestartedShardDrainsBackIn) {
   // Read the counters over the wire while the loop is live: stopping
   // the router closes its backend connections, which itself marks every
   // shard down (an in-process stop must look like a process exit).
-  const std::string metrics = fetch_router_metrics();
-  EXPECT_GE(metric_value(metrics, "tgp_router_reconnects_total"), 1);
-  EXPECT_GE(metric_value(metrics, "tgp_router_recoveries_total"), 1);
-  EXPECT_EQ(metric_value(metrics, "tgp_router_backends_up"), kShards);
+  const obs::MetricsRegistry metrics = fetch_router_metrics();
+  EXPECT_GE(metrics.value("tgp_router_reconnects_total").value_or(0), 1);
+  EXPECT_GE(metrics.value("tgp_router_recoveries_total").value_or(0), 1);
+  EXPECT_EQ(metrics.value("tgp_router_backends_up"), kShards);
 }
 
 TEST_F(FailoverTest, WholeFleetDownRejectsInsteadOfHanging) {

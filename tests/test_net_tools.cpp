@@ -1,9 +1,13 @@
 // The tgp_served / tgp_client tool engines: help and usage-error
-// contracts, and the headline equivalence — a tgp_client batch against a
-// live in-process backend renders byte-identical stdout to the same
-// batch through the tgp_serve engine.
+// contracts, the idle exit of a probing router, and the headline
+// equivalence — a tgp_client batch against a live in-process backend
+// renders byte-identical stdout to the same batch through the tgp_serve
+// engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -78,6 +82,47 @@ TEST(ServedTool, HelpAndUsageErrors) {
   EXPECT_EQ(rc({"--route", "localhost"}), 1);
   EXPECT_EQ(rc({"--route", "127.0.0.1:99999"}), 1);
   EXPECT_EQ(rc({"--frobnicate"}), 1);
+}
+
+TEST(ServedTool, ProbingRouterStillStopsWhenIdle) {
+  // A backend for the router to probe and poll.
+  svc::ServiceConfig cfg;
+  cfg.threads = 1;
+  svc::PartitionService service(cfg);
+  net::Backend backend(service, net::Backend::Config{});
+  net::Server server(net::Server::Config{}, backend);
+  backend.attach(server);
+  std::thread loop([&] { server.run(); });
+
+  // Pings every tick and a metrics poll every tick keep frames flowing
+  // on the router's outbound links; with no client it is still idle.
+  std::atomic<bool> done{false};
+  int rc = -1;
+  std::ostringstream out;
+  std::ostringstream err;
+  std::thread router([&] {
+    rc = run_served_tool(
+        args({"--port", "0", "--route",
+              "127.0.0.1:" + std::to_string(server.port()), "--tick-ms", "20",
+              "--metrics-every-ticks", "1", "--stop-after-idle-ms", "300"}),
+        out, err);
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const bool stopped_itself = done.load();
+  // Otherwise stop it through the tool's own SIGTERM handler, so the
+  // test fails instead of hanging.
+  if (!stopped_itself) std::raise(SIGTERM);
+  router.join();
+  server.stop();
+  loop.join();
+  service.shutdown();
+
+  EXPECT_TRUE(stopped_itself) << "router ignored --stop-after-idle-ms";
+  EXPECT_EQ(rc, 0) << err.str();
 }
 
 TEST(NetTools, ClientStdoutIsByteIdenticalToServeEngine) {

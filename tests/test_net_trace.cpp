@@ -21,6 +21,7 @@
 #include "net/client.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
+#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "svc/service.hpp"
 #include "tools/serve_tool.hpp"
@@ -28,21 +29,59 @@
 namespace tgp::net {
 namespace {
 
+/// Answers metrics polls with the length-prefixed exposition text an
+/// older shard sent, which the registry decoder rejects; every other
+/// frame goes to the real backend.
+class TextMetricsBackend : public Server::Handler {
+ public:
+  explicit TextMetricsBackend(Backend& inner) : inner_(inner) {}
+
+  void on_frame(std::uint64_t conn, const FrameHeader& header,
+                std::span<const std::uint8_t> payload) override {
+    if (header.type != FrameType::kMetricsRequest) {
+      inner_.on_frame(conn, header, payload);
+      return;
+    }
+    const std::string text = "# TYPE tgp_up gauge\ntgp_up 1\n";
+    FrameHeader h;
+    h.type = FrameType::kMetricsReply;
+    h.request_id = header.request_id;
+    h.payload_len = static_cast<std::uint32_t>(4 + text.size());
+    std::vector<std::uint8_t> frame;
+    put_header(frame, h);
+    put_u32(frame, static_cast<std::uint32_t>(text.size()));
+    frame.insert(frame.end(), text.begin(), text.end());
+    server->send(conn, std::move(frame));
+  }
+
+  Server* server = nullptr;
+
+ private:
+  Backend& inner_;
+};
+
 struct Shard {
   std::unique_ptr<svc::PartitionService> service;
   std::unique_ptr<Backend> backend;
+  std::unique_ptr<TextMetricsBackend> text_metrics;
   std::unique_ptr<Server> server;
   std::thread loop;
 
-  Shard(std::uint32_t index, std::uint32_t count) {
+  Shard(std::uint32_t index, std::uint32_t count, bool undecodable_metrics) {
     svc::ServiceConfig cfg;
     cfg.threads = 1;
     service = std::make_unique<svc::PartitionService>(cfg);
     backend = std::make_unique<Backend>(
         *service, Backend::Config{.shard_index = index, .shard_count = count});
+    Server::Handler* handler = backend.get();
+    if (undecodable_metrics) {
+      text_metrics = std::make_unique<TextMetricsBackend>(*backend);
+      handler = text_metrics.get();
+    }
     Server::Config sc;
-    server = std::make_unique<Server>(sc, *backend);
+    server = std::make_unique<Server>(sc, *handler);
     backend->attach(*server);
+    if (text_metrics) text_metrics->server = server.get();
     loop = std::thread([this] { server->run(); });
   }
 
@@ -72,9 +111,12 @@ class NetTraceTest : public ::testing::Test {
     obs::trace::clear();
   }
 
-  void start_fleet() {
+  /// `undecodable_metrics_shard` (when < kShards) answers every metrics
+  /// poll with bytes the router cannot decode.
+  void start_fleet(std::uint32_t undecodable_metrics_shard = kShards) {
     for (std::uint32_t s = 0; s < kShards; ++s)
-      shards_.push_back(std::make_unique<Shard>(s, kShards));
+      shards_.push_back(
+          std::make_unique<Shard>(s, kShards, s == undecodable_metrics_shard));
 
     Router::Config rc;
     rc.connect_timeout_ms = 100;
@@ -242,7 +284,7 @@ TEST_F(NetTraceTest, RouterMetricsAggregateTheFleet) {
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (std::chrono::steady_clock::now() < deadline) {
     Client probe("127.0.0.1", router_port());
-    text = probe.fetch_metrics();
+    text = obs::render_prometheus(probe.fetch_metrics());
     if (text.find("tgp_jobs_submitted_total{shard=\"0\"}") !=
             std::string::npos &&
         text.find("tgp_jobs_submitted_total{shard=\"1\"}") !=
@@ -268,6 +310,46 @@ TEST_F(NetTraceTest, RouterMetricsAggregateTheFleet) {
   // One HELP header per family even though three documents merged.
   EXPECT_EQ(text.find("# HELP tgp_build_info"),
             text.rfind("# HELP tgp_build_info"));
+}
+
+TEST_F(NetTraceTest, UndecodableShardMetricsLeaveOnlyThatShardOut) {
+  start_fleet(/*undecodable_metrics_shard=*/1);
+  std::vector<svc::JobSpec> specs = tools::generate_workload(10, 3, 0);
+  for (const svc::JobResult& r : traced_batch(router_port(), specs))
+    EXPECT_TRUE(r.ok) << r.error;
+
+  // Wait for shard 0's scraped series, then a few more poll rounds so
+  // shard 1 has answered (undecodably) many times over.
+  obs::MetricsRegistry m;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline &&
+         !m.value("tgp_jobs_submitted_total", {{"shard", "0"}})) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    m = Client("127.0.0.1", router_port()).fetch_metrics();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  m = Client("127.0.0.1", router_port()).fetch_metrics();
+
+  // Shard 0 is merged; none of shard 1's series are.
+  EXPECT_TRUE(m.value("tgp_jobs_submitted_total", {{"shard", "0"}}));
+  EXPECT_FALSE(m.value("tgp_jobs_submitted_total", {{"shard", "1"}}));
+  for (const obs::MetricsRegistry::Family& f : m.families()) {
+    if (f.name == "tgp_shard_health" ||
+        f.name.rfind("tgp_router_slow_", 0) == 0)
+      continue;  // the router's own per-shard series
+    for (const obs::MetricsRegistry::Sample& s : f.samples)
+      for (const auto& [key, value] : s.labels)
+        EXPECT_FALSE(key == "shard" && value == "1") << f.name;
+  }
+  // The failed decodes touched neither the link nor its health, and
+  // routing through both shards goes on.
+  EXPECT_EQ(m.value("tgp_shard_health", {{"shard", "1"}, {"state", "up"}}),
+            1.0);
+  EXPECT_EQ(m.value("tgp_router_backends_up"), kShards);
+  for (const svc::JobResult& r :
+       traced_batch(router_port(), tools::generate_workload(10, 5, 0)))
+    EXPECT_TRUE(r.ok) << r.error;
 }
 
 TEST_F(NetTraceTest, SlowLogRanksRequestsAndCarriesTraceIds) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/fingerprint.hpp"
+#include "obs/prom.hpp"
 #include "util/rng.hpp"
 
 namespace tgp::net {
@@ -315,13 +316,45 @@ TEST(WireReject, RoundTripsAndMapsToResults) {
             svc::JobStatus::kInternalError);
 }
 
+/// One family of every type, several label sets, a histogram with and
+/// without samples.
+obs::MetricsRegistry every_sample_type() {
+  obs::MetricsRegistry r;
+  r.counter("tgp_c_total", "A counter", 42, {{"shard", "0"}});
+  r.counter("tgp_c_total", "", 18446744073709551615ull, {{"shard", "1"}});
+  r.gauge("tgp_g", "A gauge", -2.5);
+  r.gauge("tgp_g", "", 0.1, {{"k", "v"}, {"k2", "v2"}});
+  obs::LatencyHistogram h;
+  h.record(0.5);
+  h.record(3.25);
+  h.record(1500.75);
+  r.histogram("tgp_h_seconds", "A histogram", h, {{"problem", "procmin"}});
+  r.histogram("tgp_h_seconds", "A histogram", obs::LatencyHistogram{});
+  return r;
+}
+
+obs::MetricsRegistry round_trip(const obs::MetricsRegistry& r) {
+  std::vector<std::uint8_t> frame = encode_metrics_reply(r, 2);
+  EXPECT_EQ(parse_header(frame).type, FrameType::kMetricsReply);
+  EXPECT_EQ(parse_header(frame).request_id, 2u);
+  return decode_metrics_reply(
+      std::span<const std::uint8_t>(frame).subspan(kHeaderBytes));
+}
+
 TEST(WireMetrics, MetricsAndPingRoundTrip) {
-  std::string text = "# HELP x\nx 1\n";
-  std::vector<std::uint8_t> reply = encode_metrics_reply(text, 2);
-  EXPECT_EQ(parse_header(reply).type, FrameType::kMetricsReply);
-  EXPECT_EQ(decode_metrics_reply(
-                std::span<const std::uint8_t>(reply).subspan(kHeaderBytes)),
-            text);
+  const obs::MetricsRegistry all = every_sample_type();
+  EXPECT_TRUE(round_trip(all) == all) << obs::render_prometheus(all);
+
+  obs::MetricsRegistry escaped;
+  escaped.gauge("tgp_weird", "Help with \\ and\nnewline", 1,
+                {{"msg", "a \"q\" } \\ b\nc"}, {"note", "shard=9"},
+                 {"utf8", "≈ µs"}, {"empty", ""}});
+  EXPECT_TRUE(round_trip(escaped) == escaped);
+  EXPECT_EQ(obs::render_prometheus(round_trip(escaped)),
+            obs::render_prometheus(escaped));
+
+  EXPECT_TRUE(round_trip(obs::MetricsRegistry{}).families().empty());
+
   EXPECT_EQ(parse_header(encode_metrics_request(1)).type,
             FrameType::kMetricsRequest);
   EXPECT_EQ(parse_header(encode_ping(3)).type, FrameType::kPing);
@@ -329,7 +362,86 @@ TEST(WireMetrics, MetricsAndPingRoundTrip) {
   EXPECT_EQ(parse_header(encode_pong(3)).payload_len, 0u);
 }
 
-// ---- WireReader bounds checking -------------------------------------------
+std::vector<std::uint8_t> metrics_payload(const obs::MetricsRegistry& r) {
+  std::vector<std::uint8_t> frame = encode_metrics_reply(r, 1);
+  return {frame.begin() + kHeaderBytes, frame.end()};
+}
+
+void expect_rejected(const std::vector<std::uint8_t>& payload,
+                     const char* what) {
+  EXPECT_THROW(decode_metrics_reply(payload), WireError) << what;
+}
+
+TEST(WireMetrics, MalformedRegistriesThrow) {
+  const std::vector<std::uint8_t> good = metrics_payload(every_sample_type());
+  // Every strict prefix is a truncated payload.
+  for (std::size_t n = 0; n < good.size(); ++n)
+    expect_rejected({good.begin(), good.begin() + static_cast<long>(n)},
+                    "truncated");
+
+  std::vector<std::uint8_t> bad = good;
+  bad.push_back(0);
+  expect_rejected(bad, "trailing byte");
+
+  // Offsets into the first family: u32 family count, u8 type, the
+  // "tgp_c_total" name and "A counter" help, u32 sample count, then the
+  // first sample's u32 label count.
+  const std::size_t type_at = 4;
+  const std::size_t samples_at = type_at + 1 + 4 + 11 + 4 + 9;
+  const std::size_t labels_at = samples_at + 4;
+  auto patch_u32 = [&](std::size_t at, std::uint32_t v) {
+    std::vector<std::uint8_t> p = good;
+    for (int i = 0; i < 4; ++i)
+      p[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(v >> (8 * i));
+    return p;
+  };
+  ASSERT_EQ(load_u32(good.data() + samples_at), 2u);
+  ASSERT_EQ(load_u32(good.data() + labels_at), 1u);
+  expect_rejected(patch_u32(0, 0xFFFFFFFFu), "family count");
+  expect_rejected(patch_u32(samples_at, 0x10000000u), "sample count");
+  expect_rejected(patch_u32(labels_at, 0x10000000u), "label count");
+  bad = good;
+  bad[type_at] = 3;
+  expect_rejected(bad, "unknown type byte");
+
+  // A histogram may not carry more than kBuckets buckets, even when the
+  // payload holds them all.
+  auto one_histogram = [](std::uint32_t buckets) {
+    std::vector<std::uint8_t> p;
+    put_u32(p, 1);  // families
+    put_u8(p, static_cast<std::uint8_t>(obs::MetricType::kHistogram));
+    put_u32(p, 1);
+    p.push_back('h');
+    put_u32(p, 0);  // help
+    put_u32(p, 1);  // samples
+    put_u32(p, 0);  // labels
+    put_u32(p, buckets);
+    for (std::uint32_t b = 0; b < buckets; ++b) put_u64(p, 1);
+    put_u64(p, buckets);
+    put_f64(p, 0);
+    put_f64(p, 0);
+    return p;
+  };
+  constexpr auto kBuckets =
+      static_cast<std::uint32_t>(obs::LatencyHistogram::kBuckets);
+  expect_rejected(one_histogram(kBuckets + 1), "too many buckets");
+  EXPECT_EQ(decode_metrics_reply(one_histogram(kBuckets))
+                .families()[0]
+                .samples[0]
+                .histogram.count,
+            kBuckets);
+
+  // A name sent under two types would make the registry ambiguous.
+  obs::MetricsRegistry a, b;
+  a.counter("tgp_x", "x", 1);
+  b.gauge("tgp_x", "x", 1);
+  std::vector<std::uint8_t> two = metrics_payload(a);
+  std::vector<std::uint8_t> gauge_family = metrics_payload(b);
+  two[0] = 2;
+  two.insert(two.end(), gauge_family.begin() + 4, gauge_family.end());
+  expect_rejected(two, "one name, two types");
+}
 
 TEST(WireReader, EveryReadPastTheEndThrows) {
   std::vector<std::uint8_t> bytes(7, 0xAB);

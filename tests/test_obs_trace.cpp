@@ -1,4 +1,4 @@
-// The obs layer: span tracer rings, Chrome trace export, PromWriter.
+// The obs layer: span tracer rings, Chrome trace export, Prometheus text.
 //
 // Tracer state is process-global, so every test starts from a clean
 // slate (disabled + cleared) and filters snapshots by its own category
@@ -408,15 +408,15 @@ TEST(SolveCounters, AlgoEqualIgnoresArenaPeakOnly) {
   EXPECT_FALSE(a.algo_equal(b));
 }
 
-// ---- PromWriter ------------------------------------------------------------
+// ---- Prometheus walk of a MetricsRegistry ----------------------------------
+// (suite name kept from the text writer the registry replaced)
 
 TEST(PromWriter, CounterWithHeaderDedupe) {
-  std::ostringstream out;
-  PromWriter w(out);
-  w.counter("tgp_jobs_total", "Jobs processed", 5);
-  w.counter("tgp_jobs_total", "Jobs processed", 3,
+  MetricsRegistry r;
+  r.counter("tgp_jobs_total", "Jobs processed", 5);
+  r.counter("tgp_jobs_total", "Jobs processed", 3,
             {{"problem", "bandwidth"}});
-  std::string s = out.str();
+  std::string s = render_prometheus(r);
   // HELP/TYPE exactly once despite two samples in the family.
   EXPECT_EQ(s.find("# HELP tgp_jobs_total Jobs processed\n"),
             s.rfind("# HELP tgp_jobs_total"));
@@ -427,13 +427,15 @@ TEST(PromWriter, CounterWithHeaderDedupe) {
 }
 
 TEST(PromWriter, HistogramBucketsAreCumulativeSeconds) {
-  std::ostringstream out;
-  PromWriter w(out);
+  MetricsRegistry r;
   // Log2 µs buckets: bucket 0 ≤ 2µs holds 3, bucket 2 ≤ 8µs holds 1.
-  std::uint64_t buckets[4] = {3, 0, 1, 0};
-  w.histogram_log2_micros("tgp_lat_seconds", "Latency", buckets, 4, 4,
-                          /*sum_micros=*/20);
-  std::string s = out.str();
+  LatencyHistogram h;
+  h.counts[0] = 3;
+  h.counts[2] = 1;
+  h.count = 4;
+  h.total_micros = 20;
+  r.histogram("tgp_lat_seconds", "Latency", h);
+  std::string s = render_prometheus(r);
   EXPECT_NE(s.find("# TYPE tgp_lat_seconds histogram"), std::string::npos);
   // Cumulative: 3 at le=2µs=2e-06s, still 3 at 4µs, 4 at 8µs, 4 at +Inf.
   EXPECT_NE(s.find("tgp_lat_seconds_bucket{le=\"2e-06\"} 3\n"),
@@ -449,11 +451,9 @@ TEST(PromWriter, HistogramBucketsAreCumulativeSeconds) {
 }
 
 TEST(PromWriter, EmptyHistogramStillEmitsInfBucket) {
-  std::ostringstream out;
-  PromWriter w(out);
-  std::uint64_t buckets[4] = {0, 0, 0, 0};
-  w.histogram_log2_micros("tgp_empty_seconds", "Empty", buckets, 4, 0, 0);
-  std::string s = out.str();
+  MetricsRegistry r;
+  r.histogram("tgp_empty_seconds", "Empty", LatencyHistogram{});
+  std::string s = render_prometheus(r);
   EXPECT_NE(s.find("tgp_empty_seconds_bucket{le=\"+Inf\"} 0\n"),
             std::string::npos);
   EXPECT_NE(s.find("tgp_empty_seconds_count 0\n"), std::string::npos);
@@ -464,10 +464,9 @@ TEST(PromWriter, EscapesLabelValues) {
   EXPECT_EQ(prom_escape("a\"b"), "a\\\"b");
   EXPECT_EQ(prom_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(prom_escape("a\nb"), "a\\nb");
-  std::ostringstream out;
-  PromWriter w(out);
-  w.gauge("tgp_g", "", 1.5, {{"path", "a\"b\\c"}});
-  EXPECT_NE(out.str().find("tgp_g{path=\"a\\\"b\\\\c\"} 1.5"),
+  MetricsRegistry r;
+  r.gauge("tgp_g", "", 1.5, {{"path", "a\"b\\c"}});
+  EXPECT_NE(render_prometheus(r).find("tgp_g{path=\"a\\\"b\\\\c\"} 1.5"),
             std::string::npos);
 }
 

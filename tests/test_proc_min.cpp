@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "core/bottleneck_min.hpp"
+#include "graph/cutset.hpp"
 #include "graph/generators.hpp"
+#include "reference_impl.hpp"
 #include "util/rng.hpp"
 
 namespace tgp::core {
@@ -156,6 +161,67 @@ TEST(Pipeline, ProcMinReducesFragmentation) {
   // fragmenting into 6 parts; proc_min needs only 2.
   auto r = bottleneck_then_proc_min(t, 3);
   EXPECT_EQ(r.components, 2);
+}
+
+TEST(Pipeline, DecimalSuperNodeWithinToleranceIsAccepted) {
+  // 0.1 + 0.2 rounds to 0.30000000000000004: stage 1 keeps {0,1} inside
+  // the checker's K + eps, so stage 2 sees a super-node just above K.
+  auto t = graph::Tree::from_edges({0.1, 0.2, 0.3}, {{0, 1, 2}, {1, 2, 1}});
+  auto r = bottleneck_then_proc_min(t, 0.3);
+  EXPECT_EQ(r.cut.edges, std::vector<int>{1});
+  EXPECT_EQ(r.bottleneck, 1);
+  EXPECT_EQ(r.components, 2);
+}
+
+/// A K ≥ max w whose checker limit K + eps rounds to exactly `limit`, or
+/// −1 when no such K exists (as in test_csr_differential.cpp).
+graph::Weight k_with_limit(const graph::Tree& t, graph::Weight limit) {
+  const graph::Weight eps =
+      graph::load_epsilon(t.total_vertex_weight(), t.n());
+  const graph::Weight inf = std::numeric_limits<graph::Weight>::infinity();
+  graph::Weight K = limit - eps;
+  while (K + eps > limit) K = std::nextafter(K, -inf);
+  while (K + eps < limit) K = std::nextafter(K, inf);
+  return K + eps == limit && K >= t.max_vertex_weight() ? K : -1;
+}
+
+// Limits aimed at every component weight some prefix of the edge order
+// leaves, and at the doubles either side of it, so stage-1 components
+// land on K + eps from above and below.
+TEST(Pipeline, DecimalWeightsAtRoundingBoundariesStayFeasible) {
+  const graph::Weight inf = std::numeric_limits<graph::Weight>::infinity();
+  int aimed = 0;
+  for (unsigned seed = 1; seed <= 30; ++seed) {
+    util::Pcg32 rng(0xB0DEu ^ (seed * 2654435761u));
+    const int n = 3 + static_cast<int>(seed % 8);
+    const graph::Tree shape =
+        graph::random_tree(rng, n, graph::WeightDist::constant(1),
+                           graph::WeightDist::uniform(1, 20));
+    std::vector<graph::Weight> vw;
+    for (int v = 0; v < n; ++v)
+      vw.push_back(0.1 * static_cast<double>(rng.uniform_int(1, 9)));
+    const graph::Tree t = graph::Tree::from_edges(vw, shape.edges());
+    graph::Cut prefix;
+    for (int e : ref::detail::edges_by_weight(t)) {
+      prefix.edges.push_back(e);
+      for (graph::Weight w : graph::tree_component_weights(t, prefix)) {
+        graph::Weight limit = w;
+        for (int s = 0; s < 3; ++s) limit = std::nextafter(limit, -inf);
+        for (int s = 0; s < 7; ++s, limit = std::nextafter(limit, inf)) {
+          const graph::Weight K = k_with_limit(t, limit);
+          if (K < 0) continue;
+          ++aimed;
+          TreePartitionResult r;
+          ASSERT_NO_THROW(r = bottleneck_then_proc_min(t, K))
+              << "seed " << seed << " K " << K;
+          EXPECT_TRUE(graph::tree_cut_feasible(t, r.cut, K))
+              << "seed " << seed << " K " << K;
+          EXPECT_EQ(r.bottleneck, bottleneck_min_bsearch(t, K).threshold);
+        }
+      }
+    }
+  }
+  EXPECT_GT(aimed, 1000);
 }
 
 }  // namespace

@@ -277,8 +277,13 @@ TEST(RunServeTool, MetricsOutWritesPromAndJsonFiles) {
     std::ifstream f(json_path);
     std::stringstream ss;
     ss << f.rdbuf();
-    EXPECT_NE(ss.str().find("\"submitted\":30"), std::string::npos);
-    EXPECT_NE(ss.str().find("\"oracle_calls\""), std::string::npos);
+    EXPECT_NE(ss.str().find("\"tgp_jobs_submitted_total\":{\"type\":"
+                            "\"counter\",\"help\":\"Jobs accepted by "
+                            "submit()\",\"samples\":[{\"labels\":{},"
+                            "\"value\":30}]}"),
+              std::string::npos);
+    EXPECT_NE(ss.str().find("\"tgp_solver_oracle_calls_total\""),
+              std::string::npos);
   }
   // Unknown format is a usage error.
   std::ostringstream out, err;

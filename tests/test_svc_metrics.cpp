@@ -1,17 +1,21 @@
-// MetricsSnapshot rendering and the LatencyHistogram quantile edge
-// cases the observability PR hardened.
+// MetricsSnapshot::record and the three registry walks over it, and the
+// LatencyHistogram quantile edge cases the observability PR hardened.
 #include "svc/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "obs/prom.hpp"
 #include "svc/service.hpp"
 #include "tools/serve_tool.hpp"
 
 namespace tgp::svc {
 namespace {
+
+using obs::LatencyHistogram;
 
 TEST(LatencyHistogram, BucketOfUpperRoundTrip) {
   // Every bucket's upper edge must map back into that bucket's range:
@@ -94,9 +98,15 @@ MetricsSnapshot run_small_batch() {
   return service.metrics();
 }
 
+obs::MetricsRegistry recorded(const MetricsSnapshot& m) {
+  obs::MetricsRegistry r;
+  m.record(r);
+  return r;
+}
+
 TEST(MetricsRender, PrometheusExpositionIsWellFormed) {
   MetricsSnapshot m = run_small_batch();
-  std::string s = m.render_prometheus();
+  std::string s = obs::render_prometheus(recorded(m));
 
   // Core families present with headers.
   for (const char* family :
@@ -131,7 +141,7 @@ TEST(MetricsRender, PrometheusBucketsAreCumulative) {
   MetricsSnapshot m;
   m.queue_wait.record(1.0);
   m.queue_wait.record(100.0);
-  std::string s = m.render_prometheus();
+  std::string s = obs::render_prometheus(recorded(m));
   // Find the queue-wait bucket lines and check monotone non-decreasing
   // cumulative counts ending at count.
   std::uint64_t prev = 0;
@@ -153,7 +163,7 @@ TEST(MetricsRender, PrometheusBucketsAreCumulative) {
 
 TEST(MetricsRender, JsonContainsCountersAndParsesShape) {
   MetricsSnapshot m = run_small_batch();
-  std::string s = m.render_json();
+  std::string s = obs::render_json(recorded(m));
   // Shape checks: one object, key fields present, braces balance.
   EXPECT_EQ(s.front(), '{');
   int depth = 0;
@@ -171,17 +181,441 @@ TEST(MetricsRender, JsonContainsCountersAndParsesShape) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
-  EXPECT_NE(s.find("\"submitted\":40"), std::string::npos);
-  EXPECT_NE(s.find("\"oracle_calls\""), std::string::npos);
-  EXPECT_NE(s.find("\"queue_wait\""), std::string::npos);
-  EXPECT_NE(s.find("\"problems\""), std::string::npos);
+  EXPECT_NE(s.find("\"tgp_jobs_submitted_total\":{\"type\":\"counter\","
+                   "\"help\":\"Jobs accepted by submit()\",\"samples\":"
+                   "[{\"labels\":{},\"value\":40}]}"),
+            std::string::npos);
+  EXPECT_NE(s.find("\"tgp_solver_oracle_calls_total\""), std::string::npos);
+  EXPECT_NE(s.find("\"tgp_queue_wait_seconds\":{\"type\":\"histogram\","
+                   "\"help\":\"Submit-to-dequeue queue wait\",\"samples\":"
+                   "[{\"labels\":{},\"count\":40,"),
+            std::string::npos);
+  EXPECT_NE(s.find("{\"labels\":{\"problem\":\"bottleneck\"}"),
+            std::string::npos);
 }
 
 TEST(MetricsRender, FormatShowsCountersTableWhenPresent) {
   MetricsSnapshot m = run_small_batch();
   ASSERT_TRUE(m.counters_total().any());
-  std::string s = m.format();
-  EXPECT_NE(s.find("oracle"), std::string::npos);
+  std::string s = obs::render_text(recorded(m), "service metrics");
+  EXPECT_EQ(s.rfind("=== service metrics ===\n", 0), 0u);
+  EXPECT_NE(s.find("tgp_solver_oracle_calls_total{problem="),
+            std::string::npos);
+}
+
+TEST(MetricsRender, TextAndJsonShowTheSameHistogramStats) {
+  obs::MetricsRegistry r;
+  LatencyHistogram h;
+  for (double us : {3.0, 5.0, 40.0, 900.5}) h.record(us);
+  r.histogram("tgp_lat_seconds", "Latency", h, {{"problem", "procmin"}});
+  r.counter("tgp_jobs_total", "Jobs", 4);
+  r.counter("tgp_idle_total", "Never incremented", 0);
+  r.gauge("tgp_ratio", "A fraction", 0.1);
+  EXPECT_EQ(obs::render_text(r, "t"),
+            "=== t ===\n"
+            "metric                              value  mean us  p50 us  "
+            "p90 us  p99 us  max us\n"
+            "----------------------------------------------------------"
+            "------------------------\n"
+            "tgp_lat_seconds{problem=\"procmin\"}      4    237.1       8"
+            "    1024    1024   900.5\n"
+            "tgp_jobs_total                          4\n"
+            "tgp_ratio                             0.1\n");
+  EXPECT_EQ(obs::render_json(r),
+            "{\"tgp_lat_seconds\":{\"type\":\"histogram\",\"help\":"
+            "\"Latency\",\"samples\":[{\"labels\":{\"problem\":\"procmin\"},"
+            "\"count\":4,\"mean_us\":237.125,\"p50_us\":8,\"p90_us\":1024,"
+            "\"p99_us\":1024,\"max_us\":900.5}]},"
+            "\"tgp_jobs_total\":{\"type\":\"counter\",\"help\":\"Jobs\","
+            "\"samples\":[{\"labels\":{},\"value\":4}]},"
+            "\"tgp_idle_total\":{\"type\":\"counter\",\"help\":"
+            "\"Never incremented\",\"samples\":[{\"labels\":{},\"value\":0}]},"
+            "\"tgp_ratio\":{\"type\":\"gauge\",\"help\":\"A fraction\","
+            "\"samples\":[{\"labels\":{},\"value\":0.1}]}}\n");
+}
+
+// ---- Prometheus bytes, pinned against the text exporter it replaced ---------
+
+/// Every field non-zero, so every family carries a distinctive value.
+MetricsSnapshot full_snapshot() {
+  MetricsSnapshot m;
+  m.submitted = 101;
+  m.completed = 97;
+  m.failed = 9;
+  for (int s = 0; s < kJobStatusCount; ++s)
+    m.by_status[static_cast<std::size_t>(s)] = 10u + static_cast<unsigned>(s);
+  m.cache.hits = 61;
+  m.cache.misses = 36;
+  m.cache.insertions = 35;
+  m.cache.evictions = 4;
+  m.cache.lookup_faults = 2;
+  m.cache.store_faults = 3;
+  m.cache.put_rejected = 5;
+  m.cache.corrupt = 6;
+  m.cache.recovered_entries = 7;
+  m.cache.warm_hits = 8;
+  m.cache.entries = 31;
+  m.cache.bytes = 123456;
+  m.cache.capacity_bytes = 67108864;
+  m.cache.shards = 16;
+  m.queue_high_watermark = 12;
+  m.queue_capacity = 1024;
+  m.threads = 4;
+  m.watchdog_ticks = 250;
+  m.deadline_cancels = 3;
+  m.stuck_worker_peak = 2;
+  m.stuck_workers_now = 1;
+  MetricsSnapshot::ResilienceStats& r = m.resilience;
+  r.max_inflight = 64;
+  r.inflight_now = 5;
+  r.inflight_peak = 40;
+  r.rejected_inflight = 11;
+  r.rejected_rate = 13;
+  r.jobs_shed = 14;
+  r.retry_attempts = 15;
+  r.cache_bypasses = 16;
+  r.degraded_solves = 17;
+  r.breaker_enabled = true;
+  r.breaker.state = BreakerState::kHalfOpen;
+  r.breaker.trips = 3;
+  r.breaker.half_opens = 2;
+  r.breaker.closes = 1;
+  r.breaker.transitions = 6;
+  MetricsSnapshot::DurabilityStats& d = m.durability;
+  d.enabled = true;
+  d.clean_start = true;
+  d.recovered_entries = 7;
+  d.warm_hits = 8;
+  d.dropped_crc = 21;
+  d.dropped_truncated = 22;
+  d.dropped_stale_epoch = 23;
+  d.dropped_malformed = 24;
+  d.duplicates = 25;
+  d.journal_appends = 26;
+  d.journal_bytes = 4096;
+  d.append_failures = 27;
+  d.compactions = 28;
+  d.quarantined = 29;
+  d.verified_ok = 30;
+  d.verify_failed = 31;
+  for (int p = 0; p < kProblemCount; ++p) {
+    LatencyHistogram& h = m.latency_by_problem[static_cast<std::size_t>(p)];
+    h.record(0.5 + p);
+    h.record(3.25 * (p + 1));
+    h.record(1000.75 + 100 * p);
+    obs::SolveCounters& c = m.counters_by_problem[static_cast<std::size_t>(p)];
+    const auto k = static_cast<unsigned>(p);
+    c.oracle_calls = 100u + k;
+    c.bsearch_probes = 200u + k;
+    c.gallop_probes = 300u + k;
+    c.prime_subpaths = 400u + k;
+    c.nonredundant_edges = 500u + k;
+    c.temps_peak_rows = 600u + k;
+    c.arena_bytes_peak = 700u + k;
+    c.par_tasks = 800u + k;
+    c.par_threads = 1u + k;
+  }
+  m.queue_wait.record(2.5);
+  m.queue_wait.record(70.125);
+  return m;
+}
+
+// full_snapshot() as the hand-written text exporter rendered it,
+// regrouped family by family by the text re-parser the registry replaced
+// (the exporter split each tgp_solver_* family into four blocks).
+constexpr const char* kSnapshotGolden = R"golden(# HELP tgp_jobs_submitted_total Jobs accepted by submit()
+# TYPE tgp_jobs_submitted_total counter
+tgp_jobs_submitted_total 101
+# HELP tgp_jobs_completed_total Jobs finished (any status)
+# TYPE tgp_jobs_completed_total counter
+tgp_jobs_completed_total 97
+# HELP tgp_jobs_failed_total Completed jobs with ok == false
+# TYPE tgp_jobs_failed_total counter
+tgp_jobs_failed_total 9
+# HELP tgp_jobs_by_status_total Completed jobs by final status
+# TYPE tgp_jobs_by_status_total counter
+tgp_jobs_by_status_total{status="ok"} 10
+tgp_jobs_by_status_total{status="invalid_spec"} 11
+tgp_jobs_by_status_total{status="timeout"} 12
+tgp_jobs_by_status_total{status="cancelled"} 13
+tgp_jobs_by_status_total{status="internal_error"} 14
+tgp_jobs_by_status_total{status="overloaded"} 15
+# HELP tgp_cache_hits_total Memo cache hits
+# TYPE tgp_cache_hits_total counter
+tgp_cache_hits_total 61
+# HELP tgp_cache_misses_total Memo cache misses
+# TYPE tgp_cache_misses_total counter
+tgp_cache_misses_total 36
+# HELP tgp_cache_insertions_total Memo cache insertions
+# TYPE tgp_cache_insertions_total counter
+tgp_cache_insertions_total 35
+# HELP tgp_cache_evictions_total Memo cache evictions
+# TYPE tgp_cache_evictions_total counter
+tgp_cache_evictions_total 4
+# HELP tgp_cache_lookup_faults_total Cache lookups that faulted (also counted as misses)
+# TYPE tgp_cache_lookup_faults_total counter
+tgp_cache_lookup_faults_total 2
+# HELP tgp_cache_store_faults_total Cache stores that faulted
+# TYPE tgp_cache_store_faults_total counter
+tgp_cache_store_faults_total 3
+# HELP tgp_cache_put_rejected_total Puts rejected by the per-entry byte cap
+# TYPE tgp_cache_put_rejected_total counter
+tgp_cache_put_rejected_total 5
+# HELP tgp_cache_corrupt_total Entries that failed their checksum at lookup (served as misses, quarantined)
+# TYPE tgp_cache_corrupt_total counter
+tgp_cache_corrupt_total 6
+# HELP tgp_cache_warm_hits_total Hits served by recovery-loaded entries
+# TYPE tgp_cache_warm_hits_total counter
+tgp_cache_warm_hits_total 8
+# HELP tgp_cache_entries Live memo cache entries
+# TYPE tgp_cache_entries gauge
+tgp_cache_entries 31
+# HELP tgp_cache_bytes Memo cache bytes in use
+# TYPE tgp_cache_bytes gauge
+tgp_cache_bytes 123456
+# HELP tgp_cache_capacity_bytes Memo cache byte budget
+# TYPE tgp_cache_capacity_bytes gauge
+tgp_cache_capacity_bytes 67108864
+# HELP tgp_threads Worker thread count
+# TYPE tgp_threads gauge
+tgp_threads 4
+# HELP tgp_queue_capacity Job queue capacity
+# TYPE tgp_queue_capacity gauge
+tgp_queue_capacity 1024
+# HELP tgp_queue_high_watermark Deepest queue occupancy seen
+# TYPE tgp_queue_high_watermark gauge
+tgp_queue_high_watermark 12
+# HELP tgp_watchdog_ticks_total Watchdog scan passes
+# TYPE tgp_watchdog_ticks_total counter
+tgp_watchdog_ticks_total 250
+# HELP tgp_watchdog_deadline_cancels_total Deadlines fired by the watchdog
+# TYPE tgp_watchdog_deadline_cancels_total counter
+tgp_watchdog_deadline_cancels_total 3
+# HELP tgp_stuck_workers Workers currently over the stuck threshold
+# TYPE tgp_stuck_workers gauge
+tgp_stuck_workers 1
+# HELP tgp_stuck_worker_peak Peak simultaneous stuck workers
+# TYPE tgp_stuck_worker_peak gauge
+tgp_stuck_worker_peak 2
+# HELP tgp_jobs_rejected_total Submits rejected kOverloaded by admission control
+# TYPE tgp_jobs_rejected_total counter
+tgp_jobs_rejected_total{reason="inflight"} 11
+tgp_jobs_rejected_total{reason="rate"} 13
+# HELP tgp_jobs_shed_total Jobs dropped at dequeue (deadline expired or cancelled while queued)
+# TYPE tgp_jobs_shed_total counter
+tgp_jobs_shed_total 14
+# HELP tgp_retry_attempts_total Backoff retries taken on transient cache faults
+# TYPE tgp_retry_attempts_total counter
+tgp_retry_attempts_total 15
+# HELP tgp_cache_bypasses_total Cache operations skipped while the breaker was open
+# TYPE tgp_cache_bypasses_total counter
+tgp_cache_bypasses_total 16
+# HELP tgp_degraded_solves_total Jobs solved with the degraded-mode baseline
+# TYPE tgp_degraded_solves_total counter
+tgp_degraded_solves_total 17
+# HELP tgp_inflight_jobs Jobs admitted but not yet settled
+# TYPE tgp_inflight_jobs gauge
+tgp_inflight_jobs 5
+# HELP tgp_inflight_jobs_peak High-water of admitted unfinished jobs
+# TYPE tgp_inflight_jobs_peak gauge
+tgp_inflight_jobs_peak 40
+# HELP tgp_breaker_state Cache circuit breaker state (0=closed 1=open 2=half_open)
+# TYPE tgp_breaker_state gauge
+tgp_breaker_state 2
+# HELP tgp_breaker_trips_total Breaker transitions into open
+# TYPE tgp_breaker_trips_total counter
+tgp_breaker_trips_total 3
+# HELP tgp_breaker_transitions_total All breaker state changes
+# TYPE tgp_breaker_transitions_total counter
+tgp_breaker_transitions_total 6
+# HELP tgp_durability_enabled Whether a crash-safe cache store is configured
+# TYPE tgp_durability_enabled gauge
+tgp_durability_enabled 1
+# HELP tgp_durability_clean_start Whether the last boot found a valid clean-shutdown marker
+# TYPE tgp_durability_clean_start gauge
+tgp_durability_clean_start 1
+# HELP tgp_recovered_entries_total Cache entries loaded from the snapshot+journal at boot
+# TYPE tgp_recovered_entries_total counter
+tgp_recovered_entries_total 7
+# HELP tgp_recovery_dropped_total Records dropped during recovery
+# TYPE tgp_recovery_dropped_total counter
+tgp_recovery_dropped_total{reason="crc"} 21
+tgp_recovery_dropped_total{reason="truncated"} 22
+tgp_recovery_dropped_total{reason="stale_epoch"} 23
+tgp_recovery_dropped_total{reason="malformed"} 24
+# HELP tgp_recovery_duplicates_total Recovered records superseded by a later write
+# TYPE tgp_recovery_duplicates_total counter
+tgp_recovery_duplicates_total 25
+# HELP tgp_journal_appends_total Records appended to the journal
+# TYPE tgp_journal_appends_total counter
+tgp_journal_appends_total 26
+# HELP tgp_journal_append_failures_total Journal appends that failed
+# TYPE tgp_journal_append_failures_total counter
+tgp_journal_append_failures_total 27
+# HELP tgp_journal_bytes Current journal size
+# TYPE tgp_journal_bytes gauge
+tgp_journal_bytes 4096
+# HELP tgp_compactions_total Snapshot compactions performed
+# TYPE tgp_compactions_total counter
+tgp_compactions_total 28
+# HELP tgp_quarantined_total Corrupt records preserved in the quarantine sidecar
+# TYPE tgp_quarantined_total counter
+tgp_quarantined_total 29
+# HELP tgp_verify_ok_total Results that passed the independent verifier
+# TYPE tgp_verify_ok_total counter
+tgp_verify_ok_total 30
+# HELP tgp_verify_failures_total Results that failed the independent verifier
+# TYPE tgp_verify_failures_total counter
+tgp_verify_failures_total 31
+# HELP tgp_solver_oracle_calls_total Feasibility probes / DP edge steps
+# TYPE tgp_solver_oracle_calls_total counter
+tgp_solver_oracle_calls_total{problem="bottleneck"} 100
+tgp_solver_oracle_calls_total{problem="procmin"} 101
+tgp_solver_oracle_calls_total{problem="bandwidth"} 102
+tgp_solver_oracle_calls_total{problem="pipeline"} 103
+# HELP tgp_solver_bsearch_probes_total Binary-search iterations
+# TYPE tgp_solver_bsearch_probes_total counter
+tgp_solver_bsearch_probes_total{problem="bottleneck"} 200
+tgp_solver_bsearch_probes_total{problem="procmin"} 201
+tgp_solver_bsearch_probes_total{problem="bandwidth"} 202
+tgp_solver_bsearch_probes_total{problem="pipeline"} 203
+# HELP tgp_solver_gallop_probes_total Gallop-policy search probes
+# TYPE tgp_solver_gallop_probes_total counter
+tgp_solver_gallop_probes_total{problem="bottleneck"} 300
+tgp_solver_gallop_probes_total{problem="procmin"} 301
+tgp_solver_gallop_probes_total{problem="bandwidth"} 302
+tgp_solver_gallop_probes_total{problem="pipeline"} 303
+# HELP tgp_solver_prime_subpaths_total Prime critical subpaths (paper's p)
+# TYPE tgp_solver_prime_subpaths_total counter
+tgp_solver_prime_subpaths_total{problem="bottleneck"} 400
+tgp_solver_prime_subpaths_total{problem="procmin"} 401
+tgp_solver_prime_subpaths_total{problem="bandwidth"} 402
+tgp_solver_prime_subpaths_total{problem="pipeline"} 403
+# HELP tgp_solver_nonredundant_edges_total Non-redundant edges after reduction
+# TYPE tgp_solver_nonredundant_edges_total counter
+tgp_solver_nonredundant_edges_total{problem="bottleneck"} 500
+tgp_solver_nonredundant_edges_total{problem="procmin"} 501
+tgp_solver_nonredundant_edges_total{problem="bandwidth"} 502
+tgp_solver_nonredundant_edges_total{problem="pipeline"} 503
+# HELP tgp_solver_temps_peak_rows TEMP_S occupancy high-water
+# TYPE tgp_solver_temps_peak_rows gauge
+tgp_solver_temps_peak_rows{problem="bottleneck"} 600
+tgp_solver_temps_peak_rows{problem="procmin"} 601
+tgp_solver_temps_peak_rows{problem="bandwidth"} 602
+tgp_solver_temps_peak_rows{problem="pipeline"} 603
+# HELP tgp_solver_arena_bytes_peak Scratch arena high-water
+# TYPE tgp_solver_arena_bytes_peak gauge
+tgp_solver_arena_bytes_peak{problem="bottleneck"} 700
+tgp_solver_arena_bytes_peak{problem="procmin"} 701
+tgp_solver_arena_bytes_peak{problem="bandwidth"} 702
+tgp_solver_arena_bytes_peak{problem="pipeline"} 703
+# HELP tgp_solver_par_tasks_total Intra-solve parallel blocks dispatched
+# TYPE tgp_solver_par_tasks_total counter
+tgp_solver_par_tasks_total{problem="bottleneck"} 800
+tgp_solver_par_tasks_total{problem="procmin"} 801
+tgp_solver_par_tasks_total{problem="bandwidth"} 802
+tgp_solver_par_tasks_total{problem="pipeline"} 803
+# HELP tgp_solver_par_threads Widest intra-solve team used
+# TYPE tgp_solver_par_threads gauge
+tgp_solver_par_threads{problem="bottleneck"} 1
+tgp_solver_par_threads{problem="procmin"} 2
+tgp_solver_par_threads{problem="bandwidth"} 3
+tgp_solver_par_threads{problem="pipeline"} 4
+# HELP tgp_job_latency_seconds Submit-to-complete job latency
+# TYPE tgp_job_latency_seconds histogram
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="2e-06"} 1
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="4e-06"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="8e-06"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="1.6e-05"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="3.2e-05"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="6.4e-05"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="0.000128"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="0.000256"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="0.000512"} 2
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="0.001024"} 3
+tgp_job_latency_seconds_bucket{problem="bottleneck",le="+Inf"} 3
+tgp_job_latency_seconds_sum{problem="bottleneck"} 0.001004
+tgp_job_latency_seconds_count{problem="bottleneck"} 3
+tgp_job_latency_seconds_bucket{problem="procmin",le="2e-06"} 1
+tgp_job_latency_seconds_bucket{problem="procmin",le="4e-06"} 1
+tgp_job_latency_seconds_bucket{problem="procmin",le="8e-06"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="1.6e-05"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="3.2e-05"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="6.4e-05"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="0.000128"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="0.000256"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="0.000512"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="0.001024"} 2
+tgp_job_latency_seconds_bucket{problem="procmin",le="0.002048"} 3
+tgp_job_latency_seconds_bucket{problem="procmin",le="+Inf"} 3
+tgp_job_latency_seconds_sum{problem="procmin"} 0.001108
+tgp_job_latency_seconds_count{problem="procmin"} 3
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="2e-06"} 0
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="4e-06"} 1
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="8e-06"} 1
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="1.6e-05"} 2
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="3.2e-05"} 2
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="6.4e-05"} 2
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="0.000128"} 2
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="0.000256"} 2
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="0.000512"} 2
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="0.001024"} 2
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="0.002048"} 3
+tgp_job_latency_seconds_bucket{problem="bandwidth",le="+Inf"} 3
+tgp_job_latency_seconds_sum{problem="bandwidth"} 0.001213
+tgp_job_latency_seconds_count{problem="bandwidth"} 3
+tgp_job_latency_seconds_bucket{problem="pipeline",le="2e-06"} 0
+tgp_job_latency_seconds_bucket{problem="pipeline",le="4e-06"} 1
+tgp_job_latency_seconds_bucket{problem="pipeline",le="8e-06"} 1
+tgp_job_latency_seconds_bucket{problem="pipeline",le="1.6e-05"} 2
+tgp_job_latency_seconds_bucket{problem="pipeline",le="3.2e-05"} 2
+tgp_job_latency_seconds_bucket{problem="pipeline",le="6.4e-05"} 2
+tgp_job_latency_seconds_bucket{problem="pipeline",le="0.000128"} 2
+tgp_job_latency_seconds_bucket{problem="pipeline",le="0.000256"} 2
+tgp_job_latency_seconds_bucket{problem="pipeline",le="0.000512"} 2
+tgp_job_latency_seconds_bucket{problem="pipeline",le="0.001024"} 2
+tgp_job_latency_seconds_bucket{problem="pipeline",le="0.002048"} 3
+tgp_job_latency_seconds_bucket{problem="pipeline",le="+Inf"} 3
+tgp_job_latency_seconds_sum{problem="pipeline"} 0.001317
+tgp_job_latency_seconds_count{problem="pipeline"} 3
+# HELP tgp_queue_wait_seconds Submit-to-dequeue queue wait
+# TYPE tgp_queue_wait_seconds histogram
+tgp_queue_wait_seconds_bucket{le="2e-06"} 0
+tgp_queue_wait_seconds_bucket{le="4e-06"} 1
+tgp_queue_wait_seconds_bucket{le="8e-06"} 1
+tgp_queue_wait_seconds_bucket{le="1.6e-05"} 1
+tgp_queue_wait_seconds_bucket{le="3.2e-05"} 1
+tgp_queue_wait_seconds_bucket{le="6.4e-05"} 1
+tgp_queue_wait_seconds_bucket{le="0.000128"} 2
+tgp_queue_wait_seconds_bucket{le="+Inf"} 2
+tgp_queue_wait_seconds_sum 7.2e-05
+tgp_queue_wait_seconds_count 2
+)golden";
+
+// The only families the registry adds: values that used to appear in the
+// text or JSON report only.
+constexpr const char* kAddedFamilies[] = {
+    "# HELP tgp_inflight_jobs_cap Admission cap on jobs in flight "
+    "(0 = uncapped)\n# TYPE tgp_inflight_jobs_cap gauge\n"
+    "tgp_inflight_jobs_cap 64\n",
+    "# HELP tgp_breaker_enabled Whether the cache circuit breaker is on\n"
+    "# TYPE tgp_breaker_enabled gauge\ntgp_breaker_enabled 1\n",
+    "# HELP tgp_breaker_half_opens_total Breaker transitions open -> "
+    "half_open\n# TYPE tgp_breaker_half_opens_total counter\n"
+    "tgp_breaker_half_opens_total 2\n",
+    "# HELP tgp_breaker_closes_total Breaker transitions half_open -> "
+    "closed\n# TYPE tgp_breaker_closes_total counter\n"
+    "tgp_breaker_closes_total 1\n",
+};
+
+TEST(MetricsRender, PrometheusIsTheRegroupedTextPlusFourFamilies) {
+  std::string text = obs::render_prometheus(recorded(full_snapshot()));
+  for (const char* block : kAddedFamilies) {
+    const std::size_t at = text.find(block);
+    ASSERT_NE(at, std::string::npos) << block;
+    text.erase(at, std::strlen(block));
+  }
+  EXPECT_EQ(text, kSnapshotGolden);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "net/client.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "tools/serve_tool.hpp"
 #include "util/argparse.hpp"
@@ -152,7 +153,7 @@ int run_client_tool(const std::vector<std::string>& args, std::ostream& out,
     }
     if (parser.get_bool("metrics", false)) {
       net::Client client(cc);
-      out << client.fetch_metrics();
+      out << obs::render_prometheus(client.fetch_metrics());
       return 0;
     }
 

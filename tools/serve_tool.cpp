@@ -14,6 +14,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/prom.hpp"
 #include "obs/trace.hpp"
 #include "svc/service.hpp"
 #include "util/argparse.hpp"
@@ -593,8 +594,10 @@ int run_serve_tool(const std::vector<std::string>& args, std::ostream& out,
           << config.cache_dir << "\n";
     }
 
-    svc::MetricsSnapshot m = service.metrics();
-    err << m.format();
+    obs::MetricsRegistry metrics;
+    service.metrics().record(metrics);
+    const std::string report = obs::render_text(metrics, "service metrics");
+    err << report;
     if (parser.has("metrics-out")) {
       const std::string metrics_path = parser.get("metrics-out", "");
       std::ofstream mf(metrics_path);
@@ -603,11 +606,11 @@ int run_serve_tool(const std::vector<std::string>& args, std::ostream& out,
         return 1;
       }
       if (metrics_format == "prom")
-        mf << m.render_prometheus();
+        mf << obs::render_prometheus(metrics);
       else if (metrics_format == "json")
-        mf << m.render_json();
+        mf << obs::render_json(metrics);
       else
-        mf << m.format();
+        mf << report;
     }
     err << "wall time: " << util::fmt(wall_seconds, 3) << " s, throughput: "
         << util::fmt(static_cast<double>(results.size()) /

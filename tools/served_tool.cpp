@@ -7,11 +7,13 @@
 #include <memory>
 #include <ostream>
 #include <thread>
+#include <unordered_set>
 
 #include "net/backend.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "svc/service.hpp"
 #include "util/argparse.hpp"
@@ -40,28 +42,35 @@ void handle_stop_signal(int) {
 }
 
 // Wraps the real handler to expose loop-thread activity to the idle
-// watchdog thread through atomics.
+// watchdog thread through atomics.  Only inbound connections count as
+// activity: a router's own health probes, their pongs and its metrics
+// polls all travel on its outbound backend links, and must not keep an
+// otherwise idle process alive past --stop-after-idle-ms.
 class ActivityHandler : public net::Server::Handler {
  public:
   explicit ActivityHandler(net::Server::Handler& inner) : inner_(inner) {}
 
   void on_open(std::uint64_t conn, bool outbound) override {
-    if (!outbound) open_.fetch_add(1);
-    touch();
+    if (outbound) {
+      outbound_.insert(conn);
+    } else {
+      open_.fetch_add(1);
+      touch();
+    }
     inner_.on_open(conn, outbound);
   }
   void on_frame(std::uint64_t conn, const net::FrameHeader& header,
                 std::span<const std::uint8_t> payload) override {
-    touch();
+    if (outbound_.count(conn) == 0) touch();
     inner_.on_frame(conn, header, payload);
   }
-  // Deliberately no touch(): health probes must not keep an otherwise
-  // idle process alive past --stop-after-idle-ms.
   void on_tick() override { inner_.on_tick(); }
-  std::string on_metrics() override { return inner_.on_metrics(); }
+  obs::MetricsRegistry on_metrics() override { return inner_.on_metrics(); }
   void on_close(std::uint64_t conn) override {
-    if (open_.load() > 0) open_.fetch_sub(1);
-    touch();
+    if (outbound_.erase(conn) == 0) {
+      if (open_.load() > 0) open_.fetch_sub(1);
+      touch();
+    }
     inner_.on_close(conn);
   }
 
@@ -75,6 +84,7 @@ class ActivityHandler : public net::Server::Handler {
   void touch() { last_.store(std::chrono::steady_clock::now()); }
 
   net::Server::Handler& inner_;
+  std::unordered_set<std::uint64_t> outbound_;  // loop thread only
   std::atomic<std::size_t> open_{0};
   std::atomic<std::chrono::steady_clock::time_point> last_{
       std::chrono::steady_clock::now()};
@@ -252,7 +262,7 @@ std::string served_tool_help() {
       "every traced client request flowing through) and writes Chrome\n"
       "trace JSON on exit; --trace-name labels the process in the\n"
       "stitched view (default backend/router plus the port).  Router\n"
-      "mode: --metrics-every-ticks polls each shard's Prometheus text so\n"
+      "mode: --metrics-every-ticks polls each shard's metrics registry so\n"
       "one router /metrics scrape covers the fleet (shard=\"N\" labels),\n"
       "and --slow-log writes the slowest-K requests (phase breakdown per\n"
       "request) as JSON on exit; render with tgp_trace_dump --slow-log.\n";
@@ -484,7 +494,9 @@ int run_served_tool(const std::vector<std::string>& args, std::ostream& out,
                  parser.get("trace-name",
                             "shard-" + std::to_string(bc.shard_index)),
                  err);
-    err << service.metrics().format();
+    obs::MetricsRegistry metrics;
+    service.metrics().record(metrics);
+    err << obs::render_text(metrics, "service metrics");
     const net::Backend::ShardStats s = backend.shard_stats();
     err << "shard: " << s.owned_submits << " owned, " << s.foreign_submits
         << " foreign, " << s.unrouted_submits << " unrouted submit(s); "
