@@ -102,6 +102,13 @@ int main(int argc, char** argv) {
       auto fp = graph::tree_fingerprint(t, &arena);
       (void)fp.lo;
     });
+    // What a tree job pays before a cache hit: the labelling alone, which
+    // carries the cache key and the maps back, without the canonical tree.
+    std::snprintf(name, sizeof name, "tree_job_key/n=%d", tree_n);
+    h.run(name, tree_n, [&] {
+      auto labelling = graph::canonical_labelling(t, &arena);
+      (void)labelling.fingerprint.lo;
+    });
   }
   {
     double K = 0;
@@ -251,7 +258,10 @@ int main(int argc, char** argv) {
       shard_servers.push_back(std::make_unique<net::Server>(
           net::Server::Config{}, *backends[s]));
       backends[s]->attach(*shard_servers[s]);
-      shard_loops.emplace_back([&, s] { shard_servers[s]->run(); });
+      // The loop gets the server itself: indexing shard_servers from the
+      // thread would race with the next iteration's push_back.
+      shard_loops.emplace_back(
+          [server = shard_servers[s].get()] { server->run(); });
     }
 
     net::Router::Config rc;

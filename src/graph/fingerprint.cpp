@@ -174,8 +174,57 @@ Centroids centroids(const Tree& tree, const CsrView& g, util::Arena& arena) {
   return out;
 }
 
+// Whether the chain's reversal is the canonical orientation: its
+// (vertex weights, edge weights) sequence is lexicographically smaller
+// under bit-pattern comparison.  Ties (palindromes) keep the submitted
+// orientation.
+bool reversal_is_smaller(const Chain& chain) {
+  int cmp = 0;
+  const std::size_t n = chain.vertex_weight.size();
+  for (std::size_t i = 0; cmp == 0 && i < n; ++i) {
+    std::uint64_t a = weight_bits(chain.vertex_weight[i]);
+    std::uint64_t b = weight_bits(chain.vertex_weight[n - 1 - i]);
+    cmp = a < b ? -1 : (a > b ? 1 : 0);
+  }
+  const std::size_t m = chain.edge_weight.size();
+  for (std::size_t i = 0; cmp == 0 && i < m; ++i) {
+    std::uint64_t a = weight_bits(chain.edge_weight[i]);
+    std::uint64_t b = weight_bits(chain.edge_weight[m - 1 - i]);
+    cmp = a < b ? -1 : (a > b ? 1 : 0);
+  }
+  return cmp > 0;
+}
+
 bool hash_less(const Fingerprint& a, const Fingerprint& b) {
   return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+}
+
+// The canonical root — of the one or two centroids, the one with the
+// smaller rooted subtree hash — its rooted form, and the fingerprint built
+// from its hash.  tree_fingerprint and canonical_labelling both take their
+// key from here, so the cache key and the labelling cannot drift apart.
+struct CanonicalRoot {
+  int root = 0;
+  RootedForm form;
+  Fingerprint fingerprint;
+};
+
+CanonicalRoot canonical_root(const Tree& tree, const CsrView& g,
+                             util::Arena& arena) {
+  Centroids cands = centroids(tree, g, arena);
+  CanonicalRoot best{cands.c[0], rooted_form(tree, g, cands.c[0], arena), {}};
+  if (cands.count == 2) {
+    RootedForm other = rooted_form(tree, g, cands.c[1], arena);
+    if (hash_less(other.root_hash, best.form.root_hash)) {
+      best.root = cands.c[1];
+      best.form = other;
+    }
+  }
+  best.fingerprint = seed_fp(kTreeTag);
+  absorb(best.fingerprint, static_cast<std::uint64_t>(tree.n()));
+  absorb(best.fingerprint, best.form.root_hash.hi);
+  absorb(best.fingerprint, best.form.root_hash.lo);
+  return best;
 }
 
 }  // namespace
@@ -206,25 +255,8 @@ Fingerprint Fingerprint::load_le(const unsigned char in[kWireBytes]) {
 
 CanonicalChain canonical_chain(const Chain& chain) {
   chain.validate();
-  // Lexicographic bit-pattern comparison of (vertex seq, edge seq) against
-  // the reversal; ties (palindromes) keep the submitted orientation.
-  int cmp = 0;
-  int n = chain.n();
-  for (int i = 0; cmp == 0 && i < n; ++i) {
-    std::uint64_t a = weight_bits(chain.vertex_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b = weight_bits(
-        chain.vertex_weight[static_cast<std::size_t>(n - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
-  int m = chain.edge_count();
-  for (int i = 0; cmp == 0 && i < m; ++i) {
-    std::uint64_t a = weight_bits(chain.edge_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b = weight_bits(
-        chain.edge_weight[static_cast<std::size_t>(m - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
   CanonicalChain out;
-  out.reversed = cmp > 0;
+  out.reversed = reversal_is_smaller(chain);
   if (!out.reversed) {
     out.chain = chain;
   } else {
@@ -236,81 +268,67 @@ CanonicalChain canonical_chain(const Chain& chain) {
   return out;
 }
 
-CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena) {
-  int n = tree.n();
+TreeLabelling canonical_labelling(const Tree& tree, util::Arena* arena) {
+  const std::size_t n = static_cast<std::size_t>(tree.n());
   util::ScratchFrame frame(arena);
   CsrView g = csr_from_tree(tree, frame.arena());
-  Centroids cands = centroids(tree, g, frame.arena());
-  RootedForm best = rooted_form(tree, g, cands.c[0], frame.arena());
-  int root = cands.c[0];
-  if (cands.count == 2) {
-    RootedForm other = rooted_form(tree, g, cands.c[1], frame.arena());
-    if (hash_less(other.root_hash, best.root_hash)) {
-      best = other;
-      root = cands.c[1];
-    }
-  }
+  CanonicalRoot best = canonical_root(tree, g, frame.arena());
+  TreeLabelling out;
+  out.fingerprint = best.fingerprint;
 
   // Preorder relabeling with canonical child order.
-  std::vector<int> orig_vertex;
-  orig_vertex.reserve(static_cast<std::size_t>(n));
-  int* stack = frame->alloc_array<int>(static_cast<std::size_t>(n));
+  out.orig_vertex.reserve(n);
+  int* stack = frame->alloc_array<int>(n);
   int top = 0;
-  stack[top++] = root;
+  stack[top++] = best.root;
   while (top > 0) {
     int v = stack[--top];
-    orig_vertex.push_back(v);
-    auto [kb, ke] = best.children(v);
+    out.orig_vertex.push_back(v);
+    auto [kb, ke] = best.form.children(v);
     for (const int* it = ke; it != kb; --it) stack[top++] = *(it - 1);
   }
-  std::vector<int> new_index(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c)
-    new_index[static_cast<std::size_t>(
-        orig_vertex[static_cast<std::size_t>(c)])] = c;
+  int* new_index = frame->alloc_array<int>(n);
+  for (std::size_t c = 0; c < n; ++c)
+    new_index[out.orig_vertex[c]] = static_cast<int>(c);
 
-  std::vector<Weight> vw(static_cast<std::size_t>(n));
-  std::vector<int> parent(static_cast<std::size_t>(n), -1);
-  std::vector<Weight> pew(static_cast<std::size_t>(n), Weight{1});
-  std::vector<int> orig_edge(static_cast<std::size_t>(n > 0 ? n - 1 : 0), -1);
-  for (int c = 0; c < n; ++c) {
-    int old = orig_vertex[static_cast<std::size_t>(c)];
-    vw[static_cast<std::size_t>(c)] = tree.vertex_weight(old);
-    if (old == root) continue;
-    int pe = best.parent_edge[static_cast<std::size_t>(old)];
-    parent[static_cast<std::size_t>(c)] =
-        new_index[static_cast<std::size_t>(
-            best.parent[static_cast<std::size_t>(old)])];
-    pew[static_cast<std::size_t>(c)] = tree.edge(pe).weight;
-    // Tree::from_parents emits edge c-1 for vertex c.
-    orig_edge[static_cast<std::size_t>(c - 1)] = pe;
+  // Canonical vertex 0 is the root; every other vertex c hangs off its
+  // parent by canonical edge c-1 (the numbering Tree::from_parents emits).
+  out.parent.assign(n, -1);
+  out.orig_edge.resize(n - 1);  // a Tree has at least one vertex
+  for (std::size_t c = 1; c < n; ++c) {
+    const int old = out.orig_vertex[c];
+    out.parent[c] = new_index[best.form.parent[old]];
+    out.orig_edge[c - 1] = best.form.parent_edge[old];
   }
-  return CanonicalTree{Tree::from_parents(std::move(vw), parent, pew),
-                       std::move(orig_vertex), std::move(orig_edge)};
+  return out;
+}
+
+Tree build_canonical_tree(const Tree& tree, const TreeLabelling& labelling) {
+  const std::size_t n = labelling.orig_vertex.size();
+  TGP_REQUIRE(n == static_cast<std::size_t>(tree.n()),
+              "labelling belongs to a tree of a different size");
+  std::vector<Weight> vw(n);
+  std::vector<Weight> pew(n, Weight{1});
+  for (std::size_t c = 0; c < n; ++c)
+    vw[c] = tree.vertex_weight(labelling.orig_vertex[c]);
+  for (std::size_t c = 1; c < n; ++c)
+    pew[c] = tree.edge(labelling.orig_edge[c - 1]).weight;
+  return Tree::from_parents(std::move(vw), labelling.parent, pew);
+}
+
+CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena) {
+  TreeLabelling labelling = canonical_labelling(tree, arena);
+  Tree built = build_canonical_tree(tree, labelling);
+  return CanonicalTree{std::move(labelling), std::move(built)};
 }
 
 Fingerprint chain_fingerprint(const Chain& chain) {
   chain.validate();
-  // Decide the canonical orientation without materializing the reversed
-  // copy: compare against the reversal, then absorb the weight streams in
-  // the winning direction directly.
-  int cmp = 0;
-  int n = chain.n();
-  for (int i = 0; cmp == 0 && i < n; ++i) {
-    std::uint64_t a =
-        weight_bits(chain.vertex_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b = weight_bits(
-        chain.vertex_weight[static_cast<std::size_t>(n - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
-  int m = chain.edge_count();
-  for (int i = 0; cmp == 0 && i < m; ++i) {
-    std::uint64_t a =
-        weight_bits(chain.edge_weight[static_cast<std::size_t>(i)]);
-    std::uint64_t b =
-        weight_bits(chain.edge_weight[static_cast<std::size_t>(m - 1 - i)]);
-    cmp = a < b ? -1 : (a > b ? 1 : 0);
-  }
-  const bool reversed = cmp > 0;
+  // Absorb the weight streams in the canonical direction directly,
+  // without materializing the reversed copy.
+  const bool reversed = reversal_is_smaller(chain);
+  const int n = chain.n();
+  const int m = chain.edge_count();
   Fingerprint f = seed_fp(kChainTag);
   absorb(f, static_cast<std::uint64_t>(n));
   if (!reversed) {
@@ -328,17 +346,7 @@ Fingerprint chain_fingerprint(const Chain& chain) {
 Fingerprint tree_fingerprint(const Tree& tree, util::Arena* arena) {
   util::ScratchFrame frame(arena);
   CsrView g = csr_from_tree(tree, frame.arena());
-  Centroids cands = centroids(tree, g, frame.arena());
-  Fingerprint h = rooted_form(tree, g, cands.c[0], frame.arena()).root_hash;
-  if (cands.count == 2) {
-    Fingerprint h2 = rooted_form(tree, g, cands.c[1], frame.arena()).root_hash;
-    if (hash_less(h2, h)) h = h2;
-  }
-  Fingerprint f = seed_fp(kTreeTag);
-  absorb(f, static_cast<std::uint64_t>(tree.n()));
-  absorb(f, h.hi);
-  absorb(f, h.lo);
-  return f;
+  return canonical_root(tree, g, frame.arena()).fingerprint;
 }
 
 Fingerprint chain_content_digest(const Chain& chain) {

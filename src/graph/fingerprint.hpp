@@ -8,9 +8,12 @@
 //   * canonical_chain — the lexicographically smaller of the chain and its
 //     reversal (weights compared by exact bit pattern), plus the flag
 //     needed to map edge indices back to the submitted orientation;
-//   * canonical_tree — the tree re-rooted at its (hash-disambiguated)
+//   * canonical_labelling — the tree re-rooted at its (hash-disambiguated)
 //     centroid and relabeled in preorder with children sorted by subtree
-//     hash, plus vertex/edge maps back to the submitted labeling;
+//     hash: vertex/edge maps back to the submitted labeling, the
+//     canonical parent array and the fingerprint, from one hashing pass;
+//   * build_canonical_tree — the relabeled Tree itself, built from the
+//     submitted tree and its labelling (canonical_tree does both steps);
 //   * fingerprint — a 128-bit hash of the canonical form, equal for
 //     isomorphic chains (reversal) and for trees that differ only by
 //     child order / vertex relabeling.
@@ -84,28 +87,45 @@ CanonicalChain canonical_chain(const Chain& chain);
 
 // ---- Trees ----------------------------------------------------------------
 
-/// A tree relabeled into canonical form.  orig_vertex[c] is the submitted
-/// index of canonical vertex c; orig_edge[c] the submitted index of
-/// canonical edge c.
-struct CanonicalTree {
-  Tree tree;
+/// The canonical relabeling of a tree, without the relabeled tree itself.
+/// orig_vertex[c] is the submitted index of canonical vertex c;
+/// orig_edge[c] the submitted index of canonical edge c; parent[c] the
+/// canonical parent of canonical vertex c (−1 for the root, vertex 0).
+/// `fingerprint` equals tree_fingerprint of the submitted tree.
+struct TreeLabelling {
   std::vector<int> orig_vertex;
   std::vector<int> orig_edge;
+  std::vector<int> parent;
+  Fingerprint fingerprint;
 
   int map_edge_back(int canonical_edge) const {
     return orig_edge[static_cast<std::size_t>(canonical_edge)];
   }
 };
 
-/// Canonicalize a free tree: root at the centroid (of the two possible
-/// centroids, the one with the smaller rooted subtree hash), then relabel
-/// vertices in preorder visiting each vertex's children in ascending
-/// (subtree hash, edge-weight bit pattern) order.  Isomorphic trees —
-/// any vertex relabeling, any child order — produce identical canonical
-/// trees up to 128-bit subtree-hash collisions.  O(n log n).  All
-/// canonicalization scratch (rooted forms, child lists, subtree hashes)
-/// comes from `arena` (null = per-thread fallback), so steady state only
-/// allocates the returned canonical tree and its index maps.
+/// A labelling plus the tree relabeled into canonical form.
+struct CanonicalTree : TreeLabelling {
+  Tree tree;
+};
+
+/// Canonical labelling of a free tree: root at the centroid (of the two
+/// possible centroids, the one with the smaller rooted subtree hash), then
+/// number vertices in preorder visiting each vertex's children in
+/// ascending (subtree hash, edge-weight bit pattern) order.  Isomorphic
+/// trees — any vertex relabeling, any child order — get labellings that
+/// build identical canonical trees up to 128-bit subtree-hash collisions.
+/// The maps and the fingerprint come from one hashing pass.  O(n log n).
+/// All scratch comes from `arena` (null = per-thread fallback); only the
+/// returned arrays are heap-allocated.
+TreeLabelling canonical_labelling(const Tree& tree,
+                                  util::Arena* arena = nullptr);
+
+/// The canonical Tree for `labelling`, which must come from
+/// canonical_labelling(tree).  Canonical edge c joins vertex c+1 to its
+/// parent.  O(n) plus Tree's own construction checks.
+Tree build_canonical_tree(const Tree& tree, const TreeLabelling& labelling);
+
+/// canonical_labelling followed by build_canonical_tree.
 CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena = nullptr);
 
 // ---- Fingerprints ---------------------------------------------------------
@@ -114,8 +134,9 @@ CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena = nullptr);
 Fingerprint chain_fingerprint(const Chain& chain);
 
 /// Fingerprint of the canonical form of `tree` (relabeling- and
-/// child-order-stable).  Scratch from `arena` (null = per-thread
-/// fallback); allocates nothing in steady state.
+/// child-order-stable); the same value canonical_labelling reports,
+/// without the maps.  Scratch from `arena` (null = per-thread fallback);
+/// allocates nothing in steady state.
 Fingerprint tree_fingerprint(const Tree& tree, util::Arena* arena = nullptr);
 
 /// Exact content digest of a chain *as submitted* — NOT isomorphism

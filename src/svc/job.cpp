@@ -282,8 +282,8 @@ void apply_outcome(JobResult& r, const CanonicalOutcome& o,
 }
 
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
-                   const graph::CanonicalTree& ct) {
-  fill_result(r, o, [&](int e) { return ct.map_edge_back(e); });
+                   const graph::TreeLabelling& labelling) {
+  fill_result(r, o, [&](int e) { return labelling.map_edge_back(e); });
 }
 
 JobResult execute_job(const JobSpec& spec, const util::CancelToken* cancel) {

@@ -198,10 +198,11 @@ CanonicalOutcome solve_canonical_chain_degraded(const graph::Chain& chain,
 /// Translate a canonical-coordinates outcome onto the submitted
 /// presentation (sorted edge indices), marking the result ok.  Shared by
 /// the direct path and the service's cache-hit path so both produce
-/// bit-identical results.
+/// bit-identical results.  A tree needs only its labelling (a
+/// graph::CanonicalTree is one), not the built canonical tree.
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
                    const graph::CanonicalChain& cc);
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
-                   const graph::CanonicalTree& ct);
+                   const graph::TreeLabelling& labelling);
 
 }  // namespace tgp::svc

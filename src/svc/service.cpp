@@ -1,6 +1,7 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -407,11 +408,13 @@ void PartitionService::settle(std::size_t slot, JobResult r) {
   JobStatus status = r.status;
   bool release_inflight = false;
   CompletionFn on_complete;
+  const JobResult* settled = nullptr;
   {
     std::lock_guard lk(results_mu_);
     release_inflight = slots_[slot].counted_inflight != 0;
     slots_[slot].counted_inflight = 0;
     slots_[slot].result = std::move(r);
+    settled = &slots_[slot].result;
     slots_[slot].done = 1;
     on_complete = std::move(slots_[slot].on_complete);
     slots_[slot].on_complete = nullptr;
@@ -423,10 +426,12 @@ void PartitionService::settle(std::size_t slot, JobResult r) {
   by_status_[static_cast<std::size_t>(status)].fetch_add(1);
   // Outside every lock (the hook may do arbitrary work — the network
   // backend encodes and queues a frame here), but before the completed
-  // count releases wait_idle() waiters.  Reading the slot unlocked is
-  // safe: this thread finalized it above, deque addresses are stable,
-  // and a settled slot is never written again.
-  if (on_complete) on_complete(slot, slots_[slot].result);
+  // count releases wait_idle() waiters.  The result is read through the
+  // address taken under the lock: element addresses are stable and a
+  // settled slot is never written again, but slots_[slot] itself would
+  // read the deque's block map, which a concurrent submit() may be
+  // reallocating.
+  if (on_complete) on_complete(slot, *settled);
   {
     std::lock_guard lk(idle_mu_);
     completed_.fetch_add(1);
@@ -710,19 +715,28 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         journal_store(state, key, o);
       }
     } else {
-      graph::CanonicalTree ct = [&] {
+      // One hashing pass yields both the cache key and the maps back.
+      graph::TreeLabelling labelling = [&] {
         TGP_SPAN("svc", "canonicalize");
-        return graph::canonical_tree(*spec.tree, &state.arena);
+        return graph::canonical_labelling(*spec.tree, &state.arena);
       }();
       CacheKey key =
-          CacheKey::make(graph::tree_fingerprint(ct.tree, &state.arena),
-                         spec.problem, spec.K);
+          CacheKey::make(labelling.fingerprint, spec.problem, spec.K);
+      // A plain hit maps its cut back through the labelling alone; the
+      // canonical tree is built at most once, by the first verify or solve
+      // step that reads it.
+      std::optional<graph::Tree> canon;
+      auto canonical = [&]() -> const graph::Tree& {
+        if (!canon)
+          canon.emplace(graph::build_canonical_tree(*spec.tree, labelling));
+        return *canon;
+      };
       CacheHitInfo hit_info;
       bool hit = cache_probe(state, key, state.hit_scratch, &hit_info);
       if (hit && (hit_info.needs_verify || config_.verify_results)) {
         TGP_SPAN("svc", "verify");
         core::CutCheck check =
-            verify_canonical(spec.problem, ct.tree, spec.K,
+            verify_canonical(spec.problem, canonical(), spec.K,
                              state.hit_scratch);
         if (check.ok) {
           if (hit_info.needs_verify) cache_.mark_verified(key);
@@ -734,24 +748,24 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         }
       }
       if (hit) {
-        apply_outcome(r, state.hit_scratch, ct);
+        apply_outcome(r, state.hit_scratch, labelling);
         r.cache_hit = true;
         return r;
       }
       CanonicalOutcome o = [&] {
         TGP_SPAN("svc", "solve");
-        return solve_canonical_tree(spec.problem, ct.tree, spec.K, cancel,
+        return solve_canonical_tree(spec.problem, canonical(), spec.K, cancel,
                                     &state.arena);
       }();
       if (config_.verify_results) {
         TGP_SPAN("svc", "verify");
         core::CutCheck check =
-            verify_canonical(spec.problem, ct.tree, spec.K, o);
+            verify_canonical(spec.problem, canonical(), spec.K, o);
         TGP_ENSURE(check.ok,
                    "result verification failed: " + check.detail);
         verified_ok_.fetch_add(1);
       }
-      apply_outcome(r, o, ct);
+      apply_outcome(r, o, labelling);
       cache_store(state, key, o);
       journal_store(state, key, o);
     }

@@ -11,10 +11,11 @@
 //        │                                          worker pops job
 //        │                     expired deadline / pending cancel? ──► fail slot
 //        │                                                  │
-//        │                     canonicalize graph, fingerprint
+//        │        canonicalize: one hashing pass → key + maps back
 //        │                                                  │
 //        │                        memo cache probe ── hit ──┐
 //        │                              │ miss              │
+//        │            build canonical tree (trees only)     │
 //        │                        solve canonical  ◄─ polls the job's
 //        │                        store in cache      cancel token
 //        │                              └───────┬───────────┘

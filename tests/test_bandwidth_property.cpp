@@ -23,6 +23,11 @@ struct SweepCase {
   int trials;
 };
 
+// gtest puts the printed parameter into each case's listed name. Without a
+// printer it dumps the struct's raw bytes, and those hold the load address of
+// `name` and uninitialised padding, so the name would change on every run.
+void PrintTo(const SweepCase& sc, std::ostream* os) { *os << sc.name; }
+
 class BandwidthSweep : public testing::TestWithParam<SweepCase> {};
 
 double pick_k(const graph::Chain& c, double scale) {

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "graph/cutset.hpp"
 #include "graph/generators.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace tgp::graph {
@@ -19,6 +22,66 @@ Chain make_chain(std::vector<Weight> v, std::vector<Weight> e) {
   c.edge_weight = std::move(e);
   c.validate();
   return c;
+}
+
+// A fixed seeded corpus over the shapes canonicalisation treats
+// differently: one and two vertices, paths (even ones have two
+// centroids, symmetric ones tie on them), stars, caterpillars, binary
+// and random trees up to a few thousand vertices.  Every tree appears as
+// built and relabelled.
+std::vector<Tree> tree_corpus() {
+  util::Pcg32 rng(16016, 5);
+  const WeightDist w = WeightDist::uniform(1, 20);
+  std::vector<Tree> out;
+  out.push_back(Tree::from_edges({5.0}, {}));
+  out.push_back(Tree::from_edges({5.0, 6.0}, {{0, 1, 3.0}}));
+  out.push_back(path_tree(make_chain({1, 1, 1, 1}, {2, 3, 2})));
+  out.push_back(path_tree(make_chain({1, 2, 3, 4, 5, 6}, {1, 1, 1, 1, 1})));
+  for (int n : {3, 8, 64, 257, 1000})
+    out.push_back(path_tree(random_chain(rng, n, w, w)));
+  for (int n : {3, 9, 100}) out.push_back(star_tree(rng, n, w, w));
+  for (int spine : {2, 7, 40})
+    out.push_back(caterpillar_tree(rng, spine, 3, w, w));
+  for (int n : {15, 31, 500}) out.push_back(random_binary_tree(rng, n, w, w));
+  for (int n : {5, 40, 333, 3000}) out.push_back(random_tree(rng, n, w, w));
+  // Small integer weights make isomorphic subtrees (hash ties) common.
+  out.push_back(random_tree(rng, 2000, WeightDist::uniform(1, 2),
+                            WeightDist::constant(1)));
+  const std::size_t built = out.size();
+  for (std::size_t i = 0; i < built; ++i)
+    out.push_back(relabel_tree(rng, out[i]));
+  return out;
+}
+
+// FNV-1a over everything a durable cache record or a shard route depends
+// on: the maps back, the canonical tree's edges and weight bits, and the
+// fingerprint.  Uses only canonical_tree and tree_fingerprint, so the
+// same code computes the digest at any revision.
+std::uint64_t canonical_form_digest(const std::vector<Tree>& corpus) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto word = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  auto bits = [](Weight x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const Tree& t : corpus) {
+    CanonicalTree ct = canonical_tree(t);
+    word(static_cast<std::uint64_t>(ct.tree.n()));
+    for (int v : ct.orig_vertex) word(static_cast<std::uint64_t>(v));
+    for (int e : ct.orig_edge) word(static_cast<std::uint64_t>(e));
+    for (Weight x : ct.tree.vertex_weights()) word(bits(x));
+    for (const TreeEdge& e : ct.tree.edges()) {
+      word(static_cast<std::uint64_t>(e.u));
+      word(static_cast<std::uint64_t>(e.v));
+      word(bits(e.weight));
+    }
+    const Fingerprint f = tree_fingerprint(t);
+    word(f.hi);
+    word(f.lo);
+  }
+  return h;
 }
 
 TEST(CanonicalChain, ReversalConvergesToOneOrientation) {
@@ -216,6 +279,35 @@ TEST(CanonicalTree, SingleVertexAndSingleEdge) {
   EXPECT_EQ(ct.tree.n(), 2);
   EXPECT_EQ(ct.map_edge_back(0), 0);
   EXPECT_EQ(tree_fingerprint(two), tree_fingerprint(ct.tree));
+}
+
+TEST(CanonicalTree, LabellingMatchesBuiltTreeAndCacheKey) {
+  // The labelling carries the same maps as the built canonical tree, and
+  // its fingerprint is the cache key tree_fingerprint computes on both
+  // the submitted tree and the canonical one.
+  util::Arena arena;
+  for (const Tree& t : tree_corpus()) {
+    const TreeLabelling l = canonical_labelling(t, &arena);
+    const CanonicalTree ct = canonical_tree(t);
+    EXPECT_EQ(l.orig_vertex, ct.orig_vertex) << "n=" << t.n();
+    EXPECT_EQ(l.orig_edge, ct.orig_edge) << "n=" << t.n();
+    const Fingerprint f = tree_fingerprint(t);
+    EXPECT_EQ(l.fingerprint, f) << "n=" << t.n();
+    EXPECT_EQ(ct.fingerprint, f) << "n=" << t.n();
+    EXPECT_EQ(tree_fingerprint(ct.tree), f) << "n=" << t.n();
+  }
+}
+
+// Durable cache records and shard routes are keyed by these bytes: a
+// change to the canonical form or the fingerprint strands every store
+// written before it.  The constant was captured before canonical_tree was
+// split into labelling and build steps, and the split reproduces it.
+// Only a deliberate format change may update it, together with
+// kCacheRecordEpoch (svc/persist.hpp).
+TEST(CanonicalTree, GoldenDigestOfSeededCorpus) {
+  const std::vector<Tree> corpus = tree_corpus();
+  ASSERT_EQ(corpus.size(), 46u);
+  EXPECT_EQ(canonical_form_digest(corpus), 0x0b4f45b61e30955dull);
 }
 
 TEST(Fingerprint, HexRendersBothWords) {

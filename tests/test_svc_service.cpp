@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -203,6 +205,41 @@ TEST(PartitionService, SubmitAfterShutdownThrows) {
   EXPECT_THROW(
       service.submit(JobSpec::for_chain(Problem::kBottleneck, 3, c)),
       ServiceStopped);
+}
+
+TEST(PartitionService, CompletionCallbackSurvivesSlotTableGrowth) {
+  // A job's completion callback runs outside the slot lock while
+  // submit() keeps growing the slot table.  The first job's callback
+  // blocks until a few hundred more submits (all queued behind the one
+  // worker) have reallocated the table's block map several times; under
+  // -fsanitize=thread any unlocked read of the table by settle() races
+  // with those submits.
+  ServiceConfig config;
+  config.threads = 1;
+  PartitionService service(config);
+  graph::Chain c;
+  c.vertex_weight = {1, 2};
+  c.edge_weight = {1};
+  const JobSpec spec = JobSpec::for_chain(Problem::kBottleneck, 3, c);
+  std::latch release(1);
+  JobResult delivered;
+  const std::size_t first =
+      service.submit(spec, [&](std::size_t, const JobResult& r) {
+        release.wait();
+        delivered = r;  // still the settled result after the growth
+      });
+  // completed() flips under the slot lock before the callback runs, so
+  // the submits below start once settle() has left that lock.
+  while (!service.completed(first)) std::this_thread::yield();
+  constexpr int kMore = 400;  // well inside the default queue capacity
+  std::vector<std::size_t> more;
+  for (int i = 0; i < kMore; ++i) more.push_back(service.submit(spec));
+  release.count_down();
+  service.wait_idle();
+  const JobResult expected = execute_job_captured(spec);
+  expect_same_payload(delivered, expected, first);
+  for (std::size_t slot : more)
+    expect_same_payload(service.result(slot), expected, slot);
 }
 
 TEST(PartitionService, ResultThrowsBeforeCompletion) {

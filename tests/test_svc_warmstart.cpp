@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "dur/journal.hpp"
+#include "graph/generators.hpp"
 #include "svc/persist.hpp"
 #include "svc/service.hpp"
 #include "tools/serve_tool.hpp"
+#include "util/rng.hpp"
 
 namespace tgp::svc {
 namespace {
@@ -44,6 +46,33 @@ void expect_same_results(const std::vector<JobResult>& a,
     EXPECT_EQ(a[i].cut.edges, b[i].cut.edges) << "job " << i;
     EXPECT_EQ(a[i].components, b[i].components) << "job " << i;
   }
+}
+
+/// The service's payload for `spec` equals the direct path's.
+void expect_direct_payload(const JobResult& got, const JobSpec& spec) {
+  const JobResult want = execute_job(spec);
+  EXPECT_EQ(got.status, JobStatus::kOk);
+  EXPECT_EQ(got.objective, want.objective);
+  EXPECT_EQ(got.cut.edges, want.cut.edges);
+  EXPECT_EQ(got.components, want.components);
+}
+
+/// One tree, as built and relabelled, with a K that forces a real cut.
+struct TreePresentations {
+  graph::Tree built;
+  graph::Tree relabelled;
+  graph::Weight K = 0;
+};
+
+TreePresentations tree_presentations(std::uint64_t seed) {
+  util::Pcg32 rng(seed, 41);
+  graph::Tree t = graph::random_tree(rng, 60, graph::WeightDist::uniform(1, 20),
+                                     graph::WeightDist::uniform(1, 20));
+  const graph::Weight K =
+      t.max_vertex_weight() +
+      0.2 * (t.total_vertex_weight() - t.max_vertex_weight());
+  graph::Tree r = graph::relabel_tree(rng, t);
+  return {std::move(t), std::move(r), K};
 }
 
 // --- the persist codec ---------------------------------------------------
@@ -211,18 +240,25 @@ TEST(WarmStart, MalformedJournalRecordIsCountedAndSkipped) {
 
 TEST(WarmStart, VerifierQuarantinesASemanticallyCorruptRecord) {
   const std::string dir = fresh_dir("warmstart_verify");
-  // One deterministic chain job.
+  // One deterministic chain job, and one tree job that the warm service
+  // receives relabelled.
   graph::Chain chain{{2, 3, 1, 4, 2}, {5, 1, 7, 2}};
   JobSpec spec = JobSpec::for_chain(Problem::kBottleneck, 7, chain);
+  TreePresentations tp = tree_presentations(7);
+  JobSpec tree_spec = JobSpec::for_tree(Problem::kBottleneck, tp.K, tp.built);
+  JobSpec relabelled_spec =
+      JobSpec::for_tree(Problem::kBottleneck, tp.K, tp.relabelled);
 
   std::vector<JobResult> cold;
   {
     PartitionService service(durable_config(dir));
-    cold = service.run_batch({spec});
+    cold = service.run_batch({spec, tree_spec});
     ASSERT_EQ(cold[0].status, JobStatus::kOk);
+    ASSERT_EQ(cold[1].status, JobStatus::kOk);
+    ASSERT_FALSE(cold[1].cut.edges.empty()) << "K must force a cut";
     service.flush_durable();
   }
-  // Rewrite the stored record with a corrupted objective: framing CRC
+  // Rewrite the stored records with a corrupted objective: framing CRC
   // fine, semantics wrong — exactly what the independent verifier is
   // for.
   {
@@ -234,22 +270,27 @@ TEST(WarmStart, VerifierQuarantinesASemanticallyCorruptRecord) {
     ASSERT_TRUE(store.load([&](std::span<const std::uint8_t> r) {
       entries.emplace_back(r.begin(), r.end());
     }));
-    ASSERT_EQ(entries.size(), 1u);
-    CacheKey key;
-    CanonicalOutcome o;
-    ASSERT_TRUE(decode_cache_record(entries[0], key, o));
-    o.objective += 1.0;  // now provably wrong for this cut
-    ASSERT_TRUE(store.append(encode_cache_record(key, o)));
+    ASSERT_EQ(entries.size(), 2u);
+    for (const std::vector<std::uint8_t>& entry : entries) {
+      CacheKey key;
+      CanonicalOutcome o;
+      ASSERT_TRUE(decode_cache_record(entry, key, o));
+      o.objective += 1.0;  // now provably wrong for this cut
+      ASSERT_TRUE(store.append(encode_cache_record(key, o)));
+    }
     ASSERT_TRUE(store.flush_clean());
   }
   PartitionService warm_service(durable_config(dir));
-  std::vector<JobResult> warm = warm_service.run_batch({spec});
-  // The corrupt entry was rejected at hit time and the job re-solved:
-  // the answer is still the correct one.
-  expect_same_results(cold, warm);
+  std::vector<JobResult> warm = warm_service.run_batch({spec, relabelled_spec});
+  // Each corrupt entry was rejected at hit time and its job re-solved:
+  // the answers are still the correct ones.  The tree job builds its
+  // canonical tree to verify the hit and reuses it for the re-solve.
+  expect_same_results({cold[0]}, {warm[0]});
+  expect_direct_payload(warm[1], relabelled_spec);
+  EXPECT_FALSE(warm[1].cache_hit);
   MetricsSnapshot m = warm_service.metrics();
-  EXPECT_EQ(m.durability.verify_failed, 1u);
-  EXPECT_EQ(m.durability.quarantined, 1u);
+  EXPECT_EQ(m.durability.verify_failed, 2u);
+  EXPECT_EQ(m.durability.quarantined, 2u);
   EXPECT_GE(m.durability.verified_ok, 0u);
 }
 
@@ -261,9 +302,29 @@ TEST(WarmStart, VerifyResultsFlagChecksFreshSolvesToo) {
   std::vector<JobSpec> specs = tools::generate_workload(16, 9, 0.0);
   std::vector<JobResult> got = service.run_batch(specs);
   for (const JobResult& r : got) EXPECT_EQ(r.status, JobStatus::kOk);
+  // A tree solved in one presentation, then served as a verified hit in
+  // the other, each way round (one problem per order, so the keys
+  // differ): both the solve and the hit's verify build a canonical tree.
+  TreePresentations tp = tree_presentations(9);
+  const std::vector<JobSpec> misses = {
+      JobSpec::for_tree(Problem::kBottleneck, tp.K, tp.built),
+      JobSpec::for_tree(Problem::kProcMin, tp.K, tp.relabelled)};
+  const std::vector<JobSpec> hits = {
+      JobSpec::for_tree(Problem::kBottleneck, tp.K, tp.relabelled),
+      JobSpec::for_tree(Problem::kProcMin, tp.K, tp.built)};
+  const std::vector<JobResult> missed = service.run_batch(misses);
+  const std::vector<JobResult> hit = service.run_batch(hits);
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    EXPECT_FALSE(missed[i].cache_hit) << i;
+    expect_direct_payload(missed[i], misses[i]);
+    EXPECT_TRUE(hit[i].cache_hit) << i;
+    expect_direct_payload(hit[i], hits[i]);
+  }
   MetricsSnapshot m = service.metrics();
   EXPECT_FALSE(m.durability.enabled);
-  EXPECT_EQ(m.durability.verified_ok, static_cast<std::uint64_t>(got.size()));
+  EXPECT_EQ(m.durability.verified_ok,
+            static_cast<std::uint64_t>(got.size() + misses.size() +
+                                       hits.size()));
   EXPECT_EQ(m.durability.verify_failed, 0u);
 }
 
