@@ -109,6 +109,23 @@ int main(int argc, char** argv) {
       auto labelling = graph::canonical_labelling(t, &arena);
       (void)labelling.fingerprint.lo;
     });
+    // The same tree randomly renumbered, as half the service's tree jobs
+    // and whatever the router receives arrive: make_tree keeps the
+    // generator's parent-before-child numbering, which walks memory in
+    // order.
+    util::Pcg32 rng(0x2E1Au);
+    const graph::Tree relabelled = graph::relabel_tree(rng, t);
+    std::snprintf(name, sizeof name, "tree_job_key/n=%d/relabelled", tree_n);
+    h.run(name, tree_n, [&] {
+      auto labelling = graph::canonical_labelling(relabelled, &arena);
+      (void)labelling.fingerprint.lo;
+    });
+    std::snprintf(name, sizeof name, "tree_fingerprint/n=%d/relabelled",
+                  tree_n);
+    h.run(name, tree_n, [&] {
+      auto fp = graph::tree_fingerprint(relabelled, &arena);
+      (void)fp.lo;
+    });
   }
   {
     double K = 0;

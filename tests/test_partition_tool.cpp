@@ -30,8 +30,14 @@ class PartitionToolTest : public testing::Test {
  protected:
   void SetUp() override {
     util::Pcg32 rng(99);
-    chain_path_ = testing::TempDir() + "/tool_chain.txt";
-    tree_path_ = testing::TempDir() + "/tool_tree.txt";
+    // ctest runs each test as its own process, concurrently under -j:
+    // per-test file names keep one test's TearDown from deleting
+    // another's input.
+    const std::string stem =
+        testing::TempDir() + "/tool_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name();
+    chain_path_ = stem + "_chain.txt";
+    tree_path_ = stem + "_tree.txt";
     graph::save_chain_file(
         chain_path_,
         graph::random_chain(rng, 24, graph::WeightDist::uniform(1, 5),

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
@@ -129,6 +131,29 @@ TEST(RunServeTool, GeneratedBatchOutputIsThreadCountInvariant) {
   ASSERT_EQ(run_serve_tool(a8, out8, err8), 0);
   EXPECT_EQ(out1.str(), out8.str());
   EXPECT_FALSE(out1.str().empty());
+}
+
+// tgp_serve's stdout carries every result row, so a change to tree or
+// chain canonicalisation, the cache key or the mapping of cuts back
+// shows here.  The FNV-1a digest of the 502 lines (md5
+// a1a5dbdf8562d3d503a1c2f690f54d9c) was captured from the build before
+// trees were canonicalised in one BFS; only a deliberate output change
+// may update it.
+TEST(RunServeTool, GeneratedBatchStdoutIsPinned) {
+  std::ostringstream out, err;
+  ASSERT_EQ(run_serve_tool(args({"--generate", "500", "--seed", "7",
+                                 "--dup-frac", "0.5", "--threads", "2"}),
+                           out, err),
+            0)
+      << err.str();
+  const std::string text = out.str();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 502);
+  EXPECT_EQ(h, 0x85c00da0d2b5829aull);
 }
 
 TEST(RunServeTool, JobsFlagReadsFileAndPrintsRows) {
