@@ -8,10 +8,7 @@
 //
 //   bench_core_suite --json BENCH_core.json          # full run
 //   bench_core_suite --quick                          # smoke (ctest)
-//   bench_core_suite --threads 1,2,8 --json ...       # intra-solve sweep
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "bench_harness.hpp"
 #include "core/bandwidth_min.hpp"
@@ -21,7 +18,6 @@
 #include "core/prime_subpaths.hpp"
 #include "core/tree_bandwidth.hpp"
 #include "graph/generators.hpp"
-#include "par/runtime.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 
@@ -121,35 +117,28 @@ int main(int argc, char** argv) {
     });
   }
 
-  // ---- Intra-solve parallelism sweep --------------------------------------
-  // Giant instances.  Chain bandwidth runs once per --threads width
-  // (default: serial only); the /t=W suffix keys tools/bench_diff's
-  // --min-speedup gate: same instance, same decomposition, only the team
-  // width varies — the answers are bit-identical, so the timings alone
-  // differ.  Tree bottleneck is a serial kernel, so it runs once, at t=1,
-  // and has no siblings for that gate to compare.
+  // ---- Giant instances ----------------------------------------------------
+  // The /t=1 suffixes are kept so the names match the committed
+  // BENCH_core.json; drop them when that file is re-recorded.
   {
-    const std::vector<int> widths =
-        opt.threads.empty() ? std::vector<int>{1} : opt.threads;
     const int giant_chain_n = opt.quick ? 1 << 13 : 1 << 24;
     const int giant_tree_n = opt.quick ? 1 << 13 : 1 << 24;
     double Kc = 0, Kt = 0;
     graph::Chain gc = make_chain(giant_chain_n, 1, &Kc);
-    for (int w : widths) {
-      std::unique_ptr<par::Team> team;
-      if (w > 1) team = std::make_unique<par::Team>(w);
-      par::TeamScope scope(team.get());
-      h.set_threads(w);
-      std::snprintf(name, sizeof name, "bandwidth_temps/n=%d/mid/t=%d",
-                    giant_chain_n, w);
-      h.run(name, giant_chain_n, [&] {
-        auto r = core::bandwidth_min_temps(gc, Kc, nullptr,
-                                           core::SearchPolicy::kBinary,
-                                           nullptr, &arena);
-        (void)r.cut_weight;
-      });
-    }
-    h.set_threads(1);
+    std::snprintf(name, sizeof name, "bandwidth_temps/n=%d/mid/t=1",
+                  giant_chain_n);
+    h.run(name, giant_chain_n, [&] {
+      auto r = core::bandwidth_min_temps(gc, Kc, nullptr,
+                                         core::SearchPolicy::kBinary,
+                                         nullptr, &arena);
+      (void)r.cut_weight;
+    });
+    std::snprintf(name, sizeof name, "chain_bottleneck/n=%d/mid",
+                  giant_chain_n);
+    h.run(name, giant_chain_n, [&] {
+      auto r = core::chain_bottleneck_min(gc, Kc, &arena);
+      (void)r.threshold;
+    });
     graph::Tree gt = make_tree(giant_tree_n, &Kt);
     std::snprintf(name, sizeof name, "bottleneck_bsearch/n=%d/t=1",
                   giant_tree_n);

@@ -91,28 +91,10 @@ HarnessOptions parse_args(int argc, char** argv, std::string* json_path) {
       opt.quick = true;
     } else if (std::strcmp(a, "--trace") == 0) {
       opt.trace = true;
-    } else if (std::strcmp(a, "--threads") == 0) {
-      // Comma-separated widths, e.g. "1,2,8"; each must be >= 1.
-      const char* s = value();
-      opt.threads.clear();
-      while (*s != '\0') {
-        char* after = nullptr;
-        long w = std::strtol(s, &after, 10);
-        if (after == s || w < 1 || w > 4096) {
-          std::fprintf(stderr, "--threads wants widths like 1,2,8\n");
-          std::exit(2);
-        }
-        opt.threads.push_back(static_cast<int>(w));
-        s = *after == ',' ? after + 1 : after;
-      }
-      if (opt.threads.empty()) {
-        std::fprintf(stderr, "--threads wants widths like 1,2,8\n");
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr,
                    "unknown flag %s (want --json <path> --reps <k> "
-                   "--warmup <k> --quick --trace --threads <w,...>)\n",
+                   "--warmup <k> --quick --trace)\n",
                    a);
       std::exit(2);
     }
@@ -148,7 +130,6 @@ void Harness::run(const std::string& name, double items,
   r.name = name;
   r.items = items;
   r.reps = opt_.reps;
-  r.threads = threads_;
   r.median_ns = percentile(ns, 0.5);
   r.p95_ns = percentile(ns, 0.95);
   r.min_ns = ns.front();
@@ -157,8 +138,6 @@ void Harness::run(const std::string& name, double items,
               r.median_ns, r.ns_per_item());
   std::fflush(stdout);
 }
-
-void Harness::set_threads(int width) { threads_ = width < 1 ? 1 : width; }
 
 void Harness::counter(const std::string& name, std::uint64_t value) {
   if (results_.empty()) {
@@ -170,11 +149,11 @@ void Harness::counter(const std::string& name, std::uint64_t value) {
 }
 
 void Harness::print_table() const {
-  std::printf("\n%-48s %6s %3s %14s %14s %10s\n", "case", "reps", "thr",
-              "median_ns", "p95_ns", "ns/item");
+  std::printf("\n%-48s %6s %14s %14s %10s\n", "case", "reps", "median_ns",
+              "p95_ns", "ns/item");
   for (const CaseResult& r : results_)
-    std::printf("%-48s %6d %3d %14.0f %14.0f %10.2f\n", r.name.c_str(),
-                r.reps, r.threads, r.median_ns, r.p95_ns, r.ns_per_item());
+    std::printf("%-48s %6d %14.0f %14.0f %10.2f\n", r.name.c_str(), r.reps,
+                r.median_ns, r.p95_ns, r.ns_per_item());
   if (sanitizers_active())
     std::printf("(built with sanitizers: timings are not comparable)\n");
 }
@@ -211,8 +190,7 @@ bool Harness::write_json(const std::string& path) const {
     json_escape(out, r.name);
     out << "\", \"items\": ";
     std::snprintf(buf, sizeof buf, "%.0f", r.items);
-    out << buf << ", \"reps\": " << r.reps << ", \"threads\": " << r.threads
-        << ", \"median_ns\": ";
+    out << buf << ", \"reps\": " << r.reps << ", \"median_ns\": ";
     std::snprintf(buf, sizeof buf, "%.1f", r.median_ns);
     out << buf << ", \"p95_ns\": ";
     std::snprintf(buf, sizeof buf, "%.1f", r.p95_ns);
@@ -366,21 +344,6 @@ std::optional<BenchFile> read_bench_json(const std::string& path) {
       out.suite = ps.parse_string();
     } else if (key == "sanitized") {
       out.sanitized = ps.parse_bool();
-    } else if (key == "machine") {
-      if (ps.consume('{')) {
-        if (!ps.peek('}')) {
-          do {
-            std::string f = ps.parse_string();
-            if (!ps.consume(':')) break;
-            if (f == "hardware_threads")
-              out.hardware_threads =
-                  static_cast<unsigned>(ps.parse_number());
-            else ps.skip_value();
-          } while (ps.ok && ps.consume(','));
-          ps.ok = true;  // the comma probe fails once at '}'
-        }
-        ps.consume('}');
-      }
     } else if (key == "cases") {
       if (!ps.consume('[')) break;
       while (ps.ok && !ps.peek(']')) {
@@ -394,8 +357,6 @@ std::optional<BenchFile> read_bench_json(const std::string& path) {
           if (f == "name") c.name = ps.parse_string();
           else if (f == "items") c.items = ps.parse_number();
           else if (f == "reps") c.reps = static_cast<int>(ps.parse_number());
-          else if (f == "threads")
-            c.threads = static_cast<int>(ps.parse_number());
           else if (f == "median_ns") c.median_ns = ps.parse_number();
           else if (f == "p95_ns") c.p95_ns = ps.parse_number();
           else if (f == "min_ns") c.min_ns = ps.parse_number();

@@ -33,7 +33,6 @@ struct CaseResult {
   std::string name;
   double items = 1;       ///< work units per run (vertices, jobs, ...)
   int reps = 0;           ///< timed repetitions (excludes warmup)
-  int threads = 1;        ///< intra-solve team width the case ran with
   double median_ns = 0;
   double p95_ns = 0;      ///< nearest-rank 95th percentile
   double min_ns = 0;
@@ -50,10 +49,6 @@ struct HarnessOptions {
   int reps = 7;    ///< timed runs per case
   bool quick = false;  ///< suites shrink instance sizes for smoke tests
   bool trace = false;  ///< suites enable obs tracing (overhead measuring)
-  /// Thread-count sweep from --threads (e.g. "1,2,8").  Suites that
-  /// support intra-solve parallelism emit one case per entry; empty
-  /// means the suite's default (a single serial pass).
-  std::vector<int> threads;
 };
 
 /// True when the binary was built under ASan/TSan/MSan/UBSan — timings
@@ -77,11 +72,6 @@ class Harness {
   /// (with a stderr warning) before the first case.
   void counter(const std::string& name, std::uint64_t value);
 
-  /// Record subsequent cases as having run with an intra-solve team of
-  /// `width` threads (1 = serial).  Purely an annotation: installing the
-  /// team is the suite's job (par::TeamScope).
-  void set_threads(int width);
-
   /// Write all cases plus machine info as JSON.  Returns false (and
   /// prints to stderr) on I/O failure.
   bool write_json(const std::string& path) const;
@@ -95,7 +85,6 @@ class Harness {
  private:
   std::string suite_;
   HarnessOptions opt_;
-  int threads_ = 1;
   std::vector<CaseResult> results_;
 };
 
@@ -104,9 +93,6 @@ class Harness {
 struct BenchFile {
   std::string suite;
   bool sanitized = false;
-  /// machine.hardware_threads from the artifact (0 when absent) — lets
-  /// bench_diff skip the speedup gate on boxes too narrow to show one.
-  unsigned hardware_threads = 0;
   std::vector<CaseResult> cases;
 };
 

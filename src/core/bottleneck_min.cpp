@@ -21,10 +21,6 @@ void check_preconditions(const graph::Tree& tree, graph::Weight K) {
               "K must be at least the maximum vertex weight");
 }
 
-/// Unions between cancellation polls in the union-find pass — the same
-/// 16384-element grain the blocked loops of the other kernels poll at.
-constexpr int kPollStride = 16384;
-
 /// Edge indices sorted by (weight, index), so equal weights keep index
 /// order.  Only `order` outlives the call.
 int* edges_by_weight(const graph::CsrView& g, util::Arena& arena) {
@@ -113,7 +109,7 @@ int shortest_feasible_prefix(const graph::CsrView& g, const int* order,
   };
   std::optional<CheckerSum> checker;
   for (int i = g.m - 1; i >= 1; --i) {
-    if (cancel && i % kPollStride == 0) cancel->poll();
+    if (cancel && i % util::kPollStride == 0) cancel->poll();
     const int e = order[i];
     int a = find(g.edge_u[e]);
     int b = find(g.edge_v[e]);

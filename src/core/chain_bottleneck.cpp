@@ -6,7 +6,6 @@
 #include "graph/csr.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "par/runtime.hpp"
 #include "util/assert.hpp"
 
 namespace tgp::core {
@@ -33,59 +32,35 @@ BottleneckResult chain_bottleneck_min(const graph::Chain& chain,
   BottleneckResult out;
   if (p == 0) return out;  // whole chain fits: empty cut
 
-  // Sliding-window minimum over edge weights, blocked by prime index.
-  // The monotone deque's state over a window is a canonical function of
-  // the window contents (push with >=-popping keeps the strictly
-  // increasing minima chain, equal weights keep the later index), so
-  // each block may rebuild the deque for its first prime's window from
-  // scratch and then slide it incrementally — the per-prime minima are
-  // identical to one serial sweep, at any thread width.  Each prime
-  // contributes at most one cut edge, deduplicated against the previous
-  // one; seam duplicates are removed when blocks are concatenated.
+  // Sliding-window minimum over edge weights.  Both ends of the prime
+  // windows only move right, so one monotone deque (push with >=-popping
+  // keeps the strictly increasing minima chain; equal weights keep the
+  // later index) yields every window's minimum in one pass.  Each prime
+  // contributes its minimum edge, deduplicated against the previous one:
+  // window fronts only move right, so the list comes out sorted and
+  // unique, the cut's canonical form.
   auto weight = [&](int e) { return g.edge_weight[e]; };
-  const std::int64_t blocks = (p + par::kGrain - 1) / par::kGrain;
-  int* cut_buf = frame->alloc_array<int>(static_cast<std::size_t>(p));
-  int* bcount = frame->alloc_array<int>(static_cast<std::size_t>(blocks));
-  graph::Weight* bmax =
-      frame->alloc_array<graph::Weight>(static_cast<std::size_t>(blocks));
-  par::parallel_for(
-      par::active_team(), p, par::kGrain, cancel,
-      [&](std::int64_t p0, std::int64_t p1, par::WorkerCtx& ctx) {
-        util::ScratchFrame scratch(ctx.arena);
-        const int base = primes[p0].first_edge();
-        int* dq = scratch->alloc_array<int>(
-            static_cast<std::size_t>(primes[p1 - 1].last_edge() - base + 1));
-        int head = 0, tail = 0;  // live entries dq[head..tail)
-        int pushed = base - 1;
-        int* ebuf = cut_buf + p0;
-        int local = 0;
-        graph::Weight tmax = 0;
-        for (std::int64_t pi = p0; pi < p1; ++pi) {
-          const PrimeSubpath& prime = primes[pi];
-          while (pushed < prime.last_edge()) {
-            ++pushed;
-            while (tail > head && weight(dq[tail - 1]) >= weight(pushed))
-              --tail;
-            dq[tail++] = pushed;
-          }
-          while (dq[head] < prime.first_edge()) ++head;
-          int best = dq[head];
-          tmax = std::max(tmax, weight(best));
-          if (local == 0 || ebuf[local - 1] != best) ebuf[local++] = best;
-        }
-        bcount[p0 / par::kGrain] = local;
-        bmax[p0 / par::kGrain] = tmax;
-      });
-  // Merge in block order: max is exact, and window fronts only move
-  // right, so dropping seam duplicates leaves a sorted unique edge list —
-  // canonical form by construction.
+  const int base = primes[0].first_edge();
+  int* dq = frame->alloc_array<int>(
+      static_cast<std::size_t>(primes[p - 1].last_edge() - base + 1));
+  int head = 0, tail = 0;  // live entries dq[head..tail)
+  int pushed = base - 1;
   out.cut.edges.reserve(static_cast<std::size_t>(p));
-  for (std::int64_t k = 0; k < blocks; ++k) {
-    out.threshold = std::max(out.threshold, bmax[k]);
-    const int* src = cut_buf + k * par::kGrain;
-    for (int i = 0; i < bcount[k]; ++i) {
-      if (out.cut.edges.empty() || out.cut.edges.back() != src[i])
-        out.cut.edges.push_back(src[i]);
+  for (int p0 = 0; p0 < p; p0 += util::kPollStride) {
+    if (cancel) cancel->poll();
+    const int p1 = std::min(p, p0 + util::kPollStride);
+    for (int pi = p0; pi < p1; ++pi) {
+      const PrimeSubpath& prime = primes[pi];
+      while (pushed < prime.last_edge()) {
+        ++pushed;
+        while (tail > head && weight(dq[tail - 1]) >= weight(pushed)) --tail;
+        dq[tail++] = pushed;
+      }
+      while (dq[head] < prime.first_edge()) ++head;
+      const int best = dq[head];
+      out.threshold = std::max(out.threshold, weight(best));
+      if (out.cut.edges.empty() || out.cut.edges.back() != best)
+        out.cut.edges.push_back(best);
     }
   }
   ++out.feasibility_checks;

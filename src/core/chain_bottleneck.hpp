@@ -22,11 +22,10 @@ namespace tgp::core {
 /// minimum-weight edge of every prime subpath (deduplicated), so it is
 /// feasible, and its max edge equals the optimal threshold.
 /// Preconditions: chain valid, K ≥ max vertex weight.  Scratch (primes
-/// and the sliding-window ring) comes from `arena` (null = per-thread
+/// and the sliding-window deque) comes from `arena` (null = per-thread
 /// fallback); steady state allocates nothing beyond the returned cut.
-/// Runs blocked over the prime subpaths — under a par::TeamScope the
-/// blocks execute in parallel with bit-identical output — observing
-/// `cancel` between blocks.
+/// One sweep over the prime subpaths, polling `cancel` every
+/// util::kPollStride primes.
 BottleneckResult chain_bottleneck_min(const graph::Chain& chain,
                                       graph::Weight K,
                                       util::Arena* arena = nullptr,

@@ -1,6 +1,7 @@
 #include "core/nonredundant.hpp"
 
-#include "par/runtime.hpp"
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace tgp::core {
@@ -28,103 +29,34 @@ std::vector<EdgeMembership> edge_memberships(
   return out;
 }
 
-namespace {
-
-/// The serial reduction body over edges [j0, j1) with the membership
-/// pointers `c`/`d` already positioned for j0; emits into `out` and
-/// returns the count.  Shared by the one-block and blocked paths so the
-/// merge rule ("same membership set keeps the lightest, earliest-on-tie
-/// representative") has exactly one implementation.
-int reduce_range(const graph::CsrView& g, const PrimeSubpath* primes, int p,
-                 int c, int d, int j0, int j1, ReducedEdge* out) {
-  int count = 0;
-  for (int j = j0; j < j1; ++j) {
-    while (c < p && primes[c].last_edge() < j) ++c;
-    while (d + 1 < p && primes[d + 1].first_edge() <= j) ++d;
-    if (c > d) continue;  // edge belongs to no prime subpath
-    graph::Weight w = g.edge_weight[j];
-    if (count > 0 && out[count - 1].first_prime == c &&
-        out[count - 1].last_prime == d) {
-      // Same membership set: keep only the lightest representative.
-      if (w < out[count - 1].weight) {
-        out[count - 1].weight = w;
-        out[count - 1].edge = j;
-      }
-    } else {
-      out[count++] = {j, c, d, w};
-    }
-  }
-  return count;
-}
-
-}  // namespace
-
 int reduce_edges_into(const graph::CsrView& g, const PrimeSubpath* primes,
                       int p, ReducedEdge* out,
                       const util::CancelToken* cancel) {
   const int m = g.m;
   // Membership pointers advanced inline — same monotone two-pointer sweep
   // as edge_memberships, without materializing the per-edge array.
-  // Initial positions: c = first prime with last_edge >= j, d = last
-  // prime with first_edge <= j; at j = 0 these are 0 and -1.
-  const std::int64_t blocks = (m + par::kGrain - 1) / par::kGrain;
-  int count;
-  if (blocks <= 1) {
-    count = reduce_range(g, primes, p, 0, -1, 0, m, out);
-  } else {
-    // Blocked sweep: both membership endpoints are monotone in j over
-    // the strictly-increasing prime windows, so each block seeds its
-    // pointers by binary search (integer comparisons — exact), reduces
-    // its edge range into its own region of `out`, and the calling
-    // thread concatenates in block order, re-applying the merge rule at
-    // each seam.  Output is identical to the one-block sweep.
-    util::ScratchFrame frame(nullptr);
-    int* bcount = frame->alloc_array<int>(static_cast<std::size_t>(blocks));
-    par::parallel_for(
-        par::active_team(), m, par::kGrain, cancel,
-        [&](std::int64_t j0, std::int64_t j1, par::WorkerCtx&) {
-          const int j = static_cast<int>(j0);
-          // c(j): first prime with last_edge >= j.
-          int a = 0, b = p;
-          while (a < b) {
-            int mid = a + (b - a) / 2;
-            if (primes[mid].last_edge() < j)
-              a = mid + 1;
-            else
-              b = mid;
-          }
-          const int c = a;
-          // d(j): last prime with first_edge <= j.
-          a = 0, b = p;
-          while (a < b) {
-            int mid = a + (b - a) / 2;
-            if (primes[mid].first_edge() <= j)
-              a = mid + 1;
-            else
-              b = mid;
-          }
-          const int d = a - 1;
-          bcount[j0 / par::kGrain] =
-              reduce_range(g, primes, p, c, d, j, static_cast<int>(j1),
-                           out + j0);
-        });
-    count = bcount[0];
-    for (std::int64_t k = 1; k < blocks; ++k) {
-      ReducedEdge* src = out + k * par::kGrain;
-      int i = 0;
-      if (count > 0 && bcount[k] > 0 &&
-          out[count - 1].first_prime == src[0].first_prime &&
-          out[count - 1].last_prime == src[0].last_prime) {
-        // Membership set straddles the seam: same strictly-lighter rule
-        // as reduce_range (ties keep the earlier edge, i.e. the left
-        // block's representative).
-        if (src[0].weight < out[count - 1].weight) {
-          out[count - 1].weight = src[0].weight;
-          out[count - 1].edge = src[0].edge;
+  int c = 0;   // first prime with last_edge >= j
+  int d = -1;  // last prime with first_edge <= j
+  int count = 0;
+  for (int j0 = 0; j0 < m; j0 += util::kPollStride) {
+    if (cancel) cancel->poll();
+    const int j1 = std::min(m, j0 + util::kPollStride);
+    for (int j = j0; j < j1; ++j) {
+      while (c < p && primes[c].last_edge() < j) ++c;
+      while (d + 1 < p && primes[d + 1].first_edge() <= j) ++d;
+      if (c > d) continue;  // edge belongs to no prime subpath
+      graph::Weight w = g.edge_weight[j];
+      if (count > 0 && out[count - 1].first_prime == c &&
+          out[count - 1].last_prime == d) {
+        // Same membership set: keep only the lightest representative
+        // (ties keep the earlier edge).
+        if (w < out[count - 1].weight) {
+          out[count - 1].weight = w;
+          out[count - 1].edge = j;
         }
-        i = 1;
+      } else {
+        out[count++] = {j, c, d, w};
       }
-      for (; i < bcount[k]; ++i) out[count++] = src[i];
     }
   }
   if (p > 0) {

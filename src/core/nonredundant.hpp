@@ -41,9 +41,8 @@ std::vector<ReducedEdge> reduce_edges(const graph::Chain& chain,
 /// Allocation-free core: reduce into `out` (caller-provided, capacity ≥
 /// the chain's edge count) and return the count.  `g` must be a chain
 /// view (csr_from_chain); `primes` has `p` entries from
-/// prime_subpaths_into on the same view and K.  Runs blocked — and,
-/// under a par::TeamScope, in parallel with bit-identical output —
-/// observing `cancel` between blocks.
+/// prime_subpaths_into on the same view and K.  One sweep, polling
+/// `cancel` every util::kPollStride edges.
 int reduce_edges_into(const graph::CsrView& g, const PrimeSubpath* primes,
                       int p, ReducedEdge* out,
                       const util::CancelToken* cancel = nullptr);

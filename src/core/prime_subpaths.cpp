@@ -1,6 +1,7 @@
 #include "core/prime_subpaths.hpp"
 
-#include "par/runtime.hpp"
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace tgp::core {
@@ -22,47 +23,6 @@ bool is_prime(const graph::ChainPrefix& prefix, int first_vertex,
   return true;
 }
 
-namespace {
-
-/// The serial sweep body over r ∈ [r0, r1) with the two-pointer `lo`
-/// already positioned for r0; emits into `out` and returns the count.
-/// This is the one and only emission rule — the parallel path runs it
-/// per block with a binary-searched seed, so outputs are identical.
-int sweep_range(const graph::CsrView& g, graph::Weight k_eff, int lo, int r0,
-                int r1, PrimeSubpath* out) {
-  int count = 0;
-  for (int r = r0; r < r1; ++r) {
-    while (lo < r && g.window(lo, r) > k_eff) ++lo;
-    if (lo == 0) continue;                  // no critical window ends at r
-    // [lo-1, r] is critical and left-minimal.  It is prime iff it is also
-    // right-minimal, i.e. [lo-1, r-1] is not critical.
-    if (g.window(lo - 1, r - 1) <= k_eff) {
-      out[count++] = {lo - 1, r, g.window(lo - 1, r)};
-    }
-  }
-  return count;
-}
-
-/// lo(r) = min { l ∈ [0, r] : l == r or window(l, r) <= k_eff } — exactly
-/// the value the serial sweep's pointer holds after its while-loop at
-/// iteration r.  window(·, r) is non-increasing in l (prefix sums are
-/// non-decreasing), so the predicate is monotone and binary search finds
-/// the same l the linear advance would, evaluating the same
-/// window-vs-k_eff comparisons the sweep uses.
-int seed_lo(const graph::CsrView& g, graph::Weight k_eff, int r) {
-  int a = 0, b = r;
-  while (a < b) {
-    int mid = a + (b - a) / 2;
-    if (g.window(mid, r) > k_eff)
-      a = mid + 1;
-    else
-      b = mid;
-  }
-  return a;
-}
-
-}  // namespace
-
 int prime_subpaths_into(const graph::CsrView& g, graph::Weight K,
                         PrimeSubpath* out, const util::CancelToken* cancel) {
   const int n = g.n;
@@ -70,32 +30,18 @@ int prime_subpaths_into(const graph::CsrView& g, graph::Weight K,
   // vertex look critical when K equals the maximum vertex weight.
   const graph::Weight k_eff =
       K + graph::load_epsilon(g.total_vertex_weight(), n);
-  const std::int64_t blocks = (n + par::kGrain - 1) / par::kGrain;
-  int count;
-  if (blocks <= 1) {
-    count = sweep_range(g, k_eff, 0, 0, n, out);
-  } else {
-    // Blocked sweep: each kGrain block seeds its own `lo` by binary
-    // search and emits into its own region of `out` (each r emits at
-    // most one subpath, so region [r0, r1) can never overflow); the
-    // blocks are then compacted left-to-right in block order.  The
-    // decomposition is fixed by (n, kGrain) alone, so serial and
-    // parallel execution produce the same subpaths in the same order.
-    util::ScratchFrame frame(nullptr);
-    int* bcount = frame->alloc_array<int>(static_cast<std::size_t>(blocks));
-    par::parallel_for(
-        par::active_team(), n, par::kGrain, cancel,
-        [&](std::int64_t r0, std::int64_t r1, par::WorkerCtx&) {
-          const int lo = r0 == 0 ? 0
-                                 : seed_lo(g, k_eff, static_cast<int>(r0));
-          bcount[r0 / par::kGrain] =
-              sweep_range(g, k_eff, lo, static_cast<int>(r0),
-                          static_cast<int>(r1), out + r0);
-        });
-    count = bcount[0];
-    for (std::int64_t k = 1; k < blocks; ++k) {
-      PrimeSubpath* src = out + k * par::kGrain;
-      for (int i = 0; i < bcount[k]; ++i) out[count++] = src[i];
+  int count = 0;
+  int lo = 0;  // two-pointer: left end of the longest fitting window at r
+  for (int r0 = 0; r0 < n; r0 += util::kPollStride) {
+    if (cancel) cancel->poll();
+    const int r1 = std::min(n, r0 + util::kPollStride);
+    for (int r = r0; r < r1; ++r) {
+      while (lo < r && g.window(lo, r) > k_eff) ++lo;
+      if (lo == 0) continue;  // no critical window ends at r
+      // [lo-1, r] is critical and left-minimal.  It is prime iff it is
+      // also right-minimal, i.e. [lo-1, r-1] is not critical.
+      if (g.window(lo - 1, r - 1) <= k_eff)
+        out[count++] = {lo - 1, r, g.window(lo - 1, r)};
     }
   }
   // Postconditions from the paper: subpaths strictly ordered on both ends,

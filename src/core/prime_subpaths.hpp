@@ -43,9 +43,8 @@ std::vector<PrimeSubpath> prime_subpaths(const graph::Chain& chain,
 /// Allocation-free core: enumerate into `out` (caller-provided, capacity
 /// ≥ n) and return the count.  `g` must be a chain view (csr_from_chain).
 /// The vector wrapper above validates the chain first; callers of this
-/// variant are expected to have done so.  Runs blocked — and, under a
-/// par::TeamScope, in parallel with bit-identical output — observing
-/// `cancel` between blocks.
+/// variant are expected to have done so.  One sweep, polling `cancel`
+/// every util::kPollStride vertices.
 int prime_subpaths_into(const graph::CsrView& g, graph::Weight K,
                         PrimeSubpath* out,
                         const util::CancelToken* cancel = nullptr);

@@ -8,7 +8,6 @@
 #include "graph/csr.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "par/runtime.hpp"
 #include "util/assert.hpp"
 
 namespace tgp::core {
@@ -119,22 +118,18 @@ TreeBandwidthResult tree_bandwidth_greedy(const graph::Tree& tree,
     graph::Weight edge_w;
   };
   constexpr int kExactFanout = 12;  // 2^12 subsets per node max
-  // Shed decisions write cut flags (disjoint per vertex) rather than
-  // appending to a shared list, so vertices of one BFS level can run in
-  // any order — or concurrently — with identical outcomes; the edge list
+  // Shed decisions write cut flags (disjoint per vertex); the edge list
   // is rebuilt from the flags afterwards.
   ComponentScratch scratch(g, frame.arena());
 
-  // One shed-or-absorb decision per vertex (cf. proc_min's accounting);
-  // charged up front so the total is width-independent.
+  // One shed-or-absorb decision per vertex (cf. proc_min's accounting).
   if (oc) oc->oracle_calls += static_cast<std::uint64_t>(n);
 
-  // The per-vertex decision: children are finalized (deeper level), so
-  // this only reads their residuals and writes residual[v] plus the cut
-  // flags of v's child edges.  Identical math to the serial bottom-up
-  // sweep; the level barrier supplies the children-before-parent order.
-  auto process_vertex = [&](int v, util::Arena& task_arena) {
-    util::ScratchFrame task_frame(&task_arena);
+  // The per-vertex decision: children are finalized, so this only reads
+  // their residuals and writes residual[v] plus the cut flags of v's
+  // child edges.
+  auto process_vertex = [&](int v) {
+    util::ScratchFrame task_frame(&frame.arena());
     Child* children = task_frame->alloc_array<Child>(
         static_cast<std::size_t>(g.degree(v)));
     int child_count = 0;
@@ -196,38 +191,11 @@ TreeBandwidthResult tree_bandwidth_greedy(const graph::Tree& tree,
     residual[v] = lump;
   };
 
-  // BFS order groups vertices by depth, so level boundaries fall out of
-  // one parent scan.  Levels run deepest-first; within a level the
-  // vertices are independent subtree roots — the fan-out the paper's
-  // shared-memory thesis asks for.  Levels below kFanoutCutoff stay
-  // inline (a chain-shaped tree would otherwise pay one fork-join per
-  // vertex).
-  int* depth = frame->alloc_array<int>(static_cast<std::size_t>(n));
-  int* level_start = frame->alloc_array<int>(static_cast<std::size_t>(n) + 1);
-  int levels = 0;
-  for (int i = 0; i < n; ++i) {
-    int v = rooted.order[i];
-    depth[v] = rooted.parent[v] < 0 ? 0 : depth[rooted.parent[v]] + 1;
-    if (depth[v] == levels) level_start[levels++] = i;
-  }
-  level_start[levels] = n;
-  constexpr int kFanoutCutoff = 2048;
-  par::Team* team = par::active_team();
-  for (int level = levels - 1; level >= 0; --level) {
-    const int i0 = level_start[level];
-    const int i1 = level_start[level + 1];
-    if (team != nullptr && i1 - i0 >= kFanoutCutoff) {
-      par::parallel_for(team, i1 - i0, 1024, cancel,
-                        [&](std::int64_t a, std::int64_t b,
-                            par::WorkerCtx& ctx) {
-                          for (std::int64_t i = a; i < b; ++i)
-                            process_vertex(rooted.order[i0 + i], *ctx.arena);
-                        });
-    } else {
-      if (cancel) cancel->poll();
-      for (int i = i0; i < i1; ++i)
-        process_vertex(rooted.order[i], frame.arena());
-    }
+  // Bottom-up: reverse BFS order visits every child before its parent.
+  for (int k0 = 0; k0 < n; k0 += util::kPollStride) {
+    if (cancel) cancel->poll();
+    const int k1 = std::min(n, k0 + util::kPollStride);
+    for (int k = k0; k < k1; ++k) process_vertex(rooted.order[n - 1 - k]);
   }
 
   // Rebuild the cut-edge list from the flags in ascending edge order (the

@@ -1,19 +1,36 @@
 #include "graph/csr.hpp"
 
-#include "par/runtime.hpp"
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace tgp::graph {
 
 namespace {
 
-// Canonical blocked prefix sum (par::prefix_sum): the rounding is fixed
-// by the kScanBlock decomposition, not by the thread count, so views
-// built serially and under a par::TeamScope are bit-identical.  With no
-// active team this runs inline on the calling thread.
+/// Elements per block of the prefix fold.  The association is part of
+/// the output: each block is folded left to right from its base, and the
+/// bases fold the per-block sums (each block's own fold from 0.0) left to
+/// right.  Changing this constant changes the rounding of every prefix
+/// array longer than one block, and with it the cuts, so it is fixed.
+constexpr int kPrefixBlock = 16384;
+
+// One pass: the running fold from the block's base goes to `prefix`
+// while the block's own sum folds alongside it for the next base.  For
+// n <= kPrefixBlock this is the plain left-to-right fold.
 Weight* build_prefix(const Weight* w, int n, util::Arena& arena) {
   Weight* prefix = arena.alloc_array<Weight>(static_cast<std::size_t>(n) + 1);
-  par::prefix_sum(par::active_team(), w, n, prefix, arena);
+  prefix[0] = 0.0;
+  Weight base = 0.0;
+  for (int lo = 0; lo < n; lo += kPrefixBlock) {
+    const int hi = std::min(n, lo + kPrefixBlock);
+    Weight acc = base, sum = 0.0;
+    for (int i = lo; i < hi; ++i) {
+      prefix[i + 1] = acc += w[i];
+      sum += w[i];
+    }
+    base += sum;
+  }
   return prefix;
 }
 

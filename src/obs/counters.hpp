@@ -14,15 +14,13 @@
 // both stages).  With no scope installed the cost at each solver site is
 // one thread-local load and branch.
 //
-// Determinism: every field except arena_bytes_peak, par_tasks and
-// par_threads is a pure function of the (canonical graph, problem, K)
-// triple — identical across thread counts, cache states and repeat runs
-// (the differential tests assert this).  arena_bytes_peak measures
-// scratch high-water against a shared worker arena whose block
-// boundaries depend on the jobs that warmed it; par_tasks/par_threads
-// describe the intra-solve thread budget in effect (zero when solving
-// serially).  All three are reported for capacity planning but excluded
-// from the cross-width determinism contract (algo_equal).
+// Determinism: every field except arena_bytes_peak is a pure function of
+// the (canonical graph, problem, K) triple — identical across thread
+// counts, cache states and repeat runs (the differential tests assert
+// this).  arena_bytes_peak measures scratch high-water against a shared
+// worker arena whose block boundaries depend on the jobs that warmed it;
+// it is reported for capacity planning but excluded from the determinism
+// contract (algo_equal).
 #pragma once
 
 #include <cstdint>
@@ -37,14 +35,6 @@ struct SolveCounters {
   std::uint64_t nonredundant_edges = 0; ///< r ≤ min(2p−1, n−1)
   std::uint64_t temps_peak_rows = 0;    ///< TEMP_S occupancy high-water
   std::uint64_t arena_bytes_peak = 0;   ///< scratch high-water (bytes)
-  // Intra-solve parallelism (par::Team).  Deterministic given the
-  // *thread budget* — par_tasks is the number of fixed-size blocks the
-  // runtime dispatched (a function of instance size and grain alone),
-  // par_threads the widest team observed — but both are 0 for a serial
-  // solve of the same instance, so like arena_bytes_peak they are
-  // excluded from the cross-width determinism contract (algo_equal).
-  std::uint64_t par_tasks = 0;    ///< blocks dispatched through par::Team
-  std::uint64_t par_threads = 0;  ///< widest team width used (max)
 
   /// Aggregate: sums for the count fields, max for the peaks.
   void merge(const SolveCounters& o) {
@@ -57,14 +47,11 @@ struct SolveCounters {
       temps_peak_rows = o.temps_peak_rows;
     if (o.arena_bytes_peak > arena_bytes_peak)
       arena_bytes_peak = o.arena_bytes_peak;
-    par_tasks += o.par_tasks;
-    if (o.par_threads > par_threads) par_threads = o.par_threads;
   }
 
   bool any() const {
     return (oracle_calls | bsearch_probes | gallop_probes | prime_subpaths |
-            nonredundant_edges | temps_peak_rows | arena_bytes_peak |
-            par_tasks | par_threads) != 0;
+            nonredundant_edges | temps_peak_rows | arena_bytes_peak) != 0;
   }
 
   /// Field-wise equality over the *deterministic* fields only (everything

@@ -171,10 +171,6 @@ void MetricsSnapshot::record(obs::MetricsRegistry& r) const {
             static_cast<double>(c.temps_peak_rows), ls);
     r.gauge("tgp_solver_arena_bytes_peak", "Scratch arena high-water",
             static_cast<double>(c.arena_bytes_peak), ls);
-    r.counter("tgp_solver_par_tasks_total",
-              "Intra-solve parallel blocks dispatched", c.par_tasks, ls);
-    r.gauge("tgp_solver_par_threads", "Widest intra-solve team used",
-            static_cast<double>(c.par_threads), ls);
   }
 
   for (int p = 0; p < kProblemCount; ++p) {

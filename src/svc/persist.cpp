@@ -7,7 +7,10 @@ namespace tgp::svc {
 namespace {
 
 // SolveCounters is persisted as its individual u64 fields, named here
-// so a struct reorder cannot silently change the file layout.
+// so a struct reorder cannot silently change the file layout.  The last
+// two words are retired (they held intra-solve parallelism counters):
+// written as 0 and ignored on read, so the record length — and every
+// store written before their retirement — stays valid.
 constexpr std::size_t kCounterWords = 9;
 
 // Decoded cuts are bounded well below the framing layer's 64 MB record
@@ -60,7 +63,7 @@ void encode_cache_record(std::vector<std::uint8_t>& out, const CacheKey& key,
   const std::uint64_t words[kCounterWords] = {
       c.oracle_calls,  c.bsearch_probes,     c.gallop_probes,
       c.prime_subpaths, c.nonredundant_edges, c.temps_peak_rows,
-      c.arena_bytes_peak, c.par_tasks,        c.par_threads};
+      c.arena_bytes_peak, 0,                  0};
   for (std::uint64_t w : words) put_u64(out, w);
 }
 
@@ -96,9 +99,8 @@ bool decode_cache_record(std::span<const std::uint8_t> payload, CacheKey& key,
   std::uint64_t words[kCounterWords];
   for (std::uint64_t& w : words)
     if (!r.u64(w)) return false;
-  o.counters = obs::SolveCounters{words[0], words[1], words[2],
-                                  words[3], words[4], words[5],
-                                  words[6], words[7], words[8]};
+  o.counters = obs::SolveCounters{words[0], words[1], words[2], words[3],
+                                  words[4], words[5], words[6]};
   // Trailing bytes mean the writer spoke a newer dialect under the same
   // epoch — which is exactly what the epoch exists to prevent.
   return r.left == 0;

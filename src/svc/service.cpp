@@ -71,21 +71,8 @@ PartitionService::PartitionService(ServiceConfig config)
   TGP_REQUIRE(config.retry.base_us >= 0 && config.retry.multiplier >= 1 &&
                   config.retry.jitter >= 0,
               "retry backoff parameters out of range");
-  // Intra-solve thread budget, arbitrated against the worker pool: the
-  // pool owns the box, so workers × solve_threads is clamped to the
-  // hardware thread count (each worker always keeps at least itself).
-  // Explicit oversubscribe_solves skips the clamp for tests/benches.
-  {
-    int hw = static_cast<int>(std::thread::hardware_concurrency());
-    if (hw <= 0) hw = 1;
-    int budget = hw / threads;
-    if (budget < 1) budget = 1;
-    int want = config.solve_threads;
-    if (want <= 0) want = budget;  // auto: split the box evenly
-    TGP_REQUIRE(want <= 4096, "unreasonable solve_threads");
-    solve_threads_ = config.oversubscribe_solves ? want
-                                                 : std::min(want, budget);
-  }
+  TGP_REQUIRE(config.solve_threads == 1,
+              "solves are serial: solve_threads must be 1");
   // Warm-start before any worker can race a probe: recovery happens on
   // this thread, so the first job already sees the recovered entries.
   if (!config_.cache_dir.empty() && config_.cache_bytes > 0)
@@ -96,8 +83,6 @@ PartitionService::PartitionService(ServiceConfig config)
     worker_state_.push_back(std::make_unique<WorkerState>());
     worker_state_.back()->rng = util::Pcg32(
         config.resilience_seed, static_cast<std::uint64_t>(i) + 1);
-    if (solve_threads_ > 1)
-      worker_state_.back()->team = std::make_unique<par::Team>(solve_threads_);
   }
   for (int i = 0; i < threads; ++i)
     workers_.emplace_back(&PartitionService::worker_loop, this,
@@ -448,9 +433,6 @@ void PartitionService::worker_loop(WorkerState& state) {
       if (worker_state_[idx].get() == &state) break;
     obs::trace::set_thread_name("worker-" + std::to_string(idx));
   }
-  // Install this worker's intra-solve team (null = serial) for every job
-  // it processes; the hot solvers pick it up via par::active_team().
-  par::TeamScope team_scope(state.team.get());
   while (auto job = queue_.pop()) {
     // Install the job's distributed-trace context (no-op when unsampled):
     // the queue.wait/shed emissions and every span under process() then

@@ -57,7 +57,6 @@
 #include <vector>
 
 #include "dur/store.hpp"
-#include "par/runtime.hpp"
 #include "svc/cache.hpp"
 #include "svc/job.hpp"
 #include "svc/metrics.hpp"
@@ -78,17 +77,11 @@ struct ServiceStopped : std::runtime_error {
 struct ServiceConfig {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   int threads = 0;
-  /// Intra-solve thread budget per job (par::Team width, including the
-  /// worker itself).  1 = serial solves (the default); 0 = auto (divide
-  /// the hardware threads evenly across the worker pool).  The effective
-  /// width is arbitrated against the pool: workers × solve_threads never
-  /// exceeds the hardware thread count unless `oversubscribe_solves` is
-  /// set.  Results are bit-identical at any width (see par/runtime.hpp);
-  /// only wall time and the par_tasks/par_threads counters change.
+  /// Solves are serial; parallelism is across jobs (`threads`).  The
+  /// constructor requires 1.  Kept only because
+  /// perfbench/cpp/service_churn.cpp:235 sets it; delete it together
+  /// with that line.
   int solve_threads = 1;
-  /// Skip the oversubscription clamp and honor `solve_threads` exactly —
-  /// for tests and benches that need a wide team on a small box.
-  bool oversubscribe_solves = false;
   /// Memo cache budget in bytes; 0 disables caching entirely.
   std::size_t cache_bytes = std::size_t{64} << 20;
   int cache_shards = 16;
@@ -267,18 +260,9 @@ class PartitionService {
     CanonicalOutcome hit_scratch;
     /// Backoff-jitter stream (seeded per worker; touched only on retry).
     util::Pcg32 rng;
-    /// Intra-solve worker team (null when the arbitrated width is 1);
-    /// installed via par::TeamScope for the worker loop's lifetime.
-    std::unique_ptr<par::Team> team;
     /// Reused encode buffer for journal appends (one warm allocation).
     std::vector<std::uint8_t> record_scratch;
   };
-
- public:
-  /// The arbitrated intra-solve width (1 = serial solves).
-  int solve_threads() const { return solve_threads_; }
-
- private:
 
   void worker_loop(WorkerState& state);
   void watchdog_loop();
@@ -303,7 +287,6 @@ class PartitionService {
                      const CanonicalOutcome& outcome);
 
   ServiceConfig config_;
-  int solve_threads_ = 1;  // arbitrated intra-solve width
   MemoCache cache_;
   /// Crash-safe persistence (null unless config_.cache_dir is set).
   std::unique_ptr<dur::CacheStore> store_;

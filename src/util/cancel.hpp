@@ -36,6 +36,10 @@ inline const char* cancel_reason_name(CancelReason r) {
   return "?";
 }
 
+/// Items a solver's linear sweep handles between two poll() calls, so
+/// the check stays off the per-item path.
+inline constexpr int kPollStride = 16384;
+
 /// Thrown by CancelToken::poll() once a stop request is observed.
 struct CancelledError : std::runtime_error {
   CancelReason reason;

@@ -9,24 +9,30 @@
 // same accumulation order, same comparisons, same results.
 //
 // Also covers the solvers' cancellation/deadline unwind paths with a
-// caller-provided arena, and the zero-allocation steady-state guarantee
-// via the Arena's heap_block_allocs() hook.
+// caller-provided arena, the zero-allocation steady-state guarantee via
+// the Arena's heap_block_allocs() hook, and a golden digest of every
+// output on instances past the reference corpus's sizes, which must hold
+// however many solves run at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
-#include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/bandwidth_min.hpp"
 #include "core/bottleneck_min.hpp"
 #include "core/chain_bottleneck.hpp"
+#include "core/nonredundant.hpp"
 #include "core/proc_min.hpp"
 #include "core/prime_subpaths.hpp"
 #include "core/tree_bandwidth.hpp"
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "obs/counters.hpp"
-#include "par/runtime.hpp"
 #include "reference_impl.hpp"
 #include "util/arena.hpp"
 #include "util/cancel.hpp"
@@ -335,6 +341,30 @@ TEST(CsrDifferential, PreCancelledTokenUnwindsCleanly) {
   EXPECT_THROW(bandwidth_min_temps(c, Kc, nullptr, SearchPolicy::kBinary,
                                    &token, &arena),
                util::CancelledError);
+  EXPECT_THROW(chain_bottleneck_min(c, Kc, &arena, &token),
+               util::CancelledError);
+  EXPECT_THROW(tree_bandwidth_greedy(t, Kt, &token, &arena),
+               util::CancelledError);
+  {
+    // The chain kernels' sweeps themselves, past one poll stride.
+    graph::Chain big = graph::random_chain(
+        rng, 3 * util::kPollStride + 5, graph::WeightDist::uniform(1, 100),
+        graph::WeightDist::uniform(1, 100));
+    const graph::Weight Kb =
+        k_for(big.max_vertex_weight(), big.total_vertex_weight(), 0.01);
+    util::ScratchFrame frame(&arena);
+    graph::CsrView g = graph::csr_from_chain(big, frame.arena());
+    PrimeSubpath* primes =
+        frame->alloc_array<PrimeSubpath>(static_cast<std::size_t>(g.n));
+    ReducedEdge* reduced =
+        frame->alloc_array<ReducedEdge>(static_cast<std::size_t>(g.m));
+    EXPECT_THROW(prime_subpaths_into(g, Kb, primes, &token),
+                 util::CancelledError);
+    const int p = prime_subpaths_into(g, Kb, primes);
+    ASSERT_GT(p, 0);
+    EXPECT_THROW(reduce_edges_into(g, primes, p, reduced, &token),
+                 util::CancelledError);
+  }
   // The ScratchFrame must release on unwind: the arena is reusable and a
   // fresh solve still matches the reference.
   auto got = bandwidth_min_temps(c, Kc, nullptr, SearchPolicy::kBinary,
@@ -377,8 +407,9 @@ TEST(CsrDifferential, SteadyStateSolvesAreArenaOnly) {
   graph::Weight Kc =
       k_for(c.max_vertex_weight(), c.total_vertex_weight(), 0.05);
 
-  util::Arena arena;
-  auto run_all = [&] {
+  auto run_all = [](const graph::Tree& t, graph::Weight Kt,
+                    const graph::Chain& c, graph::Weight Kc,
+                    util::Arena& arena) {
     (void)bottleneck_min_bsearch(t, Kt, nullptr, &arena);
     (void)proc_min(t, Kt, nullptr, nullptr, &arena);
     (void)tree_bandwidth_greedy(t, Kt, nullptr, &arena);
@@ -386,127 +417,217 @@ TEST(CsrDifferential, SteadyStateSolvesAreArenaOnly) {
                               &arena);
     (void)chain_bottleneck_min(c, Kc, &arena);
   };
-  run_all();  // warm: the arena grows to the working-set size
+  util::Arena arena;
+  run_all(t, Kt, c, Kc, arena);  // warm: the arena grows to the working set
   std::uint64_t blocks = arena.heap_block_allocs();
-  for (int i = 0; i < 3; ++i) run_all();
+  for (int i = 0; i < 3; ++i) run_all(t, Kt, c, Kc, arena);
   EXPECT_EQ(arena.heap_block_allocs(), blocks)
       << "steady-state solver scratch must not grow the arena";
+
+  // Past one poll stride, on a fresh thread: every byte of scratch comes
+  // from the caller's arena, so arena_bytes_peak sees it, and the
+  // thread's fallback arena (which nothing accounts for) stays empty.
+  graph::Tree big_t = graph::random_tree(rng, 2 * util::kPollStride + 7,
+                                         graph::WeightDist::uniform(1, 50),
+                                         graph::WeightDist::uniform(1, 100));
+  graph::Chain big_c = graph::random_chain(
+      rng, 3 * util::kPollStride + 3, graph::WeightDist::uniform(1, 100),
+      graph::WeightDist::uniform(1, 100));
+  const graph::Weight big_Kt = k_for(big_t.max_vertex_weight(),
+                                     big_t.total_vertex_weight(), 0.05);
+  const graph::Weight big_Kc = k_for(big_c.max_vertex_weight(),
+                                     big_c.total_vertex_weight(), 0.005);
+  std::size_t fallback_high_water = 1;
+  std::thread([&] {
+    util::Arena own;
+    run_all(big_t, big_Kt, big_c, big_Kc, own);
+    fallback_high_water =
+        util::ScratchFrame::thread_arena().high_water_bytes();
+  }).join();
+  EXPECT_EQ(fallback_high_water, 0u)
+      << "solver scratch escaped the caller's arena";
 }
 
-// ---- Intra-solve parallelism: width-sweep bit-identity ---------------------
+// ---- Outputs past the reference corpus's sizes -----------------------------
 //
-// The par::Team contract (src/par/runtime.hpp): the answer is a function
-// of the instance, never of the schedule.  Instances here are sized past
-// kGrain and the tree fan-out cutoff so the blocked paths really split —
-// then every result, cut edge and deterministic counter must match the
-// serial solve exactly at widths 1, 2, 4 and 8.
+// The frozen-reference corpus stops at n = 512, below one 16,384-item
+// poll stride and one prefix block.  These pin the outputs above both.
 
-struct WidthSweepRun {
-  std::vector<PrimeSubpath> primes;
-  std::vector<ReducedEdge> reduced;
-  graph::Cut temps_cut, cbn_cut, bsearch_cut, greedy_cut;
-  graph::Weight temps_weight = 0, cbn_threshold = 0, bsearch_threshold = 0,
-                greedy_weight = 0;
-  obs::SolveCounters counters;
+/// csr_from_chain's prefix is the 16,384-element blocked fold: each block
+/// folds left to right from its base, and the bases fold the blocks' own
+/// sums left to right.  That association fixes the rounding of every
+/// window sum, so the cuts depend on it.
+TEST(CsrDifferential, ChainPrefixIsTheBlockedFold) {
+  constexpr int kBlock = 16384;
+  util::Pcg32 rng(0x5CA2u);
+  for (int n : {1, 100, kBlock, kBlock + 1, 5 * kBlock + 371}) {
+    graph::Chain c;
+    for (int i = 0; i < n; ++i)
+      c.vertex_weight.push_back(rng.uniform_real(0.001, 100.0));
+    c.edge_weight.assign(static_cast<std::size_t>(n - 1), 1.0);
+    std::vector<double> want(static_cast<std::size_t>(n) + 1, 0.0);
+    double base = 0.0;
+    for (int lo = 0; lo < n; lo += kBlock) {
+      const int hi = std::min(n, lo + kBlock);
+      double sum = 0.0;
+      for (int i = lo; i < hi; ++i) sum += c.vertex_weight[i];
+      double acc = base;
+      for (int i = lo; i < hi; ++i) want[i + 1] = acc += c.vertex_weight[i];
+      base += sum;
+    }
+    if (n <= kBlock) {
+      // One block is the plain left-to-right fold; the frozen-reference
+      // corpus relies on this.
+      double acc = 0.0;
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(want[i + 1], acc += c.vertex_weight[i]) << "n " << n;
+    }
+    util::Arena arena;
+    graph::CsrView g = graph::csr_from_chain(c, arena);
+    for (int i = 0; i <= n; ++i)
+      ASSERT_EQ(g.prefix[i], want[i]) << "n " << n << " i " << i;
+  }
+}
+
+/// FNV-1a over explicitly listed fields (no struct padding).
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  template <typename T>
+  void add(T v) {
+    unsigned char b[sizeof v];
+    std::memcpy(b, &v, sizeof v);
+    for (unsigned char x : b) {
+      h ^= x;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add_cut(const graph::Cut& cut, graph::Weight objective) {
+    add(cut.edges.size());
+    for (int e : cut.edges) add(e);
+    add(objective);
+  }
 };
 
-WidthSweepRun run_all_at_width(int width, const graph::Chain& c,
-                               graph::Weight Kc, const graph::Tree& t,
-                               graph::Weight Kt) {
-  WidthSweepRun out;
-  std::unique_ptr<par::Team> team;
-  if (width > 1) team = std::make_unique<par::Team>(width);
-  par::TeamScope scope(team.get());
-  obs::CounterScope counters(&out.counters);
-  util::Arena arena;
+struct LargeInstance {
+  graph::Chain c;
+  graph::Tree t;
+  graph::Weight Kc, Kt;
+};
 
-  out.primes = prime_subpaths(c, Kc);
-  out.reduced = reduce_edges(c, out.primes);
-  auto temps =
-      bandwidth_min_temps(c, Kc, nullptr, SearchPolicy::kBinary, nullptr,
-                          &arena);
-  out.temps_cut = std::move(temps.cut);
-  out.temps_weight = temps.cut_weight;
-  auto cbn = chain_bottleneck_min(c, Kc, &arena);
-  out.cbn_cut = std::move(cbn.cut);
-  out.cbn_threshold = cbn.threshold;
-  auto bs = bottleneck_min_bsearch(t, Kt, nullptr, &arena);
-  out.bsearch_cut = std::move(bs.cut);
-  out.bsearch_threshold = bs.threshold;
-  auto greedy = tree_bandwidth_greedy(t, Kt, nullptr, &arena);
-  out.greedy_cut = std::move(greedy.cut);
-  out.greedy_weight = greedy.cut_weight;
+LargeInstance large_instance(std::uint32_t seed, int chain_n, int tree_n) {
+  util::Pcg32 rng(seed);
+  graph::Chain c = graph::random_chain(rng, chain_n,
+                                       graph::WeightDist::uniform(1, 100),
+                                       graph::WeightDist::uniform(1, 100));
+  graph::Tree t = graph::random_tree(rng, tree_n,
+                                     graph::WeightDist::uniform(1, 50),
+                                     graph::WeightDist::uniform(1, 100));
+  const graph::Weight Kc =
+      k_for(c.max_vertex_weight(), c.total_vertex_weight(), 0.005);
+  const graph::Weight Kt =
+      k_for(t.max_vertex_weight(), t.total_vertex_weight(), 0.01);
+  return {std::move(c), std::move(t), Kc, Kt};
+}
+
+struct LargeRun {
+  std::uint64_t digest = 0;
+  obs::SolveCounters counters;  ///< arena_bytes_peak as a service job sets it
+};
+
+/// Every output of the chain and tree kernels, solved with a fresh arena:
+/// the primes, the reduced edges, five cuts with their objectives, and the
+/// deterministic counters, hashed in that order.
+LargeRun solve_all(const LargeInstance& in) {
+  LargeRun out;
+  Digest d;
+  {
+    obs::CounterScope scope(&out.counters);
+    util::Arena arena;
+    const std::vector<PrimeSubpath> primes = prime_subpaths(in.c, in.Kc);
+    d.add(primes.size());
+    for (const PrimeSubpath& p : primes) {
+      d.add(p.first_vertex);
+      d.add(p.last_vertex);
+      d.add(p.weight);
+    }
+    const std::vector<ReducedEdge> reduced = reduce_edges(in.c, primes);
+    d.add(reduced.size());
+    for (const ReducedEdge& r : reduced) {
+      d.add(r.edge);
+      d.add(r.first_prime);
+      d.add(r.last_prime);
+      d.add(r.weight);
+    }
+    auto temps = bandwidth_min_temps(in.c, in.Kc, nullptr,
+                                     SearchPolicy::kBinary, nullptr, &arena);
+    d.add_cut(temps.cut, temps.cut_weight);
+    auto cbn = chain_bottleneck_min(in.c, in.Kc, &arena);
+    d.add_cut(cbn.cut, cbn.threshold);
+    auto bs = bottleneck_min_bsearch(in.t, in.Kt, nullptr, &arena);
+    d.add_cut(bs.cut, bs.threshold);
+    auto pm = proc_min(in.t, in.Kt, nullptr, nullptr, &arena);
+    d.add_cut(pm.cut, static_cast<graph::Weight>(pm.components));
+    auto greedy = tree_bandwidth_greedy(in.t, in.Kt, nullptr, &arena);
+    d.add_cut(greedy.cut, greedy.cut_weight);
+    out.counters.arena_bytes_peak = arena.high_water_bytes();
+  }
+  d.add(out.counters.oracle_calls);
+  d.add(out.counters.bsearch_probes);
+  d.add(out.counters.gallop_probes);
+  d.add(out.counters.prime_subpaths);
+  d.add(out.counters.nonredundant_edges);
+  d.add(out.counters.temps_peak_rows);
+  out.digest = d.h;
   return out;
 }
 
+// The constant was captured by linking this digest code against the
+// build that ran these kernels as 16,384-item blocks (serially and on
+// thread teams, with bit-identical results).  The single sweeps that
+// replaced the blocks reproduce it.
+TEST(CsrDifferential, LargeInstanceGoldenDigest) {
+  EXPECT_EQ(solve_all(large_instance(0x9A77u, 50000, 60000)).digest,
+            0x2cc0f36139b060cfull);
+}
+
+// ---- Across-job parallelism ------------------------------------------------
+//
+// Solves run in parallel as separate jobs, one per service worker thread,
+// each with its own arena and counter scope, all reading shared inputs.
+// The answer must not depend on how many run at once.
+
+std::vector<LargeRun> solve_concurrently(const LargeInstance& in, int width) {
+  std::vector<LargeRun> runs(static_cast<std::size_t>(width));
+  std::vector<std::thread> threads;
+  for (LargeRun& run : runs)
+    threads.emplace_back([&in, &run] { run = solve_all(in); });
+  for (std::thread& th : threads) th.join();
+  return runs;
+}
+
 TEST(CsrDifferential, ParallelWidthsBitIdentical) {
-  util::Pcg32 rng(0x9A77u);
-  graph::Chain c = graph::random_chain(rng, 50000,
-                                       graph::WeightDist::uniform(1, 100),
-                                       graph::WeightDist::uniform(1, 100));
-  graph::Tree t = graph::random_tree(rng, 60000,
-                                     graph::WeightDist::uniform(1, 50),
-                                     graph::WeightDist::uniform(1, 100));
-  graph::Weight Kc =
-      k_for(c.max_vertex_weight(), c.total_vertex_weight(), 0.005);
-  graph::Weight Kt =
-      k_for(t.max_vertex_weight(), t.total_vertex_weight(), 0.01);
-
-  WidthSweepRun serial = run_all_at_width(1, c, Kc, t, Kt);
-  ASSERT_FALSE(serial.temps_cut.edges.empty());
-  EXPECT_EQ(serial.counters.par_threads, 0u) << "no team => no par counters";
-
-  for (int width : {2, 4, 8}) {
+  const LargeInstance in = large_instance(0x9A77u, 50000, 60000);
+  const LargeRun serial = solve_all(in);
+  for (int width : {1, 2, 4}) {
     SCOPED_TRACE(width);
-    WidthSweepRun par = run_all_at_width(width, c, Kc, t, Kt);
-    ASSERT_EQ(par.primes.size(), serial.primes.size());
-    for (std::size_t i = 0; i < par.primes.size(); ++i) {
-      ASSERT_EQ(par.primes[i].first_vertex, serial.primes[i].first_vertex);
-      ASSERT_EQ(par.primes[i].last_vertex, serial.primes[i].last_vertex);
-      ASSERT_EQ(par.primes[i].weight, serial.primes[i].weight);
+    for (const LargeRun& run : solve_concurrently(in, width)) {
+      EXPECT_EQ(run.digest, serial.digest);
+      EXPECT_TRUE(run.counters.algo_equal(serial.counters));
     }
-    ASSERT_EQ(par.reduced.size(), serial.reduced.size());
-    for (std::size_t i = 0; i < par.reduced.size(); ++i) {
-      ASSERT_EQ(par.reduced[i].edge, serial.reduced[i].edge);
-      ASSERT_EQ(par.reduced[i].first_prime, serial.reduced[i].first_prime);
-      ASSERT_EQ(par.reduced[i].last_prime, serial.reduced[i].last_prime);
-      ASSERT_EQ(par.reduced[i].weight, serial.reduced[i].weight);
-    }
-    EXPECT_EQ(par.temps_cut.edges, serial.temps_cut.edges);
-    EXPECT_EQ(par.temps_weight, serial.temps_weight);  // exact: same order
-    EXPECT_EQ(par.cbn_cut.edges, serial.cbn_cut.edges);
-    EXPECT_EQ(par.cbn_threshold, serial.cbn_threshold);
-    EXPECT_EQ(par.bsearch_cut.edges, serial.bsearch_cut.edges);
-    EXPECT_EQ(par.bsearch_threshold, serial.bsearch_threshold);
-    EXPECT_EQ(par.greedy_cut.edges, serial.greedy_cut.edges);
-    EXPECT_EQ(par.greedy_weight, serial.greedy_weight);
-    // The deterministic counters are width-independent.
-    EXPECT_TRUE(par.counters.algo_equal(serial.counters));
-    EXPECT_EQ(par.counters.par_threads, static_cast<std::uint64_t>(width));
-    EXPECT_GT(par.counters.par_tasks, 0u);
   }
 }
 
 TEST(CsrDifferential, ParallelCountersStableAcrossRepeats) {
-  // Same width, repeated runs: dynamic block claiming must not leak into
-  // any counter — par_tasks included (the decomposition is fixed).
-  util::Pcg32 rng(0x9A78u);
-  graph::Chain c = graph::random_chain(rng, 40000,
-                                       graph::WeightDist::uniform(1, 100),
-                                       graph::WeightDist::uniform(1, 100));
-  graph::Tree t = graph::random_tree(rng, 40000,
-                                     graph::WeightDist::uniform(1, 50),
-                                     graph::WeightDist::uniform(1, 100));
-  graph::Weight Kc =
-      k_for(c.max_vertex_weight(), c.total_vertex_weight(), 0.005);
-  graph::Weight Kt =
-      k_for(t.max_vertex_weight(), t.total_vertex_weight(), 0.01);
-  WidthSweepRun first = run_all_at_width(4, c, Kc, t, Kt);
+  // Same width, repeated runs: with a fresh arena, every counter (the
+  // arena peak included) is a function of the instance alone.
+  const LargeInstance in = large_instance(0x9A78u, 40000, 40000);
+  const LargeRun first = solve_all(in);
+  EXPECT_GT(first.counters.arena_bytes_peak, 0u);
   for (int rep = 0; rep < 2; ++rep) {
-    WidthSweepRun again = run_all_at_width(4, c, Kc, t, Kt);
-    EXPECT_EQ(again.counters, first.counters) << "rep " << rep;
-    EXPECT_EQ(again.temps_cut.edges, first.temps_cut.edges);
-    EXPECT_EQ(again.bsearch_cut.edges, first.bsearch_cut.edges);
+    for (const LargeRun& run : solve_concurrently(in, 4)) {
+      EXPECT_EQ(run.counters, first.counters) << "rep " << rep;
+      EXPECT_EQ(run.digest, first.digest) << "rep " << rep;
+    }
   }
 }
 

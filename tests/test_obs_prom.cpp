@@ -255,7 +255,7 @@ MetricsRegistry shard_registry(int i) {
     r.counter("tgp_solver_oracle_calls_total",
               "Feasibility probes / DP edge steps",
               static_cast<std::uint64_t>(40 + i), {{"problem", p}});
-    r.gauge("tgp_solver_par_threads", "Widest intra-solve team used",
+    r.gauge("tgp_solver_temps_peak_rows", "TEMP_S occupancy high-water",
             static_cast<double>(1 + i), {{"problem", p}});
   }
   LatencyHistogram lat;
@@ -368,12 +368,12 @@ tgp_solver_oracle_calls_total{shard="0",problem="bottleneck"} 40
 tgp_solver_oracle_calls_total{shard="0",problem="procmin"} 40
 tgp_solver_oracle_calls_total{shard="1",problem="bottleneck"} 41
 tgp_solver_oracle_calls_total{shard="1",problem="procmin"} 41
-# HELP tgp_solver_par_threads Widest intra-solve team used
-# TYPE tgp_solver_par_threads gauge
-tgp_solver_par_threads{shard="0",problem="bottleneck"} 1
-tgp_solver_par_threads{shard="0",problem="procmin"} 1
-tgp_solver_par_threads{shard="1",problem="bottleneck"} 2
-tgp_solver_par_threads{shard="1",problem="procmin"} 2
+# HELP tgp_solver_temps_peak_rows TEMP_S occupancy high-water
+# TYPE tgp_solver_temps_peak_rows gauge
+tgp_solver_temps_peak_rows{shard="0",problem="bottleneck"} 1
+tgp_solver_temps_peak_rows{shard="0",problem="procmin"} 1
+tgp_solver_temps_peak_rows{shard="1",problem="bottleneck"} 2
+tgp_solver_temps_peak_rows{shard="1",problem="procmin"} 2
 # HELP tgp_job_latency_seconds Submit-to-complete job latency
 # TYPE tgp_job_latency_seconds histogram
 tgp_job_latency_seconds_bucket{shard="0",problem="bottleneck",le="2e-06"} 1

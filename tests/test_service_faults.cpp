@@ -461,17 +461,13 @@ TEST_F(TracedServiceTest, SpansCloseWhenDeadlineUnwindsMidSolve) {
   }
 }
 
-TEST_F(TracedServiceTest, CancelledGiantParallelSolveUnwindsWithinDeadline) {
-  // A giant chain solve running on a width-4 intra-solve team hits its
-  // deadline mid-solve.  Workers observe the token between blocks and
-  // drain; the calling thread unwinds with kTimeout long before the
-  // full solve could have finished — and every span still closes.
+TEST_F(TracedServiceTest, CancelledGiantSolveUnwindsWithinDeadline) {
+  // A giant chain solve hits its deadline.  The sweeps poll the token
+  // every util::kPollStride items, so the worker unwinds with kTimeout
+  // long before the full solve could have finished — and every span
+  // still closes.
   ServiceConfig config;
   config.threads = 1;
-  config.solve_threads = 4;
-  // This box may have a single hardware thread; the test is about the
-  // cancellation protocol, not speedup, so take the full width anyway.
-  config.oversubscribe_solves = true;
   JobSpec giant = chain_job(Problem::kBandwidth, 4'000'000, 0x61A47);
   giant.deadline_micros = 5000;  // a full solve takes orders more
   JobStatus status;
@@ -500,8 +496,8 @@ TEST_F(TracedServiceTest, CancelledGiantParallelSolveUnwindsWithinDeadline) {
     EXPECT_EQ(c.job, 0u);
     EXPECT_EQ(c.solve, 0u);
   } else {
-    // The common path: CancelledError unwound out of the parallel solve
-    // with the job + solve spans closed by RAII.
+    // The common path: CancelledError unwound out of the solve with the
+    // job + solve spans closed by RAII.
     EXPECT_EQ(c.queue_wait, 1u);
     EXPECT_EQ(c.queue_shed, 0u);
     EXPECT_EQ(c.job, 1u);

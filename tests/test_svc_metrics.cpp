@@ -312,8 +312,6 @@ MetricsSnapshot full_snapshot() {
     c.nonredundant_edges = 500u + k;
     c.temps_peak_rows = 600u + k;
     c.arena_bytes_peak = 700u + k;
-    c.par_tasks = 800u + k;
-    c.par_threads = 1u + k;
   }
   m.queue_wait.record(2.5);
   m.queue_wait.record(70.125);
@@ -509,18 +507,6 @@ tgp_solver_arena_bytes_peak{problem="bottleneck"} 700
 tgp_solver_arena_bytes_peak{problem="procmin"} 701
 tgp_solver_arena_bytes_peak{problem="bandwidth"} 702
 tgp_solver_arena_bytes_peak{problem="pipeline"} 703
-# HELP tgp_solver_par_tasks_total Intra-solve parallel blocks dispatched
-# TYPE tgp_solver_par_tasks_total counter
-tgp_solver_par_tasks_total{problem="bottleneck"} 800
-tgp_solver_par_tasks_total{problem="procmin"} 801
-tgp_solver_par_tasks_total{problem="bandwidth"} 802
-tgp_solver_par_tasks_total{problem="pipeline"} 803
-# HELP tgp_solver_par_threads Widest intra-solve team used
-# TYPE tgp_solver_par_threads gauge
-tgp_solver_par_threads{problem="bottleneck"} 1
-tgp_solver_par_threads{problem="procmin"} 2
-tgp_solver_par_threads{problem="bandwidth"} 3
-tgp_solver_par_threads{problem="pipeline"} 4
 # HELP tgp_job_latency_seconds Submit-to-complete job latency
 # TYPE tgp_job_latency_seconds histogram
 tgp_job_latency_seconds_bucket{problem="bottleneck",le="2e-06"} 1

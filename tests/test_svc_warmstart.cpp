@@ -84,19 +84,33 @@ TEST(PersistCodec, RoundTripsKeyAndOutcome) {
   o.objective = 2.25;
   o.components = 4;
   o.counters.oracle_calls = 99;
-  o.counters.par_threads = 4;
+  o.counters.gallop_probes = 7;
+  o.counters.arena_bytes_peak = 4096;
 
-  const std::vector<std::uint8_t> bytes = encode_cache_record(key, o);
-  CacheKey back_key;
-  CanonicalOutcome back;
-  ASSERT_TRUE(decode_cache_record(bytes, back_key, back));
-  EXPECT_EQ(back_key, key);
-  EXPECT_EQ(back.cut.edges, o.cut.edges);
-  EXPECT_EQ(back.objective, o.objective);
-  EXPECT_EQ(back.components, o.components);
-  EXPECT_EQ(back.counters.oracle_calls, 99u);
-  EXPECT_EQ(back.counters.par_threads, 4u);
-  EXPECT_EQ(back.counters.bsearch_probes, 0u);
+  std::vector<std::uint8_t> bytes = encode_cache_record(key, o);
+  // Fixed header (44 bytes), one u32 per cut edge, then nine counter
+  // words: the record kept its length when two of them were retired.
+  ASSERT_EQ(bytes.size(), 44u + 3 * 4 + 9 * 8);
+  // The retired words are the last two and are written as 0.
+  for (std::size_t i = bytes.size() - 16; i < bytes.size(); ++i)
+    EXPECT_EQ(bytes[i], 0u) << "byte " << i;
+
+  auto expect_intact = [&](const std::vector<std::uint8_t>& record) {
+    CacheKey back_key;
+    CanonicalOutcome back;
+    ASSERT_TRUE(decode_cache_record(record, back_key, back));
+    EXPECT_EQ(back_key, key);
+    EXPECT_EQ(back.cut.edges, o.cut.edges);
+    EXPECT_EQ(back.objective, o.objective);
+    EXPECT_EQ(back.components, o.components);
+    EXPECT_EQ(back.counters, o.counters);
+  };
+  expect_intact(bytes);
+  // Records written while the words were live (a run with more than one
+  // solve thread) carry non-zero values there; they decode the same.
+  for (std::size_t i = bytes.size() - 16; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(0xA0 + i % 16);
+  expect_intact(bytes);
 }
 
 TEST(PersistCodec, RejectsTruncatedAndOversizedPayloads) {

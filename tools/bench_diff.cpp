@@ -2,30 +2,19 @@
 //
 //   bench_diff --baseline BENCH_core.json --current out.json
 //              [--max-regress 0.15] [--only <substring>]
-//              [--min-speedup <x>]
 //
 // Matches cases by name and compares medians.  --only restricts the
 // diff (and the missing-case check) to cases whose name contains the
 // given substring, so a tight gate can target the stable long-running
 // cases while noisy microbenches stay under a looser one.
 //
-// --min-speedup gates intra-solve parallelism from the *current* file
-// alone: for every case family `stem/t=1` with wider siblings
-// `stem/t=W`, the t=1 median must be at least x times the median of the
-// widest sibling that *fits the machine* (W <= machine.hardware_threads
-// from the current artifact).  When every sibling is wider than the box
-// the check is skipped with a notice — an oversubscribed team cannot
-// show a speedup, and failing there would only teach people to ignore
-// the gate.
-//
 // Exit status:
-//   0  every matched case is within the allowed regression and every
-//      applicable speedup gate passed (or either file is flagged
-//      `sanitized`, in which case timings are not comparable and the
-//      diff is skipped with a notice)
-//   1  at least one case regressed past --max-regress, a baseline case
-//      is missing from the current run (silently dropping a tracked
-//      case would defeat the gate), or a speedup gate failed
+//   0  every matched case is within the allowed regression (or either
+//      file is flagged `sanitized`, in which case timings are not
+//      comparable and the diff is skipped with a notice)
+//   1  at least one case regressed past --max-regress, or a baseline
+//      case is missing from the current run (silently dropping a
+//      tracked case would defeat the gate)
 //   2  usage / unreadable input
 #include <cstddef>
 #include <cstdio>
@@ -46,66 +35,11 @@ const CaseResult* find_case(const BenchFile& f, const std::string& name) {
   return nullptr;
 }
 
-// Split "stem/t=W" into stem and W; returns -1 when the name carries no
-// thread suffix.
-int thread_suffix(const std::string& name, std::string* stem) {
-  std::string::size_type pos = name.rfind("/t=");
-  if (pos == std::string::npos) return -1;
-  int w = std::atoi(name.c_str() + pos + 3);
-  if (w < 1) return -1;
-  if (stem != nullptr) *stem = name.substr(0, pos);
-  return w;
-}
-
-// Gate the thread-sweep families in `cur`; returns the number of
-// failures.  A family is a t=1 case plus at least one wider sibling.
-int check_speedups(const BenchFile& cur, double min_speedup) {
-  int failures = 0;
-  std::size_t families = 0;
-  for (const CaseResult& base : cur.cases) {
-    std::string stem;
-    if (thread_suffix(base.name, &stem) != 1) continue;
-    // Widest sibling of this stem that fits the machine.
-    const CaseResult* widest = nullptr;
-    int widest_w = 1;
-    bool any_sibling = false;
-    for (const CaseResult& c : cur.cases) {
-      std::string s;
-      int w = thread_suffix(c.name, &s);
-      if (w <= 1 || s != stem) continue;
-      any_sibling = true;
-      if (w > widest_w && static_cast<unsigned>(w) <= cur.hardware_threads) {
-        widest = &c;
-        widest_w = w;
-      }
-    }
-    if (!any_sibling) continue;
-    ++families;
-    if (widest == nullptr) {
-      std::printf("bench_diff: %s — machine has %u hardware thread(s), no "
-                  "sibling fits, speedup gate skipped\n",
-                  stem.c_str(), cur.hardware_threads);
-      continue;
-    }
-    double speedup = widest->median_ns > 0
-                         ? base.median_ns / widest->median_ns
-                         : 0.0;
-    bool bad = speedup < min_speedup;
-    std::printf("%-48s t=1/t=%-3d %14.2fx%s\n", stem.c_str(), widest_w,
-                speedup, bad ? "  TOO SLOW" : "");
-    if (bad) ++failures;
-  }
-  if (families == 0)
-    std::printf("bench_diff: --min-speedup found no /t= case families\n");
-  return failures;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string baseline_path, current_path, only;
   double max_regress = 0.15;
-  double min_speedup = 0;  // 0 = speedup gate off
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     auto value = [&]() -> const char* {
@@ -121,21 +55,17 @@ int main(int argc, char** argv) {
       max_regress = std::atof(value());
     else if (std::strcmp(a, "--only") == 0)
       only = value();
-    else if (std::strcmp(a, "--min-speedup") == 0)
-      min_speedup = std::atof(value());
     else {
       std::fprintf(stderr,
                    "usage: bench_diff --baseline <json> --current <json> "
-                   "[--max-regress <frac>] [--only <substring>] "
-                   "[--min-speedup <x>]\n");
+                   "[--max-regress <frac>] [--only <substring>]\n");
       return 2;
     }
   }
   if (baseline_path.empty() || current_path.empty()) {
     std::fprintf(stderr,
                  "usage: bench_diff --baseline <json> --current <json> "
-                 "[--max-regress <frac>] [--only <substring>] "
-                 "[--min-speedup <x>]\n");
+                 "[--max-regress <frac>] [--only <substring>]\n");
     return 2;
   }
 
@@ -185,12 +115,10 @@ int main(int argc, char** argv) {
                  only.c_str());
     return 2;
   }
-  int slow = 0;
-  if (min_speedup > 0) slow = check_speedups(*current, min_speedup);
-  if (regressions > 0 || missing > 0 || slow > 0) {
+  if (regressions > 0 || missing > 0) {
     std::printf("bench_diff: %d regression(s) past %.0f%%, %d missing "
-                "case(s), %d speedup failure(s)\n",
-                regressions, max_regress * 100, missing, slow);
+                "case(s)\n",
+                regressions, max_regress * 100, missing);
     return 1;
   }
   std::printf("bench_diff: all %zu cases within %.0f%%\n", matched,

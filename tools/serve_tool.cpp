@@ -403,9 +403,6 @@ std::string serve_tool_help() {
       "  --seed S        seed for --generate (default 42)\n"
       "  --dup-frac F    duplicate fraction for --generate (default 0.5)\n"
       "  --threads N     worker threads (default: hardware concurrency)\n"
-      "  --solve-threads N  intra-solve team width per worker (default 1 =\n"
-      "                  serial; 0 = split hardware threads across workers;\n"
-      "                  clamped to the per-worker budget)\n"
       "  --cache-mb M    memo cache budget in MiB, 0 disables (default 64)\n"
       "  --queue-cap C   bounded queue capacity (default 1024)\n"
       "  --deadline-us D per-job deadline in microseconds (default: none)\n"
@@ -452,7 +449,6 @@ int run_serve_tool(const std::vector<std::string>& args, std::ostream& out,
         .describe("seed", "workload seed")
         .describe("dup-frac", "duplicate fraction for --generate")
         .describe("threads", "worker threads")
-        .describe("solve-threads", "intra-solve team width per worker")
         .describe("cache-mb", "cache budget in MiB (0 disables)")
         .describe("queue-cap", "job queue capacity")
         .describe("deadline-us", "per-job deadline in microseconds")
@@ -533,7 +529,6 @@ int run_serve_tool(const std::vector<std::string>& args, std::ostream& out,
 
     svc::ServiceConfig config;
     config.threads = static_cast<int>(parser.get_int("threads", 0));
-    config.solve_threads = static_cast<int>(parser.get_int("solve-threads", 1));
     config.cache_bytes =
         static_cast<std::size_t>(parser.get_int("cache-mb", 64)) << 20;
     config.queue_capacity =

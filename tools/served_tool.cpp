@@ -202,8 +202,7 @@ std::string served_tool_help() {
       "                  [--fault-sites SITE=P,...] [--fault-stall-ms MS]\n"
       "                  [--trace-out FILE] [--trace-name NAME]\n"
       "                  [--trace-buf N]\n"
-      "          backend: [--threads N] [--solve-threads N]\n"
-      "                  [--cache-mb M] [--queue-cap C]\n"
+      "          backend: [--threads N] [--cache-mb M] [--queue-cap C]\n"
       "                  [--max-inflight N] [--rate-limit R] [--retry N]\n"
       "                  [--degrade-watermark W] [--breaker]\n"
       "                  [--cache-dir DIR] [--cache-compact-mb M]\n"
@@ -281,7 +280,6 @@ int run_served_tool(const std::vector<std::string>& args, std::ostream& out,
         .describe("stop-after-idle-ms", "exit once idle this long")
         .describe("log-level", "stderr log threshold")
         .describe("threads", "worker threads")
-        .describe("solve-threads", "intra-solve team width per worker")
         .describe("cache-mb", "cache budget in MiB (0 disables)")
         .describe("queue-cap", "job queue capacity")
         .describe("max-inflight", "admission cap on jobs in flight")
@@ -433,7 +431,6 @@ int run_served_tool(const std::vector<std::string>& args, std::ostream& out,
 
     svc::ServiceConfig config;
     config.threads = static_cast<int>(parser.get_int("threads", 0));
-    config.solve_threads = static_cast<int>(parser.get_int("solve-threads", 1));
     config.cache_bytes =
         static_cast<std::size_t>(parser.get_int("cache-mb", 64)) << 20;
     config.queue_capacity =
