@@ -105,6 +105,16 @@ int main(int argc, char** argv) {
       auto r = core::proc_min(t, K, nullptr, nullptr, &arena);
       (void)r.components;
     });
+    // The same tree randomly renumbered, as kernel_cold's trees and
+    // unlabelled submissions arrive: make_tree keeps the generator's
+    // parent-before-child numbering, which walks memory in order.
+    util::Pcg32 rng(0x2E1Bu);
+    const graph::Tree relabelled = graph::relabel_tree(rng, t);
+    std::snprintf(name, sizeof name, "procmin/n=%d/relabelled", tree_n);
+    h.run(name, tree_n, [&] {
+      auto r = core::proc_min(relabelled, K, nullptr, nullptr, &arena);
+      (void)r.components;
+    });
   }
 
   {
@@ -113,6 +123,14 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof name, "tree_bandwidth_greedy/n=%d", greedy_n);
     h.run(name, greedy_n, [&] {
       auto r = core::tree_bandwidth_greedy(t, K, nullptr, &arena);
+      (void)r.cut_weight;
+    });
+    util::Pcg32 rng(0x2E1Cu);
+    const graph::Tree relabelled = graph::relabel_tree(rng, t);
+    std::snprintf(name, sizeof name, "tree_bandwidth_greedy/n=%d/relabelled",
+                  greedy_n);
+    h.run(name, greedy_n, [&] {
+      auto r = core::tree_bandwidth_greedy(relabelled, K, nullptr, &arena);
       (void)r.cut_weight;
     });
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/assert.hpp"
+
 namespace tgp::core {
 
 ComponentScratch::ComponentScratch(const graph::CsrView& g,
@@ -9,7 +11,6 @@ ComponentScratch::ComponentScratch(const graph::CsrView& g,
     : removed(arena.alloc_filled<unsigned char>(
           static_cast<std::size_t>(g.m), 0)),
       comp(arena.alloc_array<int>(static_cast<std::size_t>(g.n))),
-      comp_w(arena.alloc_array<graph::Weight>(static_cast<std::size_t>(g.n))),
       stack(arena.alloc_array<int>(static_cast<std::size_t>(g.n))) {}
 
 namespace {
@@ -37,21 +38,6 @@ graph::Weight flood(const graph::CsrView& g, ComponentScratch& s, int root,
 
 }  // namespace
 
-int assign_components(const graph::CsrView& g, ComponentScratch& s) {
-  std::fill(s.comp, s.comp + g.n, -1);
-  const graph::Weight no_limit = g.total_vertex_weight() * 2 + 1;
-  int count = 0;
-  for (int v = 0; v < g.n; ++v)
-    if (s.comp[v] < 0) flood(g, s, v, count++, no_limit);
-  return count;
-}
-
-void component_weights(const graph::CsrView& g, ComponentScratch& s,
-                       int count) {
-  std::fill(s.comp_w, s.comp_w + count, graph::Weight{0});
-  for (int v = 0; v < g.n; ++v) s.comp_w[s.comp[v]] += g.vertex_weight[v];
-}
-
 bool feasible_with_removed(const graph::CsrView& g, ComponentScratch& s,
                            graph::Weight limit) {
   std::fill(s.comp, s.comp + g.n, -1);
@@ -59,6 +45,30 @@ bool feasible_with_removed(const graph::CsrView& g, ComponentScratch& s,
   for (int v = 0; v < g.n; ++v)
     if (s.comp[v] < 0 && flood(g, s, v, count++, limit) > limit) return false;
   return true;
+}
+
+bool feasible_bottom_up(const graph::TreeLayout& layout,
+                        std::span<const int> cut, graph::Weight limit,
+                        util::Arena& arena) {
+  const int n = layout.n;
+  util::ScratchFrame frame(&arena);
+  // Flags by edge index; n of them cover a tree's n − 1 edges.
+  unsigned char* removed = frame->alloc_filled<unsigned char>(
+      static_cast<std::size_t>(n), 0);
+  for (int e : cut) {
+    TGP_REQUIRE(0 <= e && e < n - 1, "cut edge index out of range");
+    removed[e] = 1;
+  }
+  graph::Weight* load =
+      frame->alloc_array<graph::Weight>(static_cast<std::size_t>(n));
+  std::copy(layout.vertex_weight, layout.vertex_weight + n, load);
+  for (int p = n - 1; p > 0; --p) {
+    if (!removed[layout.edge[p]])
+      load[layout.parent[p]] += load[p];
+    else if (load[p] > limit)
+      return false;
+  }
+  return load[0] <= limit;
 }
 
 }  // namespace tgp::core

@@ -1,7 +1,9 @@
-// Component labelling and the "every component fits under the limit"
-// feasibility probe over a flat CsrView with some edges marked removed:
-// the API the tree solvers call for their final feasibility re-checks.
+// The "every component fits under the limit" feasibility checks the tree
+// solvers re-run on their answers: a flood over a flat CsrView with some
+// edges marked removed, and a bottom-up sweep over a TreeLayout.
 #pragma once
+
+#include <span>
 
 #include "graph/csr.hpp"
 #include "graph/weight.hpp"
@@ -15,22 +17,25 @@ struct ComponentScratch {
   ComponentScratch(const graph::CsrView& g, util::Arena& arena);
 
   unsigned char* removed;  ///< m flags, 1 = edge is cut (zeroed at birth)
-  int* comp;               ///< n component ids (assign_components)
-  graph::Weight* comp_w;   ///< per-component weight (component_weights)
+  int* comp;               ///< n component ids, the flood's visited marks
   int* stack;              ///< n-entry DFS stack
 };
 
-/// Labels every vertex with its component in the forest g − removed;
-/// returns the number of components.  Iterative DFS, O(n).
-int assign_components(const graph::CsrView& g, ComponentScratch& s);
-
-/// comp_w[c] = total vertex weight of component c, for c < count.
-void component_weights(const graph::CsrView& g, ComponentScratch& s,
-                       int count);
-
-/// True iff every component of g − removed weighs at most `limit`.
-/// Stops at the first component that exceeds it.
+/// True iff every component of g − removed weighs at most `limit`.  Each
+/// component is weighed depth first from its lowest vertex, neighbours in
+/// CSR order.  Stops at the first component that exceeds it.
 bool feasible_with_removed(const graph::CsrView& g, ComponentScratch& s,
                            graph::Weight limit);
+
+/// True iff every component of the laid-out tree minus the edges in `cut`
+/// weighs at most `limit`.  One bottom-up sweep: a position's load folds
+/// into its parent's unless the edge between them is cut, where it closes
+/// a component.  Children fold into their parent in reverse position
+/// order, not in feasible_with_removed's order; callers that accept loads
+/// only up to K + eps/2 in their own order can check against K + eps
+/// either way.
+bool feasible_bottom_up(const graph::TreeLayout& layout,
+                        std::span<const int> cut, graph::Weight limit,
+                        util::Arena& arena);
 
 }  // namespace tgp::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <map>
+#include <numeric>
 
 #include "core/csr_feasible.hpp"
 #include "graph/csr.hpp"
@@ -25,50 +26,44 @@ ProcMinResult proc_min(const graph::Tree& tree, graph::Weight K,
   if (n == 1) return out;
 
   util::ScratchFrame frame(arena);
-  graph::CsrView g = graph::csr_from_tree(tree, frame.arena());
-
-  // Root anywhere and process children-before-parents: when vertex v is
+  // Positions from one BFS, processed in reverse: when vertex v is
   // processed every child has been contracted to a residual-weight leaf,
   // which is exactly the paper's "internal node adjacent to at most one
   // internal node" schedule.
-  graph::RootedView rooted = graph::root_csr(g, 0, frame.arena());
+  const graph::TreeLayout L = graph::lay_out_tree(tree, frame.arena());
+  const graph::Weight eps = graph::load_epsilon(L.total, n);
   // Accept loads only up to half the checker's tolerance: the greedy
   // accumulates component weights in a different order than the
   // feasibility checker, so its acceptance margin must sit strictly
   // inside the checker's.
-  const graph::Weight k_eff =
-      K + 0.5 * graph::load_epsilon(g.total_vertex_weight(), n);
+  const graph::Weight k_eff = K + 0.5 * eps;
 
+  // residual[p] is written when p is processed, after all its children.
   graph::Weight* residual =
       frame->alloc_array<graph::Weight>(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) residual[v] = g.vertex_weight[v];
-  // A vertex's children are contiguous in no array, so collect them per
-  // step; degree(v) bounds the count.
+  // Sort slots for one child block; a block is at most n − 1 long.
   int* children = frame->alloc_array<int>(static_cast<std::size_t>(n));
   util::ArenaVector<int> cut_edges(frame.arena(),
-                                   static_cast<std::size_t>(g.m));
+                                   static_cast<std::size_t>(n - 1));
 
-  for (int i = n - 1; i >= 0; --i) {
+  for (int p = n - 1; p >= 0; --p) {
     if (cancel) cancel->poll();
-    int v = rooted.order[i];
-    // Collect contracted children (paper: leaves adjacent to v).
-    int child_count = 0;
-    graph::Weight lump = residual[v];
-    for (auto [u, e] : g.neighbors(v)) {
-      if (rooted.parent[u] == v) {
-        children[child_count++] = u;
-        lump += residual[u];
-      }
-    }
+    // Lump the contracted children (paper: leaves adjacent to v).
+    const int kb = L.first[p];
+    const int child_count = L.first[p + 1] - kb;
+    graph::Weight lump = L.vertex_weight[p];
+    for (int c = kb; c < kb + child_count; ++c) lump += residual[c];
     // One lump-fits decision per processed vertex: the unit step of the
     // paper's O(n) Algorithm 3.2 accounting.
     if (oc) ++oc->oracle_calls;
     if (lump <= k_eff) {  // step 4: absorb all leaves
-      residual[v] = lump;
-      if (trace && child_count > 0) trace->push_back({v, lump, {}, lump});
+      residual[p] = lump;
+      if (trace && child_count > 0)
+        trace->push_back({L.vertex[p], lump, {}, lump});
       continue;
     }
     // Step 5: prune heaviest leaves until the lump fits.
+    std::iota(children, children + child_count, kb);
     std::sort(children, children + child_count,
               [&](int a, int b) { return residual[a] > residual[b]; });
     graph::Weight original_lump = lump;
@@ -77,12 +72,13 @@ ProcMinResult proc_min(const graph::Tree& tree, graph::Weight K,
       if (lump <= k_eff) break;
       int c = children[ci];
       lump -= residual[c];
-      cut_edges.push_back(rooted.parent_edge[c]);
-      if (trace) pruned.push_back(c);
+      cut_edges.push_back(L.edge[c]);
+      if (trace) pruned.push_back(L.vertex[c]);
     }
     TGP_ENSURE(lump <= k_eff, "pruning all leaves must fit (w(v) <= K)");
-    residual[v] = lump;
-    if (trace) trace->push_back({v, original_lump, std::move(pruned), lump});
+    residual[p] = lump;
+    if (trace)
+      trace->push_back({L.vertex[p], original_lump, std::move(pruned), lump});
   }
 
   // The pruned parent edges are distinct, so sorting the collected list is
@@ -90,14 +86,8 @@ ProcMinResult proc_min(const graph::Tree& tree, graph::Weight K,
   out.cut.edges.assign(cut_edges.begin(), cut_edges.end());
   std::sort(out.cut.edges.begin(), out.cut.edges.end());
   out.components = out.cut.size() + 1;
-  {
-    ComponentScratch scratch(g, frame.arena());
-    for (int e : out.cut.edges) scratch.removed[e] = 1;
-    const graph::Weight limit =
-        K + graph::load_epsilon(g.total_vertex_weight(), n);
-    TGP_ENSURE(feasible_with_removed(g, scratch, limit),
-               "proc_min produced an infeasible cut");
-  }
+  TGP_ENSURE(feasible_bottom_up(L, out.cut.edges, K + eps, frame.arena()),
+             "proc_min produced an infeasible cut");
   return out;
 }
 

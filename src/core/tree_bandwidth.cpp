@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "core/csr_feasible.hpp"
 #include "graph/csr.hpp"
@@ -101,46 +102,35 @@ TreeBandwidthResult tree_bandwidth_greedy(const graph::Tree& tree,
   if (n == 1) return out;
 
   util::ScratchFrame frame(arena);
-  graph::CsrView g = graph::csr_from_tree(tree, frame.arena());
-  graph::RootedView rooted = graph::root_csr(g, 0, frame.arena());
+  const graph::TreeLayout L = graph::lay_out_tree(tree, frame.arena());
+  const std::size_t un = static_cast<std::size_t>(n);
+  const graph::Weight eps = graph::load_epsilon(L.total, n);
   // Accept loads only up to half the checker's tolerance (see proc_min).
-  const graph::Weight k_eff =
-      K + 0.5 * graph::load_epsilon(g.total_vertex_weight(), n);
+  const graph::Weight k_eff = K + 0.5 * eps;
 
-  graph::Weight* residual =
-      frame->alloc_array<graph::Weight>(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) residual[v] = g.vertex_weight[v];
-
-  struct Child {
-    int vertex;
-    int edge;
-    graph::Weight res;
-    graph::Weight edge_w;
-  };
+  // residual[p] is written when p is processed, after all its children;
+  // shed[p] marks the edge from p up to its parent as cut.
+  graph::Weight* residual = frame->alloc_array<graph::Weight>(un);
+  unsigned char* shed = frame->alloc_filled<unsigned char>(un, 0);
+  // Sort slots for one child block, and later for the cut positions.
+  int* slots = frame->alloc_array<int>(un);
   constexpr int kExactFanout = 12;  // 2^12 subsets per node max
-  // Shed decisions write cut flags (disjoint per vertex); the edge list
-  // is rebuilt from the flags afterwards.
-  ComponentScratch scratch(g, frame.arena());
 
   // One shed-or-absorb decision per vertex (cf. proc_min's accounting).
   if (oc) oc->oracle_calls += static_cast<std::uint64_t>(n);
 
   // The per-vertex decision: children are finalized, so this only reads
-  // their residuals and writes residual[v] plus the cut flags of v's
-  // child edges.
-  auto process_vertex = [&](int v) {
-    util::ScratchFrame task_frame(&frame.arena());
-    Child* children = task_frame->alloc_array<Child>(
-        static_cast<std::size_t>(g.degree(v)));
-    int child_count = 0;
-    graph::Weight lump = residual[v];
-    for (auto [u, e] : g.neighbors(v)) {
-      if (rooted.parent[u] != v) continue;
-      children[child_count++] = {u, e, residual[u], g.edge_weight[e]};
-      lump += residual[u];
-    }
+  // their residuals and writes residual[p] plus the shed flags of p's
+  // child block.
+  auto process_vertex = [&](int p) {
+    const int kb = L.first[p];
+    const int child_count = L.first[p + 1] - kb;
+    const graph::Weight* res = residual + kb;
+    const graph::Weight* edge_w = L.edge_weight + kb;
+    graph::Weight lump = L.vertex_weight[p];
+    for (int c = 0; c < child_count; ++c) lump += res[c];
     if (lump <= k_eff) {
-      residual[v] = lump;
+      residual[p] = lump;
       return;
     }
     graph::Weight must_shed = lump - k_eff;
@@ -153,66 +143,70 @@ TreeBandwidthResult tree_bandwidth_greedy(const graph::Tree& tree,
       graph::Weight best_cost = kInf;
       graph::Weight best_shed = 0;
       for (std::uint32_t mask = 0; mask < limit; ++mask) {
-        graph::Weight shed = 0, cost = 0;
+        graph::Weight load_shed = 0, cost = 0;
         for (int c = 0; c < child_count; ++c) {
           if ((mask >> c) & 1u) {
-            shed += children[c].res;
-            cost += children[c].edge_w;
+            load_shed += res[c];
+            cost += edge_w[c];
           }
         }
-        if (shed < must_shed) continue;
+        if (load_shed < must_shed) continue;
         if (cost < best_cost ||
-            (cost == best_cost && shed > best_shed)) {
+            (cost == best_cost && load_shed > best_shed)) {
           best_cost = cost;
           best_mask = mask;
-          best_shed = shed;
+          best_shed = load_shed;
         }
       }
       TGP_ENSURE(best_cost < kInf, "shedding all children must fit");
       for (int c = 0; c < child_count; ++c) {
         if ((best_mask >> c) & 1u) {
-          lump -= children[c].res;
-          scratch.removed[children[c].edge] = 1;
+          lump -= res[c];
+          shed[kb + c] = 1;
         }
       }
     } else {
       // Wide node: shed cheapest crossing weight per unit of load first.
-      std::sort(children, children + child_count,
-                [](const Child& a, const Child& b) {
-                  return a.edge_w * b.res < b.edge_w * a.res;
-                });
+      std::iota(slots, slots + child_count, kb);
+      std::sort(slots, slots + child_count, [&](int a, int b) {
+        return L.edge_weight[a] * residual[b] < L.edge_weight[b] * residual[a];
+      });
       for (int c = 0; c < child_count; ++c) {
         if (lump <= k_eff) break;
-        lump -= children[c].res;
-        scratch.removed[children[c].edge] = 1;
+        lump -= residual[slots[c]];
+        shed[slots[c]] = 1;
       }
     }
     TGP_ENSURE(lump <= k_eff, "pruning did not reach the bound");
-    residual[v] = lump;
+    residual[p] = lump;
   };
 
-  // Bottom-up: reverse BFS order visits every child before its parent.
+  // Bottom-up: reverse position order visits every child before its
+  // parent.
   for (int k0 = 0; k0 < n; k0 += util::kPollStride) {
     if (cancel) cancel->poll();
     const int k1 = std::min(n, k0 + util::kPollStride);
-    for (int k = k0; k < k1; ++k) process_vertex(rooted.order[n - 1 - k]);
+    for (int k = k0; k < k1; ++k) process_vertex(n - 1 - k);
   }
-
-  // Rebuild the cut-edge list from the flags in ascending edge order (the
-  // flag set, not the discovery order, is what the passes below consume).
-  util::ArenaVector<int> cut_edges(frame.arena(),
-                                   static_cast<std::size_t>(g.m));
-  for (int e = 0; e < g.m; ++e)
-    if (scratch.removed[e]) cut_edges.push_back(e);
 
   // Redundancy elimination: bottom-up shedding can leave expensive cuts
   // that later cuts higher in the tree made unnecessary.  Try to restore
   // edges, most expensive first, whenever the merged component still fits.
   {
-    int comp_count = assign_components(g, scratch);
-    component_weights(g, scratch, comp_count);
-    graph::Weight* comp_weight = scratch.comp_w;
-    const int* comp_of = scratch.comp;
+    // Components of the tree minus the shed edges, labelled top down.
+    int* comp = frame->alloc_array<int>(un);
+    int comp_count = 1;
+    comp[0] = 0;
+    for (int p = 1; p < n; ++p)
+      comp[p] = shed[p] ? comp_count++ : comp[L.parent[p]];
+    // Component weights fold in ascending vertex order, the order the
+    // frozen reference sums them in.
+    int* comp_of_vertex = frame->alloc_array<int>(un);
+    for (int p = 0; p < n; ++p) comp_of_vertex[L.vertex[p]] = comp[p];
+    graph::Weight* comp_weight = frame->alloc_filled<graph::Weight>(
+        static_cast<std::size_t>(comp_count), 0.0);
+    const graph::Weight* vw = tree.vertex_weights().data();
+    for (int v = 0; v < n; ++v) comp_weight[comp_of_vertex[v]] += vw[v];
     // Union-find over components as edges are restored.
     int* dsu = frame->alloc_array<int>(static_cast<std::size_t>(comp_count));
     for (int i = 0; i < comp_count; ++i) dsu[i] = i;
@@ -223,47 +217,43 @@ TreeBandwidthResult tree_bandwidth_greedy(const graph::Tree& tree,
       }
       return x;
     };
-    int* by_weight =
-        frame->alloc_array<int>(static_cast<std::size_t>(cut_edges.size()));
-    std::copy(cut_edges.begin(), cut_edges.end(), by_weight);
+    int* by_weight = slots;
+    const int cut_count = comp_count - 1;
+    for (int p = 1, i = 0; p < n; ++p)
+      if (shed[p]) by_weight[i++] = p;
     // Strict total order (weight desc, edge index asc): equal-weight cut
     // edges restore in a fixed order no matter how the list was built.
-    std::sort(by_weight, by_weight + cut_edges.size(), [&](int a, int b) {
-      if (g.edge_weight[a] != g.edge_weight[b])
-        return g.edge_weight[a] > g.edge_weight[b];
-      return a < b;
+    std::sort(by_weight, by_weight + cut_count, [&](int a, int b) {
+      if (L.edge_weight[a] != L.edge_weight[b])
+        return L.edge_weight[a] > L.edge_weight[b];
+      return L.edge[a] < L.edge[b];
     });
-    // scratch.removed doubles as the keep-this-cut flag set.
-    for (std::size_t i = 0; i < cut_edges.size(); ++i) {
-      int e = by_weight[i];
-      int a = find(comp_of[g.edge_u[e]]);
-      int b = find(comp_of[g.edge_v[e]]);
+    // A cut edge joins its child side's component to its parent's.  The
+    // union's weight is a sum of the two sides either way round, so the
+    // side that becomes the root does not change any later decision.
+    for (int i = 0; i < cut_count; ++i) {
+      const int p = by_weight[i];
+      int a = find(comp[p]);
+      int b = find(comp[L.parent[p]]);
       TGP_ENSURE(a != b, "cut edge inside one component");
       if (comp_weight[a] + comp_weight[b] <= k_eff) {
         dsu[a] = b;
         comp_weight[b] += comp_weight[a];
-        scratch.removed[e] = 0;
+        shed[p] = 0;
       }
     }
-    out.cut.edges.reserve(cut_edges.size());
+    out.cut.edges.reserve(static_cast<std::size_t>(cut_count));
+    for (int i = 0; i < cut_count; ++i)
+      if (shed[by_weight[i]]) out.cut.edges.push_back(L.edge[by_weight[i]]);
+    // Ascending edge order: Cut::canonical(), and the order the weight
+    // folds in.
+    std::sort(out.cut.edges.begin(), out.cut.edges.end());
     out.cut_weight = 0;
-    for (int e = 0; e < g.m; ++e) {
-      if (scratch.removed[e]) {
-        out.cut.edges.push_back(e);
-        out.cut_weight += g.edge_weight[e];
-      }
-    }
+    for (int e : out.cut.edges) out.cut_weight += tree.edge(e).weight;
   }
 
-  // The ascending-e rebuild above is already canonical (sorted, unique).
-  {
-    const graph::Weight limit =
-        K + graph::load_epsilon(g.total_vertex_weight(), n);
-    std::fill(scratch.removed, scratch.removed + g.m, 0);
-    for (int e : out.cut.edges) scratch.removed[e] = 1;
-    TGP_ENSURE(feasible_with_removed(g, scratch, limit),
-               "greedy tree cut infeasible");
-  }
+  TGP_ENSURE(feasible_bottom_up(L, out.cut.edges, K + eps, frame.arena()),
+             "greedy tree cut infeasible");
   return out;
 }
 

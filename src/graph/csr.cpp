@@ -34,6 +34,21 @@ Weight* build_prefix(const Weight* w, int n, util::Arena& arena) {
   return prefix;
 }
 
+// build_prefix's prefix[n] without the array: the blocks before the
+// last fold their own sums into the base, and the last block folds onto
+// the base.
+Weight blocked_total(const Weight* w, int n) {
+  Weight base = 0.0;
+  int lo = 0;
+  for (; n - lo > kPrefixBlock; lo += kPrefixBlock) {
+    Weight sum = 0.0;
+    for (int i = lo; i < lo + kPrefixBlock; ++i) sum += w[i];
+    base += sum;
+  }
+  for (int i = lo; i < n; ++i) base += w[i];
+  return base;
+}
+
 }  // namespace
 
 CsrView csr_from_tree(const Tree& tree, util::Arena& arena) {
@@ -69,33 +84,47 @@ CsrView csr_from_chain(const Chain& chain, util::Arena& arena) {
   return v;
 }
 
-RootedView root_csr(const CsrView& g, int root, util::Arena& arena) {
-  TGP_REQUIRE(g.offsets != nullptr, "root_csr needs adjacency");
-  TGP_REQUIRE(0 <= root && root < g.n, "root out of range");
-  std::size_t n = static_cast<std::size_t>(g.n);
-  RootedView rv;
-  rv.n = g.n;
-  int* order = arena.alloc_array<int>(n);
-  int* parent = arena.alloc_filled<int>(n, -1);
-  int* parent_edge = arena.alloc_filled<int>(n, -1);
-  // The order array doubles as the BFS queue; parent[] doubles as the
-  // visited mark (−1 = unseen, except the root which is pinned below).
-  order[0] = root;
+TreeLayout lay_out_tree(const Tree& tree, util::Arena& arena) {
+  const int n = tree.n();
+  const std::size_t un = static_cast<std::size_t>(n);
+  TreeLayout L;
+  L.n = n;
+  L.vertex = arena.alloc_array<int>(un);
+  L.parent = arena.alloc_array<int>(un);
+  L.edge = arena.alloc_array<int>(un);
+  L.vertex_weight = arena.alloc_array<Weight>(un);
+  L.edge_weight = arena.alloc_array<Weight>(un);
+  L.first = arena.alloc_array<int>(un + 1);
+  const int* off = tree.adjacency_offsets().data();
+  const std::pair<int, int>* adj = tree.adjacency_flat().data();
+  const TreeEdge* edges = tree.edges().data();
+  const Weight* vw = tree.vertex_weights().data();
+  L.vertex[0] = 0;
+  L.parent[0] = -1;
+  L.edge[0] = -1;
+  L.edge_weight[0] = 0.0;
+  // The vertex array doubles as the BFS queue.  Skipping the half-edge
+  // back to the parent is the whole visited test: a Tree has no cycles.
   int tail = 1;
-  for (int head = 0; head < tail; ++head) {
-    int v = order[head];
-    for (auto [u, e] : g.neighbors(v)) {
-      if (u == root || parent[u] != -1) continue;
-      parent[u] = v;
-      parent_edge[u] = e;
-      order[tail++] = u;
+  for (int p = 0; p < n; ++p) {
+    const int v = L.vertex[p];
+    const int up = L.edge[p];
+    L.vertex_weight[p] = vw[v];
+    L.first[p] = tail;
+    for (int h = off[v]; h < off[v + 1]; ++h) {
+      const auto [u, e] = adj[h];
+      if (e == up) continue;
+      L.vertex[tail] = u;
+      L.parent[tail] = p;
+      L.edge[tail] = e;
+      L.edge_weight[tail] = edges[e].weight;
+      ++tail;
     }
   }
-  TGP_ENSURE(tail == g.n, "tree CSR is not connected");
-  rv.order = order;
-  rv.parent = parent;
-  rv.parent_edge = parent_edge;
-  return rv;
+  L.first[n] = tail;
+  TGP_ENSURE(tail == n, "tree is not connected");
+  L.total = blocked_total(vw, n);
+  return L;
 }
 
 }  // namespace tgp::graph

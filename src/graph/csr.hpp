@@ -7,8 +7,10 @@
 // per solve into a util::Arena — for a Tree this is zero-copy for the
 // adjacency (Tree already stores CSR arrays) plus one pass to lay the
 // edge columns out SoA; for a Chain it is the prefix-sum pass that makes
-// every window sum O(1).  Nothing here owns memory: the source graph and
-// the arena must outlive the view.
+// every window sum O(1).  Solvers that walk a tree bottom up use a
+// TreeLayout instead, which puts each vertex's children next to each
+// other.  Nothing here owns memory: the source graph and the arena must
+// outlive the view.
 #pragma once
 
 #include <span>
@@ -61,17 +63,29 @@ CsrView csr_from_tree(const Tree& tree, util::Arena& arena);
 /// sums are laid out in `arena`.  No adjacency (offsets/adj stay null).
 CsrView csr_from_chain(const Chain& chain, util::Arena& arena);
 
-/// Rooted orientation of a tree CSR, arena-backed: vertices in BFS order
-/// from `root` (parent before child), parent vertex and parent edge per
-/// vertex (−1 at the root).  Produces exactly the same order/parent
-/// arrays as Tree::bfs_order + Tree::root_at, with zero heap traffic.
-struct RootedView {
+/// A tree laid out by one BFS from vertex 0, arena-backed.  Every array
+/// is indexed by BFS position: position p holds vertex vertex[p], and its
+/// children are the contiguous positions first[p] .. first[p+1]-1, in
+/// that vertex's adjacency order minus the edge to its parent.  A child's
+/// position is larger than its parent's, so a reverse sweep over
+/// positions visits children before parents, and parent[] never
+/// decreases.  The arrays are writable so that a caller can re-root the
+/// layout in place (graph/fingerprint.cpp does).
+struct TreeLayout {
   int n = 0;
-  const int* order = nullptr;        ///< n, BFS order
-  const int* parent = nullptr;       ///< n, −1 at root
-  const int* parent_edge = nullptr;  ///< n, −1 at root
+  int* vertex = nullptr;            ///< n
+  int* parent = nullptr;            ///< n, parent position, −1 at 0
+  int* edge = nullptr;              ///< n, edge to the parent, −1 at 0
+  Weight* vertex_weight = nullptr;  ///< n, weight of vertex[p]
+  Weight* edge_weight = nullptr;    ///< n, weight of edge[p], 0 at 0
+  int* first = nullptr;             ///< n+1 child-block offsets
+  /// Σ vertex weights in vertex order, folded in the blocks of
+  /// csr_from_tree's prefix, so it equals that view's
+  /// total_vertex_weight() bit for bit (and with it load_epsilon).
+  Weight total = 0;
 };
 
-RootedView root_csr(const CsrView& g, int root, util::Arena& arena);
+/// Lays `tree` out in `arena`, by one BFS from vertex 0.
+TreeLayout lay_out_tree(const Tree& tree, util::Arena& arena);
 
 }  // namespace tgp::graph

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <numeric>
 #include <tuple>
 
+#include "graph/csr.hpp"
 #include "util/arena.hpp"
 #include "util/assert.hpp"
 
@@ -48,22 +50,13 @@ bool hash_less(const Fingerprint& a, const Fingerprint& b) {
   return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
 }
 
-// The submitted tree laid out by one BFS from vertex 0.  Every array is
-// indexed by BFS position: position p holds submitted vertex vertex[p],
-// and its children are the contiguous positions first[p] .. first[p+1]-1,
-// in the vertex's adjacency order.  A child's position is larger than its
-// parent's.  canonical_root later re-roots the layout in place, so that
-// parent, edge, ebits and size describe the tree hung from its canonical
-// root.  All arrays live in the caller's arena.
-struct Layout {
-  int n = 0;
-  int* vertex = nullptr;
-  int* parent = nullptr;           // parent position, −1 at the root
-  int* edge = nullptr;             // edge to the parent, −1 at the root
-  std::uint64_t* vbits = nullptr;  // vertex weight bits
-  std::uint64_t* ebits = nullptr;  // weight bits of `edge`
-  int* first = nullptr;            // n+1 child-block offsets
-  int* size = nullptr;             // subtree size
+// The submitted tree's BFS layout (graph::TreeLayout), extended with the
+// subtree sizes and the slots hashing sorts children in.  canonical_root
+// later re-roots the layout in place, so that parent, edge, edge_weight
+// and size describe the tree hung from its canonical root.  All arrays
+// live in the caller's arena.
+struct Layout : TreeLayout {
+  int* size = nullptr;  // subtree size
   // kids[first[p] .. first[p+1]) lists p's children, starting in layout
   // order; hashing sorts each block into canonical order in place.
   int* kids = nullptr;
@@ -78,7 +71,7 @@ struct Layout {
   void hang_below(int p, int below) {
     parent[p] = below;
     edge[p] = edge[below];
-    ebits[p] = ebits[below];
+    edge_weight[p] = edge_weight[below];
     size[p] = n - size[below];
   }
   void make_root(int p) {
@@ -89,48 +82,12 @@ struct Layout {
 };
 
 Layout lay_out(const Tree& tree, util::Arena& arena) {
-  const int n = tree.n();
-  const std::size_t un = static_cast<std::size_t>(n);
-  Layout L;
-  L.n = n;
-  L.vertex = arena.alloc_array<int>(un);
-  L.parent = arena.alloc_array<int>(un);
-  L.edge = arena.alloc_array<int>(un);
-  L.vbits = arena.alloc_array<std::uint64_t>(un);
-  L.ebits = arena.alloc_array<std::uint64_t>(un);
-  L.first = arena.alloc_array<int>(un + 1);
+  Layout L{lay_out_tree(tree, arena)};
+  const std::size_t un = static_cast<std::size_t>(L.n);
   L.size = arena.alloc_filled<int>(un, 1);
   L.kids = arena.alloc_array<int>(un);
-  const int* off = tree.adjacency_offsets().data();
-  const std::pair<int, int>* adj = tree.adjacency_flat().data();
-  const TreeEdge* edges = tree.edges().data();
-  const Weight* vw = tree.vertex_weights().data();
-  L.vertex[0] = 0;
-  L.parent[0] = -1;
-  L.edge[0] = -1;
-  L.ebits[0] = 0;
-  // The vertex array doubles as the BFS queue.  Skipping the half-edge
-  // back to the parent is the whole visited test: a Tree has no cycles.
-  int tail = 1;
-  for (int p = 0; p < n; ++p) {
-    const int v = L.vertex[p];
-    const int up = L.edge[p];
-    L.vbits[p] = weight_bits(vw[v]);
-    L.first[p] = tail;
-    for (int h = off[v]; h < off[v + 1]; ++h) {
-      const auto [u, e] = adj[h];
-      if (e == up) continue;
-      L.vertex[tail] = u;
-      L.parent[tail] = p;
-      L.edge[tail] = e;
-      L.ebits[tail] = weight_bits(edges[e].weight);
-      L.kids[tail] = tail;
-      ++tail;
-    }
-  }
-  L.first[n] = tail;
-  TGP_ENSURE(tail == n, "tree is not connected");
-  for (int p = n - 1; p > 0; --p) L.size[L.parent[p]] += L.size[p];
+  std::iota(L.kids, L.kids + L.n, 0);
+  for (int p = L.n - 1; p > 0; --p) L.size[L.parent[p]] += L.size[p];
   return L;
 }
 
@@ -154,12 +111,13 @@ int* neighbour_positions(const Tree& tree, const Layout& L, int p, int drop,
 // interchangeable isomorphic subtrees.
 Fingerprint hash_subtree(const Layout& L, const Fingerprint* lifted,
                          const Fingerprint& seed, int p, int* kb, int* ke) {
-  std::sort(kb, ke, [&](int a, int b) {
-    return std::tie(lifted[a].hi, lifted[a].lo, L.ebits[a]) <
-           std::tie(lifted[b].hi, lifted[b].lo, L.ebits[b]);
-  });
+  auto key = [&](int c) {
+    return std::make_tuple(lifted[c].hi, lifted[c].lo,
+                           weight_bits(L.edge_weight[c]));
+  };
+  std::sort(kb, ke, [&](int a, int b) { return key(a) < key(b); });
   Fingerprint h = seed;
-  absorb(h, L.vbits[p]);
+  absorb(h, weight_bits(L.vertex_weight[p]));
   absorb(h, static_cast<std::uint64_t>(ke - kb));
   for (const int* c = kb; c != ke; ++c) {
     absorb(h, lifted[*c].hi);
@@ -254,7 +212,7 @@ CanonicalRoot canonical_root(const Tree& tree, util::Arena& arena) {
   const Fingerprint seed = seed_fp(kTreeTag);
   auto hash_up = [&](int p, int* kb, int* ke) {
     Fingerprint h = hash_subtree(L, lifted, seed, p, kb, ke);
-    absorb(h, L.ebits[p]);
+    absorb(h, weight_bits(L.edge_weight[p]));
     lifted[p] = h;
   };
   for (int p = n - 1; p > 0; --p)

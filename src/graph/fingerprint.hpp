@@ -117,9 +117,10 @@ struct CanonicalTree : TreeLabelling {
 /// 128-bit subtree-hash collisions.
 ///
 /// The submitted tree is traversed once: a BFS from vertex 0 lays it out
-/// by position (vertex, parent position, parent edge, weight bits, and
-/// each vertex's children as one contiguous block in adjacency order),
-/// and subtree sizes from that layout locate the centroids.  Re-rooting
+/// by position (graph::TreeLayout: vertex, parent position, parent edge,
+/// weights, and each vertex's children as one contiguous block in
+/// adjacency order), and subtree sizes from that layout locate the
+/// centroids.  Re-rooting
 /// at a centroid flips only the path from it to position 0: a path
 /// vertex's children become its block minus its path child plus its old
 /// parent, placed at that parent's rank in the adjacency.  Every child

@@ -26,11 +26,13 @@
 #include "core/bandwidth_min.hpp"
 #include "core/bottleneck_min.hpp"
 #include "core/chain_bottleneck.hpp"
+#include "core/csr_feasible.hpp"
 #include "core/nonredundant.hpp"
 #include "core/proc_min.hpp"
 #include "core/prime_subpaths.hpp"
 #include "core/tree_bandwidth.hpp"
 #include "graph/csr.hpp"
+#include "graph/cutset.hpp"
 #include "graph/generators.hpp"
 #include "obs/counters.hpp"
 #include "reference_impl.hpp"
@@ -107,6 +109,24 @@ std::vector<graph::Tree> tree_corpus() {
     out.push_back(graph::random_tree(rng, 2, vw, ew));
     out.push_back(graph::random_tree(rng, 300, vw, ew));
   }
+  // Sub-unit decimal vertex weights, whose sums depend on their order.
+  for (int n : {9, 40, 150, 400}) {
+    util::Pcg32 rng(0xDEC1u ^ static_cast<unsigned>(n));
+    const graph::Tree shape =
+        graph::random_tree(rng, n, graph::WeightDist::constant(1),
+                           graph::WeightDist::uniform(1, 100));
+    std::vector<graph::Weight> vw;
+    for (int v = 0; v < n; ++v)
+      vw.push_back(0.1 * static_cast<double>(rng.uniform_int(1, 9)));
+    out.push_back(graph::Tree::from_edges(vw, shape.edges()));
+  }
+  // Every tree above is numbered parent before child: vertex 0 is the BFS
+  // root and BFS positions track vertex ids.  A random renumbering of each
+  // breaks both, as unlabelled submissions do.
+  util::Pcg32 rng(0x2E1Bu);
+  const std::size_t built = out.size();
+  for (std::size_t i = 0; i < built; ++i)
+    out.push_back(graph::relabel_tree(rng, out[i]));
   return out;
 }
 
@@ -487,6 +507,156 @@ TEST(CsrDifferential, ChainPrefixIsTheBlockedFold) {
     for (int i = 0; i <= n; ++i)
       ASSERT_EQ(g.prefix[i], want[i]) << "n " << n << " i " << i;
   }
+}
+
+// ---- The BFS layout and its bottom-up feasibility sweep --------------------
+
+TEST(TreeLayout, ParentsPrecedeChildrenInAdjacencyOrderBlocks) {
+  for (const graph::Tree& t : tree_corpus()) {
+    util::Arena arena;
+    const graph::TreeLayout L = graph::lay_out_tree(t, arena);
+    ASSERT_EQ(L.n, t.n());
+    EXPECT_EQ(L.vertex[0], 0);
+    EXPECT_EQ(L.parent[0], -1);
+    EXPECT_EQ(L.edge[0], -1);
+    EXPECT_EQ(L.first[0], 1);
+    EXPECT_EQ(L.first[L.n], L.n);
+    std::vector<int> position(static_cast<std::size_t>(t.n()), -1);
+    for (int p = 0; p < L.n; ++p) {
+      ASSERT_EQ(position[static_cast<std::size_t>(L.vertex[p])], -1)
+          << "vertex listed twice";
+      position[static_cast<std::size_t>(L.vertex[p])] = p;
+      EXPECT_EQ(L.vertex_weight[p], t.vertex_weight(L.vertex[p]));
+      if (p == 0) continue;
+      EXPECT_LT(L.parent[p], p);
+      EXPECT_GE(L.parent[p], L.parent[p - 1]);
+      // edge[p] joins vertex[p] to its parent's vertex.
+      const graph::TreeEdge& e = t.edge(L.edge[p]);
+      const int up = L.vertex[L.parent[p]];
+      EXPECT_TRUE((e.u == L.vertex[p] && e.v == up) ||
+                  (e.v == L.vertex[p] && e.u == up))
+          << "position " << p;
+      EXPECT_EQ(L.edge_weight[p], e.weight);
+    }
+    for (int p = 0; p < L.n; ++p) {
+      // The child block is the adjacency list minus the parent edge.
+      std::vector<std::pair<int, int>> want, got;
+      for (const auto& [u, e] : t.neighbors(L.vertex[p]))
+        if (e != L.edge[p]) want.push_back({u, e});
+      for (int c = L.first[p]; c < L.first[p + 1]; ++c) {
+        EXPECT_EQ(L.parent[c], p);
+        got.push_back({L.vertex[c], L.edge[c]});
+      }
+      EXPECT_EQ(got, want) << "position " << p;
+    }
+  }
+}
+
+TEST(TreeLayout, TotalIsTheBlockedFold) {
+  constexpr int kBlock = 16384;
+  util::Pcg32 rng(0x7074u);
+  for (int n : {kBlock + 1, 5 * kBlock + 371}) {
+    const graph::Tree shape =
+        graph::random_tree(rng, n, graph::WeightDist::constant(1),
+                           graph::WeightDist::uniform(1, 100));
+    std::vector<graph::Weight> vw;
+    for (int v = 0; v < n; ++v)
+      vw.push_back(0.1 * static_cast<double>(rng.uniform_int(1, 9)));
+    const graph::Tree t = graph::Tree::from_edges(vw, shape.edges());
+    util::Arena arena;
+    const graph::Weight total = graph::lay_out_tree(t, arena).total;
+    EXPECT_EQ(total, graph::csr_from_tree(t, arena).total_vertex_weight())
+        << "n " << n;
+    if (n > 2 * kBlock) {
+      // The plain fold rounds differently here, so the check above tells
+      // the two apart.
+      EXPECT_NE(total, t.total_vertex_weight()) << "n " << n;
+    }
+  }
+}
+
+graph::Cut cut_of(std::initializer_list<int> edges) {
+  graph::Cut cut;
+  cut.edges = edges;
+  return cut;
+}
+
+// The path 0-1-2-3-4-5 with edge i joining i and i+1, laid out from 0.
+TEST(FeasibleBottomUp, RootComponentAloneOverLimit) {
+  const graph::Tree t = graph::Tree::from_edges(
+      {4, 4, 4, 1, 1, 1},
+      {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1}});
+  util::Arena arena;
+  const graph::TreeLayout L = graph::lay_out_tree(t, arena);
+  // {0,1,2} weighs 12 and {3,4,5} weighs 3.
+  EXPECT_FALSE(feasible_bottom_up(L, cut_of({2}).edges, 11, arena));
+  EXPECT_TRUE(feasible_bottom_up(L, cut_of({2}).edges, 12, arena));
+  EXPECT_TRUE(feasible_bottom_up(L, cut_of({0, 2}).edges, 11, arena));
+  EXPECT_FALSE(graph::tree_cut_feasible(t, cut_of({2}), 11));
+}
+
+TEST(FeasibleBottomUp, OneDeepComponentAloneOverLimit) {
+  const graph::Tree t = graph::Tree::from_edges(
+      {1, 1, 5, 5, 1, 1},
+      {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1}});
+  util::Arena arena;
+  const graph::TreeLayout L = graph::lay_out_tree(t, arena);
+  // {0,1} weighs 2, {2,3} weighs 10 and {4,5} weighs 2.
+  EXPECT_FALSE(feasible_bottom_up(L, cut_of({1, 3}).edges, 9, arena));
+  EXPECT_TRUE(feasible_bottom_up(L, cut_of({1, 3}).edges, 10, arena));
+  EXPECT_TRUE(feasible_bottom_up(L, cut_of({1, 2, 3}).edges, 9, arena));
+  // The same on a star, where the heavy component is one leaf's.
+  const graph::Tree star = graph::Tree::from_edges(
+      {1, 2, 9, 2}, {{0, 1, 1}, {0, 2, 1}, {0, 3, 1}});
+  const graph::TreeLayout S = graph::lay_out_tree(star, arena);
+  EXPECT_FALSE(feasible_bottom_up(S, cut_of({0, 1, 2}).edges, 8, arena));
+  EXPECT_TRUE(feasible_bottom_up(S, cut_of({1}).edges, 9, arena));
+}
+
+TEST(FeasibleBottomUp, ComponentAtExactlyKPlusEpsFits) {
+  const graph::Tree t = graph::Tree::from_edges(
+      {3, 4, 3, 2, 5}, {{0, 1, 1}, {1, 2, 1}, {1, 3, 1}, {3, 4, 1}});
+  // Cutting edge 2 leaves {0,1,2} weighing 10 and {3,4} weighing 7.
+  const graph::Weight K = k_with_limit(t, 10.0);
+  ASSERT_GE(K, 0);
+  const graph::Weight limit =
+      K + graph::load_epsilon(t.total_vertex_weight(), t.n());
+  ASSERT_EQ(limit, 10.0);
+  util::Arena arena;
+  const graph::TreeLayout L = graph::lay_out_tree(t, arena);
+  EXPECT_TRUE(feasible_bottom_up(L, cut_of({2}).edges, limit, arena));
+  const graph::Weight below =
+      std::nextafter(limit, -std::numeric_limits<graph::Weight>::infinity());
+  EXPECT_FALSE(feasible_bottom_up(L, cut_of({2}).edges, below, arena));
+}
+
+// With integer weights every summation order is exact, so the sweep and
+// the flood must agree on every cut; random cuts of random renumberings.
+TEST(FeasibleBottomUp, AgreesWithFloodOnIntegerWeights) {
+  util::Pcg32 rng(0xF10Du);
+  int infeasible = 0;
+  for (const graph::Tree& t : tree_corpus()) {
+    const std::vector<graph::Weight>& vw = t.vertex_weights();
+    if (t.n() < 2 || !std::all_of(vw.begin(), vw.end(), [](graph::Weight w) {
+          return w == std::floor(w);
+        }))
+      continue;
+    util::Arena arena;
+    const graph::TreeLayout L = graph::lay_out_tree(t, arena);
+    for (int trial = 0; trial < 8; ++trial) {
+      graph::Cut cut;
+      for (int e = 0; e < t.edge_count(); ++e)
+        if (rng.coin(0.2)) cut.edges.push_back(e);
+      const graph::Weight K = t.max_vertex_weight() +
+                              rng.uniform_real(0, t.total_vertex_weight() / 3);
+      const graph::Weight limit =
+          K + graph::load_epsilon(t.total_vertex_weight(), t.n());
+      const bool want = graph::tree_cut_feasible(t, cut, K);
+      EXPECT_EQ(feasible_bottom_up(L, cut.edges, limit, arena), want);
+      infeasible += want ? 0 : 1;
+    }
+  }
+  EXPECT_GT(infeasible, 20);
 }
 
 /// FNV-1a over explicitly listed fields (no struct padding).

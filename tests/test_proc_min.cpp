@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -127,6 +128,77 @@ TEST(ProcMin, RejectsKBelowMaxVertexWeight) {
   auto t = graph::Tree::from_edges({1, 9}, {{0, 1, 1}});
   EXPECT_THROW(proc_min(t, 8), std::invalid_argument);
   EXPECT_THROW(proc_min_oracle(t, 8), std::invalid_argument);
+}
+
+// The tree of examples/proc_min_walkthrough.cpp: root 0(2) with internal
+// children 1(3) and 2(1); leaves 3(7), 4(5), 5(2) under 1 and 6(6), 7(4),
+// 8(4) under 2.
+graph::Tree walkthrough_tree() {
+  return graph::Tree::from_edges(
+      {2, 3, 1, 7, 5, 2, 6, 4, 4},
+      {{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {1, 4, 1}, {1, 5, 1},
+       {2, 6, 1}, {2, 7, 1}, {2, 8, 1}});
+}
+
+struct PinnedStep {
+  int vertex;
+  graph::Weight lump;
+  std::vector<int> pruned_children;
+  graph::Weight residual;
+};
+
+void expect_steps(const std::vector<ProcMinStep>& got,
+                  const std::vector<PinnedStep>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].vertex, want[i].vertex);
+    EXPECT_EQ(got[i].lump, want[i].lump);
+    EXPECT_EQ(got[i].pruned_children, want[i].pruned_children);
+    EXPECT_EQ(got[i].residual, want[i].residual);
+  }
+}
+
+// Steps in processing order, internal vertices only, pruned children
+// heaviest first.  At K = 7 leaves 7 and 8 tie, and so do children 1 and
+// 2 of the root; the pinned order is the solver's tie-break.
+TEST(ProcMinTrace, WalkthroughStepsArePinned) {
+  const graph::Tree t = walkthrough_tree();
+  std::vector<ProcMinStep> trace;
+  ProcMinResult r = proc_min(t, 12, &trace);
+  expect_steps(trace, {{2, 15, {6}, 9}, {1, 17, {3}, 10}, {0, 21, {1}, 11}});
+  EXPECT_EQ(r.components, 4);
+  r = proc_min(t, 7, &trace);
+  expect_steps(trace, {{2, 15, {6, 7}, 5}, {1, 17, {3, 4}, 5},
+                       {0, 12, {1}, 7}});
+  EXPECT_EQ(r.components, 6);
+}
+
+// On a randomly renumbered tree, the trace still speaks of submitted
+// vertices: every pruned child hangs off its step's vertex, and the edges
+// above the pruned children are exactly the returned cut.
+TEST(ProcMinTrace, PrunedChildrenOfARelabelledTreeFormTheCut) {
+  util::Pcg32 rng(0x7ACEu);
+  const graph::Tree t = graph::relabel_tree(
+      rng, graph::random_tree(rng, 3000, graph::WeightDist::uniform(1, 50),
+                              graph::WeightDist::uniform(1, 100)));
+  const double K = t.max_vertex_weight() +
+                   0.01 * (t.total_vertex_weight() - t.max_vertex_weight());
+  std::vector<ProcMinStep> trace;
+  const ProcMinResult r = proc_min(t, K, &trace);
+  std::vector<int> parent, parent_edge;
+  t.root_at(0, parent, parent_edge);
+  std::vector<int> edges;
+  for (const ProcMinStep& step : trace) {
+    for (int c : step.pruned_children) {
+      ASSERT_EQ(parent[static_cast<std::size_t>(c)], step.vertex)
+          << "child " << c;
+      edges.push_back(parent_edge[static_cast<std::size_t>(c)]);
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  EXPECT_GT(edges.size(), 10u);
+  EXPECT_EQ(edges, r.cut.edges);
 }
 
 TEST(Pipeline, BottleneckThenProcMinKeepsBothGuarantees) {
