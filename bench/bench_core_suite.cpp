@@ -110,6 +110,12 @@ int main(int argc, char** argv) {
     // parent-before-child numbering, which walks memory in order.
     util::Pcg32 rng(0x2E1Bu);
     const graph::Tree relabelled = graph::relabel_tree(rng, t);
+    std::snprintf(name, sizeof name, "bottleneck_bsearch/n=%d/relabelled",
+                  tree_n);
+    h.run(name, tree_n, [&] {
+      auto r = core::bottleneck_min_bsearch(relabelled, K, nullptr, &arena);
+      (void)r.threshold;
+    });
     std::snprintf(name, sizeof name, "procmin/n=%d/relabelled", tree_n);
     h.run(name, tree_n, [&] {
       auto r = core::proc_min(relabelled, K, nullptr, nullptr, &arena);

@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
   for (const auto& e : trace) procs_used = std::max(procs_used, e.processor + 1);
   std::vector<util::GanttRow> rows(static_cast<std::size_t>(procs_used));
   for (int p = 0; p < procs_used; ++p)
-    rows[static_cast<std::size_t>(p)].label = "P" + std::to_string(p);
+    rows[static_cast<std::size_t>(p)].label.append("P").append(
+        std::to_string(p));
   for (const auto& e : trace)
     rows[static_cast<std::size_t>(e.processor)].bars.push_back(
         {e.start, e.end, static_cast<char>('A' + e.iteration % 26)});

@@ -1,7 +1,10 @@
 #include "core/bottleneck_min.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -22,16 +25,56 @@ void check_preconditions(const graph::Tree& tree, graph::Weight K) {
 }
 
 /// Edge indices sorted by (weight, index), so equal weights keep index
-/// order.  Only `order` outlives the call.
+/// order.  Tree::from_edges admits only positive finite weights, whose
+/// bit patterns (sign bit 0) order as the weights do: a stable LSD radix
+/// sort over the 63 low bits, 11 at a time, that starts from index order
+/// yields exactly that order.  Every digit's histogram fills in one
+/// counting pass, and a pass whose digit is the same in every key is
+/// skipped.  Only `order` outlives the call.
 int* edges_by_weight(const graph::CsrView& g, util::Arena& arena) {
-  using Keyed = std::pair<graph::Weight, int>;
+  constexpr int kBits = 11;
+  constexpr int kRadix = 1 << kBits;
+  constexpr int kDigits = (63 + kBits - 1) / kBits;
   const int m = g.m;
-  int* order = arena.alloc_array<int>(static_cast<std::size_t>(m));
+  const std::size_t um = static_cast<std::size_t>(m);
+  int* order = arena.alloc_array<int>(um);
+  if (m == 0) return order;
   util::ScratchFrame frame(&arena);
-  Keyed* keyed = frame->alloc_array<Keyed>(static_cast<std::size_t>(m));
-  for (int e = 0; e < m; ++e) keyed[e] = {g.edge_weight[e], e};
-  std::sort(keyed, keyed + m);
-  for (int i = 0; i < m; ++i) order[i] = keyed[i].second;
+  auto digit = [](std::uint64_t key, int d) {
+    return static_cast<int>((key >> (kBits * d)) & (kRadix - 1));
+  };
+  std::uint64_t* keys[2] = {frame->alloc_array<std::uint64_t>(um),
+                            frame->alloc_array<std::uint64_t>(um)};
+  int* count = frame->alloc_filled<int>(kDigits * kRadix, 0);
+  for (int e = 0; e < m; ++e) {
+    const auto key = std::bit_cast<std::uint64_t>(g.edge_weight[e]);
+    keys[0][e] = key;
+    for (int d = 0; d < kDigits; ++d) ++count[d * kRadix + digit(key, d)];
+  }
+  int live[kDigits];
+  int passes = 0;
+  for (int d = 0; d < kDigits; ++d)
+    if (count[d * kRadix + digit(keys[0][0], d)] != m) live[passes++] = d;
+  // The index buffers alternate too; start in the one the last pass
+  // leaves in `order`.
+  int* idx[2] = {order, frame->alloc_array<int>(um)};
+  if (passes % 2 == 1) std::swap(idx[0], idx[1]);
+  std::iota(idx[0], idx[0] + m, 0);
+  for (int p = 0; p < passes; ++p) {
+    const int d = live[p];
+    int* next = count + d * kRadix;
+    for (int b = 0, at = 0; b < kRadix; ++b)
+      at += std::exchange(next[b], at);
+    const std::uint64_t* src_key = keys[p % 2];
+    const int* src_idx = idx[p % 2];
+    std::uint64_t* dst_key = keys[1 - p % 2];
+    int* dst_idx = idx[1 - p % 2];
+    for (int i = 0; i < m; ++i) {
+      const int at = next[digit(src_key[i], d)]++;
+      dst_key[at] = src_key[i];
+      dst_idx[at] = src_idx[i];
+    }
+  }
   return order;
 }
 

@@ -39,8 +39,10 @@ BottleneckResult bottleneck_min_scan(const graph::Tree& tree, graph::Weight K,
                                      const util::CancelToken* cancel = nullptr,
                                      util::Arena* arena = nullptr);
 
-/// Same optimum from one O(n log n) sort by (weight, index) and one
-/// near-linear descending union-find pass (named for an older bisection).
+/// Same optimum from one linear-time order by (weight, index) — a stable
+/// radix sort of the weights' bit patterns, so ties keep index order —
+/// and one near-linear descending union-find pass (named for an older
+/// bisection).
 BottleneckResult bottleneck_min_bsearch(
     const graph::Tree& tree, graph::Weight K,
     const util::CancelToken* cancel = nullptr, util::Arena* arena = nullptr);

@@ -110,9 +110,9 @@ struct ServiceConfig {
   /// the O(n) degraded-mode baseline (result flagged degraded).  0 = off.
   std::size_t degrade_watermark = 0;
   /// Retry schedule for transient cache faults.  max_attempts=1 = off.
-  RetryPolicy retry;
+  RetryPolicy retry{};
   /// Cache circuit breaker; enabled=false = off.
-  BreakerConfig breaker;
+  BreakerConfig breaker{};
   /// Seeds the per-worker backoff-jitter streams.
   std::uint64_t resilience_seed = 0x7e5112e5;
 
@@ -124,7 +124,7 @@ struct ServiceConfig {
   /// Non-empty (with cache_bytes > 0): recovered entries are loaded at
   /// construction, every fresh solve is journaled, and corrupt entries
   /// are quarantined to a sidecar.  Empty = persistence off.
-  std::string cache_dir;
+  std::string cache_dir{};
   /// Re-check every result — cache hits *and* fresh solves — with the
   /// independent O(n) verifier (core/verify.hpp).  A cache hit that
   /// fails verification is quarantined and re-solved; a fresh solve

@@ -130,6 +130,55 @@ std::vector<graph::Tree> tree_corpus() {
   return out;
 }
 
+/// Trees whose edge weights reach every digit of the bottleneck's radix
+/// order: neighbours that differ only in bit 0, subnormals (high digits
+/// all zero), exponents at both ends of the range, powers of two that
+/// share a mantissa, and repeats that tie.  Vertex weights are constant,
+/// so at K = max w every edge is cut and the scan's cut is the whole
+/// (weight, index) order.
+std::vector<graph::Tree> radix_digit_trees() {
+  const graph::Weight inf = std::numeric_limits<graph::Weight>::infinity();
+  const graph::Weight tiny = std::numeric_limits<graph::Weight>::denorm_min();
+  const graph::Weight least_normal =
+      std::numeric_limits<graph::Weight>::min();
+  std::vector<graph::Weight> pool;
+  for (graph::Weight x : {1.0, 3.7, 1e-300, 1e300}) {
+    pool.push_back(x);
+    pool.push_back(std::nextafter(x, inf));
+    pool.push_back(std::nextafter(std::nextafter(x, inf), inf));
+    pool.push_back(std::nextafter(x, 0.0));
+  }
+  for (graph::Weight k : {1.0, 2.0, 3.0, 2048.0, 1e15})
+    pool.push_back(k * tiny);
+  pool.push_back(std::nextafter(least_normal, 0.0));
+  pool.push_back(least_normal);
+  for (int e : {-1022, -300, -1, 0, 1, 11, 300, 1023}) {
+    pool.push_back(std::ldexp(1.0, e));
+    pool.push_back(std::ldexp(1.5, e));
+  }
+  std::vector<graph::Tree> out;
+  util::Pcg32 rng(0x4AD1u);
+  for (int n : {2, 40, 150}) {
+    const graph::Tree shape =
+        graph::random_tree(rng, n, graph::WeightDist::constant(1),
+                           graph::WeightDist::constant(1));
+    std::vector<graph::TreeEdge> edges = shape.edges();
+    for (graph::TreeEdge& e : edges)
+      e.weight = pool[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(pool.size()) - 1))];
+    out.push_back(graph::Tree::from_edges(
+        std::vector<graph::Weight>(static_cast<std::size_t>(n), 2.0),
+        edges));
+  }
+  // Every pool value once, in pool order, along a path.
+  std::vector<graph::TreeEdge> path;
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    path.push_back({static_cast<int>(i), static_cast<int>(i) + 1, pool[i]});
+  out.push_back(graph::Tree::from_edges(
+      std::vector<graph::Weight>(pool.size() + 1, 2.0), path));
+  return out;
+}
+
 std::vector<graph::Chain> chain_corpus() {
   std::vector<graph::Chain> out;
   for (int n : {1, 2, 3, 17, 100, 512}) {
@@ -194,6 +243,19 @@ TEST(CsrDifferential, BottleneckMatchesReference) {
       EXPECT_EQ(bottleneck_min_bsearch(t, k_within_eps).cut.edges.size(), 1u)
           << "n=" << t.n();
     }
+  }
+  for (const graph::Tree& t : radix_digit_trees()) {
+    const graph::Weight K = t.max_vertex_weight();
+    const auto got_scan = bottleneck_min_scan(t, K);
+    const auto want_scan = ref::bottleneck_min_scan(t, K);
+    ASSERT_EQ(got_scan.cut.edges.size(),
+              static_cast<std::size_t>(t.edge_count()));
+    expect_same_cut(got_scan.cut, want_scan.cut, "radix order via scan");
+    EXPECT_EQ(got_scan.threshold, want_scan.threshold);
+    const auto got = bottleneck_min_bsearch(t, K);
+    const auto want = ref::bottleneck_min_bsearch(t, K);
+    expect_same_cut(got.cut, want.cut, "radix order via bsearch");
+    EXPECT_EQ(got.threshold, want.threshold);
   }
   // Decimal weights, whose sums depend on their order.  On the path
   // 0-1-2-3 (vertex weights 0.5/0.1/0.2/0.3, edge weights 1/2/3) with a K
