@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <optional>
 
 #include "core/cut_arena.hpp"
 #include "obs/counters.hpp"
@@ -63,15 +63,6 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
     instr->q_avg = static_cast<double>(qsum) / r;
   }
 
-  // cost[i] / sol[i]: weight and arena id of the optimal cut hitting prime
-  // subpaths 0..i — the paper's β(S_{i+1}) and S_{i+1}; filled in when
-  // prime i closes.
-  constexpr graph::Weight kInf = std::numeric_limits<graph::Weight>::infinity();
-  graph::Weight* cost =
-      frame->alloc_filled<graph::Weight>(static_cast<std::size_t>(p), kInf);
-  int* sol = frame->alloc_filled<int>(static_cast<std::size_t>(p),
-                                      CutArena::kEmpty);
-
   CutArena arena(r, frame.arena());  // one cons() per reduced edge
   TempsQueue q(r + 2, frame.arena());
   // TEMP_S stats feed two consumers: the caller's instrumentation block
@@ -80,30 +71,28 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
   TempsStats local_stats;
   TempsStats* stats = instr ? &instr->temps : (oc ? &local_stats : nullptr);
   int covered_max = -1;  // highest prime index any processed edge reached
-
-  auto close_front = [&]() {
-    int i = q.front().first_prime;
-    cost[i] = q.front().w;
-    sol[i] = q.front().solution;
-    q.drop_front_prime();
-  };
+  // The last prime closed so far (its R) with its optimum: the paper's
+  // β(S_{i+1}) and S_{i+1} for i = closed.last_prime.  Edges arrive with
+  // non-decreasing first_prime, so the only optimum the loop ever reads
+  // is the one it closed last.
+  TempsRow closed{-1, -1, 0, CutArena::kEmpty};
 
   for (int ei = 0; ei < r; ++ei) {
     const ReducedEdge& e = edges[ei];
-    if (cancel) cancel->poll();
-    // Step 2: primes that do not contain this edge are complete; record
-    // their optimum and retire them from the queue front.
-    while (!q.empty() && q.front().first_prime < e.first_prime) close_front();
+    if (cancel && ei % util::kPollStride == 0) cancel->poll();
+    // Step 2: primes that do not contain this edge are complete; retire
+    // them from the queue front.
+    if (std::optional<TempsRow> c = q.close_below(e.first_prime)) closed = *c;
 
     // W_i = β_i + β(S_{γ_i});  γ_i is the last prime before the first one
     // containing this edge.
     graph::Weight w = e.weight;
     int parent = CutArena::kEmpty;
     if (e.first_prime > 0) {
-      graph::Weight prev = cost[e.first_prime - 1];
-      TGP_ENSURE(prev < kInf, "prefix optimum not yet closed");
-      w += prev;
-      parent = sol[e.first_prime - 1];
+      TGP_ENSURE(closed.last_prime == e.first_prime - 1,
+                 "prefix optimum not yet closed");
+      w += closed.w;
+      parent = closed.solution;
     }
     int sid = arena.cons(e.edge, parent);
 
@@ -126,8 +115,8 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
 
   // All edges processed: the remaining active primes (…, p−1) close with
   // the queue's current minima; the answer is S_p (paper: TEMP_S(4, BOTTOM)).
-  while (!q.empty()) close_front();
-  TGP_ENSURE(cost[p - 1] < kInf, "final prime never closed");
+  if (std::optional<TempsRow> c = q.close_below(p)) closed = *c;
+  TGP_ENSURE(closed.last_prime == p - 1, "final prime never closed");
 
   if (oc) {
     // Each reduced edge is one W_i evaluation — the unit step of Alg 4.1's
@@ -144,11 +133,11 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
   }
 
   BandwidthResult result;
-  arena.materialize_into(sol[p - 1], result.cut.edges);
+  arena.materialize_into(closed.solution, result.cut.edges);
   // Solution edges are distinct reduced representatives, so an in-place
   // sort is exactly Cut::canonical().
   std::sort(result.cut.edges.begin(), result.cut.edges.end());
-  result.cut_weight = cost[p - 1];
+  result.cut_weight = closed.w;
 
   // Postcondition probes over the prefix view — allocation-free versions
   // of chain_cut_feasible / chain_cut_weight.

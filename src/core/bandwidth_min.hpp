@@ -59,11 +59,12 @@ enum class SearchPolicy {
 /// Preconditions: chain valid, K ≥ max vertex weight.
 /// Postconditions: the cut is feasible and its weight is minimal (the
 /// test suite checks minimality against three independent baselines).
-/// `cancel` (optional) is polled once per reduced edge; a stop request
-/// unwinds with util::CancelledError.  All transient state (primes,
-/// reduced edges, DP arrays, TEMP_S rows, solution cons-cells) lives in
-/// `scratch` (null = per-thread fallback arena), so steady state
-/// allocates nothing beyond the returned cut.
+/// `cancel` (optional) is polled every util::kPollStride items of each
+/// sweep, reduced edges included; a stop request unwinds with
+/// util::CancelledError.  The DP keeps only the last closed prime's
+/// optimum.  All transient state (primes, reduced edges, TEMP_S rows,
+/// solution cons-cells) lives in `scratch` (null = per-thread fallback
+/// arena), so steady state allocates nothing beyond the returned cut.
 BandwidthResult bandwidth_min_temps(
     const graph::Chain& chain, graph::Weight K,
     BandwidthInstrumentation* instr = nullptr,

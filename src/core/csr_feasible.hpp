@@ -1,6 +1,6 @@
 // The "every component fits under the limit" feasibility checks the tree
-// solvers re-run on their answers: a flood over a flat CsrView with some
-// edges marked removed, and a bottom-up sweep over a TreeLayout.
+// solvers re-run on their answers: a union pass over a flat CsrView with
+// some edges marked removed, and a bottom-up sweep over a TreeLayout.
 #pragma once
 
 #include <span>
@@ -17,13 +17,18 @@ struct ComponentScratch {
   ComponentScratch(const graph::CsrView& g, util::Arena& arena);
 
   unsigned char* removed;  ///< m flags, 1 = edge is cut (zeroed at birth)
-  int* comp;               ///< n component ids, the flood's visited marks
+  int* comp;               ///< n union-find parents, then the flood's marks
+  graph::Weight* load;     ///< n component loads, each kept at its root
   int* stack;              ///< n-entry DFS stack
 };
 
-/// True iff every component of g − removed weighs at most `limit`.  Each
-/// component is weighed depth first from its lowest vertex, neighbours in
-/// CSR order.  Stops at the first component that exceeds it.
+/// True iff every component of the tree view g (csr_from_tree) minus the
+/// removed edges weighs at most `limit`, each weighed depth first from its
+/// lowest vertex, neighbours in CSR order.  One union pass over the kept
+/// edges in index order, each root its component's lowest vertex, gives
+/// every load in another order; a load more than eps/2 (load_epsilon)
+/// from `limit` decides as the depth-first sum would, and only the
+/// others, NaN included, are flooded in that order.
 bool feasible_with_removed(const graph::CsrView& g, ComponentScratch& s,
                            graph::Weight limit);
 

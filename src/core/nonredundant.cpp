@@ -33,8 +33,10 @@ int reduce_edges_into(const graph::CsrView& g, const PrimeSubpath* primes,
                       int p, ReducedEdge* out,
                       const util::CancelToken* cancel) {
   const int m = g.m;
-  // Membership pointers advanced inline — same monotone two-pointer sweep
-  // as edge_memberships, without materializing the per-edge array.
+  // Membership pointers advanced inline — the two-pointer sweep of
+  // edge_memberships, without materializing the per-edge array.  Both
+  // ends of the prime windows rise strictly (prime_subpaths_into ENSUREs
+  // it), so each pointer moves at most one prime per edge.
   int c = 0;   // first prime with last_edge >= j
   int d = -1;  // last prime with first_edge <= j
   int count = 0;
@@ -42,8 +44,8 @@ int reduce_edges_into(const graph::CsrView& g, const PrimeSubpath* primes,
     if (cancel) cancel->poll();
     const int j1 = std::min(m, j0 + util::kPollStride);
     for (int j = j0; j < j1; ++j) {
-      while (c < p && primes[c].last_edge() < j) ++c;
-      while (d + 1 < p && primes[d + 1].first_edge() <= j) ++d;
+      c += c < p && primes[c].last_edge() < j;
+      d += d + 1 < p && primes[d + 1].first_edge() <= j;
       if (c > d) continue;  // edge belongs to no prime subpath
       graph::Weight w = g.edge_weight[j];
       if (count > 0 && out[count - 1].first_prime == c &&

@@ -36,12 +36,23 @@ int prime_subpaths_into(const graph::CsrView& g, graph::Weight K,
     if (cancel) cancel->poll();
     const int r1 = std::min(n, r0 + util::kPollStride);
     for (int r = r0; r < r1; ++r) {
-      while (lo < r && g.window(lo, r) > k_eff) ++lo;
+      // Advance lo while [lo, r] is critical, testing three left ends side
+      // by side.  lo moves by the leading run of true tests, which is what
+      // one test at a time would do even where the blocked prefix steps
+      // down at a block boundary and a later test holds again.
+      for (;;) {
+        const bool a1 = lo < r && g.window(lo, r) > k_eff;
+        const bool a2 = lo + 1 < r && g.window(lo + 1, r) > k_eff;
+        const bool a3 = lo + 2 < r && g.window(lo + 2, r) > k_eff;
+        lo += a1 + (a1 && a2) + (a1 && a2 && a3);
+        if (!(a1 && a2 && a3)) break;
+      }
       if (lo == 0) continue;  // no critical window ends at r
       // [lo-1, r] is critical and left-minimal.  It is prime iff it is
-      // also right-minimal, i.e. [lo-1, r-1] is not critical.
-      if (g.window(lo - 1, r - 1) <= k_eff)
-        out[count++] = {lo - 1, r, g.window(lo - 1, r)};
+      // also right-minimal, i.e. [lo-1, r-1] is not critical.  out has a
+      // slot for every vertex, so the candidate is written either way.
+      out[count] = {lo - 1, r, g.window(lo - 1, r)};
+      count += g.window(lo - 1, r - 1) <= k_eff;
     }
   }
   // Postconditions from the paper: subpaths strictly ordered on both ends,

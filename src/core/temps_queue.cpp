@@ -1,7 +1,5 @@
 #include "core/temps_queue.hpp"
 
-#include <algorithm>
-
 namespace tgp::core {
 
 TempsQueue::TempsQueue(int capacity) {
@@ -17,11 +15,6 @@ TempsQueue::TempsQueue(int capacity, util::Arena& arena) {
   cap_ = capacity;
 }
 
-const TempsRow& TempsQueue::row(int idx) const {
-  TGP_REQUIRE(0 <= idx && idx < size_, "row index out of range");
-  return buf_[top_ + idx];
-}
-
 void TempsQueue::drop_front_prime() {
   TGP_REQUIRE(size_ > 0, "drop_front_prime on empty queue");
   TempsRow& f = buf_[top_];
@@ -31,20 +24,6 @@ void TempsQueue::drop_front_prime() {
   } else {
     ++f.first_prime;
   }
-}
-
-int TempsQueue::lower_bound_w(graph::Weight x, TempsStats* stats) const {
-  int lo = 0;
-  int hi = size_;  // first index with W >= x lies in [lo, hi]
-  while (lo < hi) {
-    int mid = lo + (hi - lo) / 2;
-    if (stats) ++stats->search_steps;
-    if (row(mid).w >= x)
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  return lo;
 }
 
 int TempsQueue::lower_bound_w_gallop(graph::Weight x,
@@ -91,26 +70,6 @@ int TempsQueue::lower_bound_w_gallop(graph::Weight x,
       b_lo = mid + 1;
   }
   return b_lo;
-}
-
-void TempsQueue::collapse_from(int idx, TempsRow r) {
-  TGP_REQUIRE(0 <= idx && idx <= size_, "collapse index out of range");
-  size_ = idx;
-  push_back(r);
-}
-
-void TempsQueue::push_back(TempsRow r) {
-  TGP_REQUIRE(r.first_prime <= r.last_prime, "row range empty");
-  TGP_REQUIRE(top_ + size_ < cap_, "TEMP_S capacity exceeded");
-  buf_[top_ + size_] = r;
-  ++size_;
-}
-
-void TempsQueue::sample(TempsStats* stats) const {
-  if (!stats) return;
-  ++stats->steps;
-  stats->occupancy_sum += static_cast<std::uint64_t>(size_);
-  stats->max_rows = std::max(stats->max_rows, size_);
 }
 
 void TempsQueue::check_invariants() const {

@@ -16,10 +16,13 @@
 //
 // TOP/BOTTOM are kept as indices into a fixed-capacity buffer exactly as
 // in Appendix A; rows are never shifted, so all operations are O(1) apart
-// from the O(log rows) search.
+// from the O(log rows) search and close_below, which pays once for each
+// row it drops (each row drops once).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "graph/weight.hpp"
 #include "util/arena.hpp"
@@ -73,6 +76,13 @@ class TempsQueue {
   /// closed; advance L and drop the row if its range became empty.
   void drop_front_prime();
 
+  /// Step 2 for every active prime below `target` at once: drops the rows
+  /// that end below it and starts the front row at it.  Returns the closed
+  /// part of the row that held the last prime closed (R is that prime; W
+  /// and S its optimum), or nullopt when no active prime lies below
+  /// `target`.  Same queue as drop_front_prime() called once per prime.
+  std::optional<TempsRow> close_below(int target);
+
   /// Step 2a: index of the first row (from TOP) with W ≥ x, or rows() if
   /// all rows have W < x.  Counts iterations into `stats` if given.
   int lower_bound_w(graph::Weight x, TempsStats* stats) const;
@@ -107,5 +117,63 @@ class TempsQueue {
   int top_ = 0;   ///< buffer index of the TOP row
   int size_ = 0;  ///< number of live rows
 };
+
+// The members bandwidth_min_temps calls once per reduced edge are defined
+// here, so the loop pays no function call for them.
+
+inline const TempsRow& TempsQueue::row(int idx) const {
+  TGP_REQUIRE(0 <= idx && idx < size_, "row index out of range");
+  return buf_[top_ + idx];
+}
+
+inline std::optional<TempsRow> TempsQueue::close_below(int target) {
+  if (size_ == 0 || buf_[top_].first_prime >= target) return std::nullopt;
+  while (size_ > 0 && buf_[top_].last_prime < target) {
+    ++top_;
+    --size_;
+  }
+  // Either the last row dropped or the front row's part below target
+  // held the last prime closed.
+  if (size_ == 0 || buf_[top_].first_prime >= target) return buf_[top_ - 1];
+  TempsRow closed = buf_[top_];
+  closed.last_prime = target - 1;
+  buf_[top_].first_prime = target;
+  return closed;
+}
+
+inline int TempsQueue::lower_bound_w(graph::Weight x,
+                                      TempsStats* stats) const {
+  int lo = 0;
+  int hi = size_;  // first index with W >= x lies in [lo, hi]
+  while (lo < hi) {
+    int mid = lo + (hi - lo) / 2;
+    if (stats) ++stats->search_steps;
+    if (row(mid).w >= x)
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  return lo;
+}
+
+inline void TempsQueue::collapse_from(int idx, TempsRow r) {
+  TGP_REQUIRE(0 <= idx && idx <= size_, "collapse index out of range");
+  size_ = idx;
+  push_back(r);
+}
+
+inline void TempsQueue::push_back(TempsRow r) {
+  TGP_REQUIRE(r.first_prime <= r.last_prime, "row range empty");
+  TGP_REQUIRE(top_ + size_ < cap_, "TEMP_S capacity exceeded");
+  buf_[top_ + size_] = r;
+  ++size_;
+}
+
+inline void TempsQueue::sample(TempsStats* stats) const {
+  if (!stats) return;
+  ++stats->steps;
+  stats->occupancy_sum += static_cast<std::uint64_t>(size_);
+  stats->max_rows = std::max(stats->max_rows, size_);
+}
 
 }  // namespace tgp::core

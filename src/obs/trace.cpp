@@ -107,14 +107,6 @@ std::uint64_t new_span_id() {
   return id != 0 ? id : 1;
 }
 
-TraceContext current_context() {
-  const detail::ThreadContext& tc = detail::tls_context();
-  if (!tc.ctx.sampled) return {};
-  TraceContext out = tc.ctx;
-  if (tc.active_span != 0) out.parent_span = tc.active_span;
-  return out;
-}
-
 std::uint64_t dropped_total() {
   std::vector<std::shared_ptr<Ring>> rings;
   {

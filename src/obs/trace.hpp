@@ -130,12 +130,6 @@ std::int64_t epoch_unix_us();
 /// fleet collide with negligible probability.
 std::uint64_t new_span_id();
 
-/// The calling thread's propagation-ready context: the installed trace
-/// id with parent_span replaced by the innermost open span (what a child
-/// process should nest under).  Unsampled default when nothing is
-/// installed.
-TraceContext current_context();
-
 /// Total ring overwrites across all registered threads since the last
 /// clear() — the `tgp_trace_dropped_total` Prometheus counter.
 std::uint64_t dropped_total();

@@ -49,16 +49,22 @@ graph::Weight k_for(double maxw, double total, double frac) {
   return maxw + frac * (total - maxw);
 }
 
-/// A K ≥ max w whose checker limit K + eps rounds to exactly `limit`, or
-/// −1 when no such K exists.
-graph::Weight k_with_limit(const graph::Tree& t, graph::Weight limit) {
-  const graph::Weight eps =
-      graph::load_epsilon(t.total_vertex_weight(), t.n());
+/// A K ≥ max_w whose limit K + load_epsilon(total, n) rounds to exactly
+/// `limit`, or −1 when no such K exists.
+graph::Weight k_with_limit(graph::Weight total, int n, graph::Weight max_w,
+                           graph::Weight limit) {
+  const graph::Weight eps = graph::load_epsilon(total, n);
   const graph::Weight inf = std::numeric_limits<graph::Weight>::infinity();
   graph::Weight K = limit - eps;
   while (K + eps > limit) K = std::nextafter(K, -inf);
   while (K + eps < limit) K = std::nextafter(K, inf);
-  return K + eps == limit && K >= t.max_vertex_weight() ? K : -1;
+  return K + eps == limit && K >= max_w ? K : -1;
+}
+
+/// The same for a tree's checker limit.
+graph::Weight k_with_limit(const graph::Tree& t, graph::Weight limit) {
+  return k_with_limit(t.total_vertex_weight(), t.n(), t.max_vertex_weight(),
+                      limit);
 }
 
 std::vector<graph::Tree> tree_corpus() {
@@ -204,7 +210,42 @@ std::vector<graph::Chain> chain_corpus() {
     out.push_back(std::move(asc));
     out.push_back(std::move(desc));
   }
+  // Tied edge weights: reduced edges with one membership range keep the
+  // earlier edge, and TEMP_S meets equal W values.
+  {
+    util::Pcg32 rng(0x7135u);
+    const auto vw = graph::WeightDist::uniform(1, 100);
+    out.push_back(
+        graph::random_chain(rng, 300, vw, graph::WeightDist::constant(7)));
+    graph::Chain c = graph::random_chain(rng, 300, vw, vw);
+    for (graph::Weight& w : c.edge_weight)
+      w = static_cast<graph::Weight>(rng.uniform_int(1, 3));
+    out.push_back(std::move(c));
+  }
+  // Vertex weights of 1 mixed with ones near 1000: at a heavy vertex the
+  // prime sweep's left end moves past a run of light vertices or past a
+  // single heavy one, so it advances 0, 1, 2, 3 and more than 3 steps.
+  for (int n : {60, 400}) {
+    util::Pcg32 rng(0x1A3Eu ^ static_cast<unsigned>(n));
+    graph::Chain c;
+    for (int i = 0; i < n; ++i) {
+      c.vertex_weight.push_back(rng.coin(0.3) ? rng.uniform_real(990, 1010)
+                                              : 1.0);
+      if (i + 1 < n)
+        c.edge_weight.push_back(
+            static_cast<graph::Weight>(rng.uniform_int(1, 100)));
+    }
+    out.push_back(std::move(c));
+  }
   return out;
+}
+
+/// The chain tests' bounds: K = max w exactly, and the kKFrac regimes.
+std::vector<graph::Weight> chain_bounds(const graph::Chain& c) {
+  std::vector<graph::Weight> ks{c.max_vertex_weight()};
+  for (double frac : kKFrac)
+    ks.push_back(k_for(c.max_vertex_weight(), c.total_vertex_weight(), frac));
+  return ks;
 }
 
 void expect_same_cut(const graph::Cut& got, const graph::Cut& want,
@@ -344,9 +385,7 @@ TEST(CsrDifferential, TreeBandwidthMatchesReference) {
 
 TEST(CsrDifferential, PrimeSubpathsAndReducedEdgesMatchReference) {
   for (const graph::Chain& c : chain_corpus()) {
-    for (double frac : kKFrac) {
-      graph::Weight K =
-          k_for(c.max_vertex_weight(), c.total_vertex_weight(), frac);
+    for (graph::Weight K : chain_bounds(c)) {
       auto got = prime_subpaths(c, K);
       auto want = ref::prime_subpaths(c, K);
       ASSERT_EQ(got.size(), want.size());
@@ -370,9 +409,7 @@ TEST(CsrDifferential, PrimeSubpathsAndReducedEdgesMatchReference) {
 
 TEST(CsrDifferential, ChainSolversMatchReference) {
   for (const graph::Chain& c : chain_corpus()) {
-    for (double frac : kKFrac) {
-      graph::Weight K =
-          k_for(c.max_vertex_weight(), c.total_vertex_weight(), frac);
+    for (graph::Weight K : chain_bounds(c)) {
       auto got_b = chain_bottleneck_min(c, K);
       auto want_b = ref::chain_bottleneck_min(c, K);
       expect_same_cut(got_b.cut, want_b.cut, "chain bottleneck cut");
@@ -388,13 +425,16 @@ TEST(CsrDifferential, ChainSolversMatchReference) {
 
 TEST(CsrDifferential, GallopPolicyUnchangedByPort) {
   for (const graph::Chain& c : chain_corpus()) {
-    graph::Weight K =
-        k_for(c.max_vertex_weight(), c.total_vertex_weight(), 0.15);
-    auto binary = bandwidth_min_temps(c, K);
-    auto gallop =
-        bandwidth_min_temps(c, K, nullptr, SearchPolicy::kGallop);
-    expect_same_cut(gallop.cut, binary.cut, "gallop vs binary");
-    EXPECT_EQ(gallop.cut_weight, binary.cut_weight);
+    for (graph::Weight K : chain_bounds(c)) {
+      auto binary = bandwidth_min_temps(c, K);
+      auto gallop =
+          bandwidth_min_temps(c, K, nullptr, SearchPolicy::kGallop);
+      auto want = ref::bandwidth_min_temps(c, K);
+      expect_same_cut(gallop.cut, binary.cut, "gallop vs binary");
+      expect_same_cut(gallop.cut, want.cut, "gallop vs reference");
+      EXPECT_EQ(gallop.cut_weight, binary.cut_weight);
+      EXPECT_EQ(gallop.cut_weight, want.cut_weight);
+    }
   }
 }
 
@@ -721,6 +761,88 @@ TEST(FeasibleBottomUp, AgreesWithFloodOnIntegerWeights) {
   EXPECT_GT(infeasible, 20);
 }
 
+/// Component weights of t − cut, each summed in the checker's flood order:
+/// depth first from the component's lowest vertex, neighbours in adjacency
+/// order, as each vertex leaves the stack.
+std::vector<graph::Weight> flood_order_weights(const graph::Tree& t,
+                                               const graph::Cut& cut) {
+  std::vector<char> removed(static_cast<std::size_t>(t.edge_count()), 0);
+  for (int e : cut.edges) removed[static_cast<std::size_t>(e)] = 1;
+  std::vector<char> seen(static_cast<std::size_t>(t.n()), 0);
+  std::vector<graph::Weight> out;
+  std::vector<int> stack;
+  for (int s = 0; s < t.n(); ++s) {
+    if (seen[static_cast<std::size_t>(s)]) continue;
+    seen[static_cast<std::size_t>(s)] = 1;
+    stack.push_back(s);
+    graph::Weight w = 0;
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      w += t.vertex_weight(v);
+      for (auto [u, e] : t.neighbors(v)) {
+        if (removed[static_cast<std::size_t>(e)] ||
+            seen[static_cast<std::size_t>(u)])
+          continue;
+        seen[static_cast<std::size_t>(u)] = 1;
+        stack.push_back(u);
+      }
+    }
+    out.push_back(w);
+  }
+  return out;
+}
+
+// The re-check weighs components by a union pass and floods only loads
+// within eps/2 of the limit, in the checker's order.  Limits aimed at
+// every component's flood-order sum, and at the doubles on either side,
+// must get the flood's answer, which graph::tree_cut_feasible gives.
+// Decimal weights make a component's sum depend on its order.
+TEST(FeasibleWithRemoved, MatchesFloodAtComponentSums) {
+  const graph::Weight inf = std::numeric_limits<graph::Weight>::infinity();
+  util::Pcg32 rng(0xF1DAu);
+  int aimed = 0, reordered = 0;
+  for (const graph::Tree& t : tree_corpus()) {
+    const std::vector<graph::Weight>& vw = t.vertex_weights();
+    if (std::all_of(vw.begin(), vw.end(), [](graph::Weight w) {
+          return w == std::floor(w);
+        }))
+      continue;
+    util::Arena arena;
+    const graph::CsrView g = graph::csr_from_tree(t, arena);
+    for (double frac : {0.05, 0.15, 0.3, 0.6}) {
+      graph::Cut cut;
+      for (int e = 0; e < t.edge_count(); ++e)
+        if (rng.coin(frac)) cut.edges.push_back(e);
+      util::ScratchFrame frame(&arena);
+      ComponentScratch s(g, frame.arena());
+      for (int e : cut.edges) s.removed[e] = 1;
+      const std::vector<graph::Weight> flood = flood_order_weights(t, cut);
+      const std::vector<graph::Weight> by_vertex =
+          graph::tree_component_weights(t, cut);
+      ASSERT_EQ(flood.size(), by_vertex.size());
+      for (std::size_t c = 0; c < flood.size(); ++c)
+        reordered += flood[c] != by_vertex[c];
+      for (graph::Weight w : flood) {
+        graph::Weight limit = w;
+        for (int step = 0; step < 3; ++step)
+          limit = std::nextafter(limit, -inf);
+        for (int step = 0; step < 7;
+             ++step, limit = std::nextafter(limit, inf)) {
+          const graph::Weight K = k_with_limit(t, limit);
+          if (K < 0) continue;
+          ++aimed;
+          ASSERT_EQ(feasible_with_removed(g, s, limit),
+                    graph::tree_cut_feasible(t, cut, K))
+              << "n=" << t.n() << " limit " << limit;
+        }
+      }
+    }
+  }
+  EXPECT_GT(reordered, 0);
+  EXPECT_GT(aimed, 1000);
+}
+
 /// FNV-1a over explicitly listed fields (no struct padding).
 struct Digest {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -820,6 +942,61 @@ LargeRun solve_all(const LargeInstance& in) {
 TEST(CsrDifferential, LargeInstanceGoldenDigest) {
   EXPECT_EQ(solve_all(large_instance(0x9A77u, 50000, 60000)).digest,
             0x2cc0f36139b060cfull);
+}
+
+/// csr_from_chain's prefix block.
+constexpr int kPrefixBlock = 16384;
+
+/// 2·16,384 + 7 vertices, light (about 1e-10) at even positions and heavy
+/// (about 1e10) at odd ones.  The third prefix block starts from the sum
+/// of the first two blocks' own folds, which rounds apart from the second
+/// block's running fold, so the prefix can step down at that boundary;
+/// the light vertex there leaves the step showing.
+graph::Chain block_step_chain(std::uint32_t seed) {
+  util::Pcg32 rng(seed);
+  graph::Chain c;
+  for (int i = 0; i < 2 * kPrefixBlock + 7; ++i) {
+    c.vertex_weight.push_back(i % 2 == 0 ? rng.uniform_real(1e-10, 2e-10)
+                                         : rng.uniform_real(1e10, 2e10));
+    if (i > 0)
+      c.edge_weight.push_back(
+          static_cast<graph::Weight>(rng.uniform_int(1, 100)));
+  }
+  return c;
+}
+
+// kernel_cold's regimes past the reference corpus: its tight and loose
+// chain bounds (the digest above has the mid one), a randomly renumbered
+// tree, and a chain whose prefix steps down at a block boundary, with a
+// bound that puts the prime sweep's limit exactly at the window from the
+// step to the end.  There the window from one vertex further right is
+// heavier, so only a sweep that stops at its first light window keeps
+// the primes.  The frozen reference folds without blocks and cannot
+// check that chain.  The constant was captured from the kernels as they
+// stood before the union-pass re-check and the three-wide prime sweep.
+TEST(CsrDifferential, KernelColdRegimesGoldenDigest) {
+  LargeInstance in = large_instance(0x9A77u, 50000, 60000);
+  util::Pcg32 rng(0x4BC0u);
+  in.t = graph::relabel_tree(rng, in.t);
+  Digest d;
+  for (double frac : {0.00002, 0.5}) {
+    in.Kc = k_for(in.c.max_vertex_weight(), in.c.total_vertex_weight(), frac);
+    d.add(solve_all(in).digest);
+  }
+  in.c = block_step_chain(0x57EAu);
+  const int n = in.c.n();
+  const int step = 2 * kPrefixBlock;
+  util::Arena arena;
+  const graph::CsrView g = graph::csr_from_chain(in.c, arena);
+  ASSERT_LT(g.prefix[step + 1], g.prefix[step]) << "no step down";
+  const graph::Weight limit = g.window(step, n - 1);
+  in.Kc = k_with_limit(g.total_vertex_weight(), n, in.c.max_vertex_weight(),
+                       limit);
+  ASSERT_GT(in.Kc, 0);
+  ASSERT_GT(g.window(step - 1, n - 1), limit);
+  ASSERT_GT(g.window(step + 1, n - 1), limit);
+  d.add(solve_all(in).digest);
+  EXPECT_EQ(d.h, 0x0ec38b172de0e566ull);
 }
 
 // ---- Across-job parallelism ------------------------------------------------

@@ -243,6 +243,7 @@ TEST_F(TraceTest, NestedSpansParentToTheInnermostOpenSpan) {
 }
 
 TEST_F(TraceTest, ContextScopeRestoresOnExitAndUnsampledIsInert) {
+  trace::set_enabled(true);
   TraceContext ctx;
   ctx.trace_hi = 1;
   ctx.trace_lo = 2;
@@ -250,33 +251,31 @@ TEST_F(TraceTest, ContextScopeRestoresOnExitAndUnsampledIsInert) {
   ctx.sampled = true;
   {
     ContextScope scope(ctx);
-    EXPECT_TRUE(trace::current_context().sampled);
     {
       ContextScope inert(TraceContext{});  // unsampled: must not clobber
-      EXPECT_TRUE(trace::current_context().sampled);
+      Span s("t.scope", "inert");
     }
+    Span s("t.scope", "installed");
   }
-  EXPECT_FALSE(trace::current_context().sampled);
-}
-
-TEST_F(TraceTest, CurrentContextNamesTheInnermostOpenSpanAsParent) {
-  trace::set_enabled(true);
-  TraceContext ctx;
-  ctx.trace_hi = 7;
-  ctx.trace_lo = 8;
-  ctx.parent_span = 9;
-  ctx.sampled = true;
   {
-    ContextScope scope(ctx);
-    // At top level the remote parent passes through.
-    EXPECT_EQ(trace::current_context().parent_span, 9u);
-    Span s("t.curctx", "holder");
-    TraceContext child = trace::current_context();
-    EXPECT_TRUE(child.sampled);
-    EXPECT_EQ(child.trace_hi, 7u);
-    EXPECT_EQ(child.parent_span, s.span_id());
+    Span s("t.scope", "restored");
   }
   trace::set_enabled(false);
+  trace::TraceSnapshot snap = trace::snapshot();
+  ASSERT_EQ(count_cat(snap, "t.scope"), 3u);
+  for (const TraceEvent& ev : snap.events) {
+    if (std::string(ev.cat) != "t.scope") continue;
+    if (std::string(ev.name) == "restored") {
+      EXPECT_EQ(ev.trace_hi | ev.trace_lo, 0u);
+      EXPECT_EQ(ev.span_id, 0u);
+      EXPECT_EQ(ev.parent_span, 0u);
+    } else {
+      EXPECT_EQ(ev.trace_hi, 1u) << ev.name;
+      EXPECT_EQ(ev.trace_lo, 2u) << ev.name;
+      EXPECT_NE(ev.span_id, 0u) << ev.name;
+      EXPECT_EQ(ev.parent_span, 3u) << ev.name;
+    }
+  }
 }
 
 TEST_F(TraceTest, NewSpanIdsAreUniqueAndNonZero) {

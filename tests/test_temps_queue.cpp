@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/cut_arena.hpp"
 
 namespace tgp::core {
@@ -63,6 +65,75 @@ TEST(TempsQueue, DropFrontPrimeShrinksRangeThenRow) {
 TEST(TempsQueue, DropOnEmptyThrows) {
   TempsQueue q(2);
   EXPECT_THROW(q.drop_front_prime(), std::invalid_argument);
+}
+
+// Four rows over primes 0..8: [0,2] [3,3] [4,6] [7,8].
+void fill_rows(TempsQueue& q) {
+  q.push_back({0, 2, 1.0, 10});
+  q.push_back({3, 3, 2.0, 11});
+  q.push_back({4, 6, 3.0, 12});
+  q.push_back({7, 8, 4.0, 13});
+}
+
+// close_below(target) on one queue against a twin whose primes below
+// target close one drop_front_prime at a time: the same last closed prime
+// with the same optimum, and the same rows left.
+void expect_close_below_matches_drops(int target) {
+  TempsQueue q(8), twin(8);
+  fill_rows(q);
+  fill_rows(twin);
+  TempsRow last{-1, -1, 0.0, -1};
+  while (!twin.empty() && twin.front().first_prime < target) {
+    last = twin.front();
+    twin.drop_front_prime();
+  }
+  const std::optional<TempsRow> closed = q.close_below(target);
+  ASSERT_TRUE(closed.has_value()) << "target " << target;
+  EXPECT_EQ(closed->last_prime, last.first_prime) << "target " << target;
+  EXPECT_LE(closed->first_prime, closed->last_prime);
+  EXPECT_EQ(closed->w, last.w);
+  EXPECT_EQ(closed->solution, last.solution);
+  ASSERT_EQ(q.rows(), twin.rows()) << "target " << target;
+  for (int i = 0; i < q.rows(); ++i) {
+    EXPECT_EQ(q.row(i).first_prime, twin.row(i).first_prime);
+    EXPECT_EQ(q.row(i).last_prime, twin.row(i).last_prime);
+    EXPECT_EQ(q.row(i).w, twin.row(i).w);
+    EXPECT_EQ(q.row(i).solution, twin.row(i).solution);
+  }
+  EXPECT_NO_THROW(q.check_invariants());
+}
+
+TEST(TempsQueue, CloseBelowInsideTheFrontRow) {
+  expect_close_below_matches_drops(1);
+  expect_close_below_matches_drops(2);
+}
+
+TEST(TempsQueue, CloseBelowAcrossSeveralRows) {
+  expect_close_below_matches_drops(3);  // ends at a row's last prime
+  expect_close_below_matches_drops(4);
+  expect_close_below_matches_drops(6);
+  expect_close_below_matches_drops(8);
+}
+
+TEST(TempsQueue, CloseBelowPastTheLastRow) {
+  expect_close_below_matches_drops(9);
+  expect_close_below_matches_drops(40);
+  TempsQueue q(8);
+  fill_rows(q);
+  ASSERT_TRUE(q.close_below(40).has_value());
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(TempsQueue, CloseBelowWithNothingToCloseReturnsNull) {
+  TempsQueue q(8);
+  EXPECT_FALSE(q.close_below(5).has_value());  // empty queue
+  fill_rows(q);
+  EXPECT_FALSE(q.close_below(0).has_value());
+  EXPECT_EQ(q.rows(), 4);
+  EXPECT_EQ(q.front().first_prime, 0);
+  ASSERT_TRUE(q.close_below(2).has_value());
+  EXPECT_FALSE(q.close_below(2).has_value());  // already closed
+  EXPECT_EQ(q.front().first_prime, 2);
 }
 
 TEST(TempsQueue, LowerBoundFindsFirstGeqRow) {
