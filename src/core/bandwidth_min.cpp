@@ -134,9 +134,11 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
 
   BandwidthResult result;
   arena.materialize_into(closed.solution, result.cut.edges);
-  // Solution edges are distinct reduced representatives, so an in-place
-  // sort is exactly Cut::canonical().
-  std::sort(result.cut.edges.begin(), result.cut.edges.end());
+  // The list comes out most recent first, and each node's parent solution
+  // holds only edges cons'd before it (smaller index: edges arrive in
+  // index order), so it is strictly descending and a reverse is exactly
+  // Cut::canonical().  The postcondition loop below checks the order.
+  std::reverse(result.cut.edges.begin(), result.cut.edges.end());
   result.cut_weight = closed.w;
 
   // Postcondition probes over the prefix view — allocation-free versions
@@ -147,6 +149,7 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
     int start = 0;
     bool feasible = true;
     for (int e : result.cut.edges) {
+      TGP_ENSURE(e >= start, "bandwidth_min_temps cut is not ascending");
       if (g.window(start, e) > limit) feasible = false;
       start = e + 1;
     }

@@ -51,11 +51,9 @@ void Client::dial() {
 
 void Client::reconnect() {
   fd_.reset();
-  svc::RetryPolicy policy = config_.backoff;
-  policy.max_attempts = config_.reconnect_attempts + 1;
   for (int attempt = 1; attempt <= config_.reconnect_attempts; ++attempt) {
     std::this_thread::sleep_for(std::chrono::microseconds(
-        static_cast<std::int64_t>(policy.backoff_us(attempt, rng_))));
+        static_cast<std::int64_t>(config_.backoff.backoff_us(attempt, rng_))));
     try {
       dial();
       ++stats_.reconnects;

@@ -73,8 +73,8 @@ class Client {
     /// 0 = fail fast (PR 6 behavior).
     int reconnect_attempts = 0;
     /// Backoff schedule between re-dials (attempt 1 waits base_us...).
-    svc::RetryPolicy backoff{.max_attempts = 1, .base_us = 10'000,
-                             .multiplier = 2.0, .jitter = 0.1};
+    svc::RetryPolicy backoff{.base_us = 10'000, .multiplier = 2.0,
+                             .jitter = 0.1};
     /// Hedge a submit still unanswered after this many ms; 0 = off.
     int hedge_after_ms = 0;
     /// Seed for backoff jitter.

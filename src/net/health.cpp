@@ -6,7 +6,6 @@ namespace {
 
 svc::BreakerConfig breaker_config(const ShardHealthConfig& c) {
   svc::BreakerConfig b;
-  b.enabled = true;
   // window == min_samples == fail_threshold with a 1.0 trip rate means
   // the breaker opens exactly when the last fail_threshold outcomes
   // were all misses — consecutive-miss semantics.

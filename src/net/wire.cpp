@@ -401,7 +401,9 @@ std::vector<std::uint8_t> encode_result(const svc::JobResult& r,
                                         std::uint64_t request_id) {
   return make_frame(FrameType::kResult, request_id, [&](auto& out) {
     put_u8(out, static_cast<std::uint8_t>(r.status));
-    put_u8(out, r.degraded ? 1 : 0);
+    // Retired (it flagged a degraded-mode solve): written as 0 and
+    // skipped on read, so every result frame keeps its layout.
+    put_u8(out, 0);
     put_u8(out, r.cache_hit ? 1 : 0);
     put_u8(out, 0);  // reserved
     put_u32(out, static_cast<std::uint32_t>(r.components));
@@ -423,7 +425,7 @@ svc::JobResult decode_result(std::span<const std::uint8_t> payload) {
     throw WireError("unknown job status " + std::to_string(status));
   out.status = static_cast<svc::JobStatus>(status);
   out.ok = out.status == svc::JobStatus::kOk;
-  out.degraded = r.u8() != 0;
+  r.u8();  // retired degraded flag
   out.cache_hit = r.u8() != 0;
   r.u8();  // reserved
   out.components = static_cast<int>(r.u32());

@@ -26,7 +26,7 @@
 //                   the graph itself (chain weights, or tree vertex
 //                   weights + edge list).
 //   kResult         the completed JobResult: status, objective, cut,
-//                   degraded/cache-hit flags, solver counters.
+//                   cache-hit flag, solver counters.
 //   kReject         the request never reached the service: quota, frame
 //                   too large, bad version, shutdown.  Carries a
 //                   RejectCode and a reason string.

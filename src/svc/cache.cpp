@@ -77,21 +77,16 @@ std::optional<CanonicalOutcome> MemoCache::get(const CacheKey& key) {
   return out;
 }
 
-bool MemoCache::get_into(const CacheKey& key, CanonicalOutcome& out) {
-  return get_checked(key, out) == CacheLookup::kHit;
-}
-
-CacheLookup MemoCache::get_checked(const CacheKey& key, CanonicalOutcome& out,
-                                   CacheHitInfo* info) {
+bool MemoCache::get_into(const CacheKey& key, CanonicalOutcome& out,
+                         CacheHitInfo* info) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(key))];
-  // Injected lookup fault degrades to a miss for unchecked callers: the
-  // job recomputes and stays correct, only slower.  Checked callers (the
-  // service's retry layer) see the fault distinctly and may retry.
+  // An injected lookup fault is a miss: the job recomputes and stays
+  // correct, only slower.
   if (util::faults().fire("svc.cache.get")) {
     std::lock_guard lk(s.mu);
     ++s.misses;
     ++s.lookup_faults;
-    return CacheLookup::kFault;
+    return false;
   }
   // A corrupt entry is copied out and quarantined *after* the lock is
   // released — the hook does file I/O.
@@ -102,7 +97,7 @@ CacheLookup MemoCache::get_checked(const CacheKey& key, CanonicalOutcome& out,
     auto it = s.index.find(key);
     if (it == s.index.end()) {
       ++s.misses;
-      return CacheLookup::kMiss;
+      return false;
     }
     Entry& e = *it->second;
     if (entry_crc(e.key, e.outcome) != e.crc) {
@@ -135,11 +130,11 @@ CacheLookup MemoCache::get_checked(const CacheKey& key, CanonicalOutcome& out,
       // A hit hands back the original solve's counters — keeps per-job
       // counters independent of cache state (CanonicalOutcome::counters).
       out.counters = o.counters;
-      return CacheLookup::kHit;
+      return true;
     }
   }
   if (found_corrupt) quarantine_(key, corrupt_copy);
-  return CacheLookup::kMiss;
+  return false;
 }
 
 void MemoCache::put_impl(Shard& s, const CacheKey& key,
@@ -184,25 +179,6 @@ void MemoCache::put(const CacheKey& key, CanonicalOutcome outcome) {
   }
   put_impl(s, key, std::move(outcome), cost, /*recovered=*/false,
            /*needs_verify=*/false);
-}
-
-bool MemoCache::put_checked(const CacheKey& key,
-                            const CanonicalOutcome& outcome) {
-  std::size_t cost = sizeof(Entry) + outcome.memory_bytes();
-  Shard& s = *shards_[static_cast<std::size_t>(shard_of(key))];
-  if (cost > entry_cap()) {
-    std::lock_guard lk(s.mu);
-    ++s.put_rejected;
-    return true;  // skipped by policy, not a fault
-  }
-  if (util::faults().fire("svc.cache.put")) {
-    std::lock_guard lk(s.mu);
-    ++s.store_faults;
-    return false;
-  }
-  put_impl(s, key, CanonicalOutcome(outcome), cost, /*recovered=*/false,
-           /*needs_verify=*/false);
-  return true;
 }
 
 bool MemoCache::load_recovered(const CacheKey& key, CanonicalOutcome outcome) {

@@ -45,12 +45,6 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& k) const noexcept;
 };
 
-/// Outcome of one checked lookup.  kFault is an *injected* (or, in a
-/// deployment with a remote cache tier, transport-level) failure of the
-/// lookup itself — distinct from kMiss so the service's retry layer can
-/// tell "the key is not there" from "the cache did not answer".
-enum class CacheLookup { kHit, kMiss, kFault };
-
 /// Aggregated counters across shards.
 struct CacheStats {
   std::uint64_t hits = 0;
@@ -112,29 +106,21 @@ class MemoCache {
   /// Allocation-friendly lookup: on hit, copies the entry into `out`
   /// reusing out's cut-vector capacity (workers keep one scratch outcome
   /// per thread, so steady-state hits never touch the heap).  Returns
-  /// whether the key was found; `out` is untouched on a miss.  A faulted
-  /// lookup reads as a miss — callers that need to distinguish (the
-  /// service's retry layer) use get_checked.
-  bool get_into(const CacheKey& key, CanonicalOutcome& out);
-
-  /// Like get_into, but surfaces an injected lookup fault as kFault
-  /// instead of folding it into kMiss.  Every hit re-checks the entry's
-  /// CRC32C integrity word; a mismatch quarantines and erases the entry
-  /// and reads as kMiss.  `info` (optional) reports hit provenance.
-  CacheLookup get_checked(const CacheKey& key, CanonicalOutcome& out,
-                          CacheHitInfo* info = nullptr);
+  /// whether the key was found; `out` is untouched on a miss.  An
+  /// injected lookup fault (site "svc.cache.get") reads as a miss and is
+  /// counted in lookup_faults.  Every hit re-checks the entry's CRC32C
+  /// integrity word; a mismatch quarantines and erases the entry and
+  /// reads as a miss.  `info` (optional) reports hit provenance.
+  bool get_into(const CacheKey& key, CanonicalOutcome& out,
+                CacheHitInfo* info = nullptr);
 
   /// Insert (or refresh) an entry, evicting LRU entries of the same shard
   /// until the shard fits its budget.  Takes the outcome by value so
   /// callers done with theirs can move it in instead of copying the cut.
-  /// Outcomes larger than a whole shard are not cached.
+  /// Outcomes larger than a whole shard are not cached.  An injected
+  /// store fault (site "svc.cache.put") drops the insert and is counted
+  /// in store_faults.
   void put(const CacheKey& key, CanonicalOutcome outcome);
-
-  /// Like put, but reports an injected store fault (false) instead of
-  /// silently dropping the insert, and copies the outcome only once the
-  /// store is known to go through — the caller keeps its outcome either
-  /// way, which is what lets the service retry a faulted store.
-  bool put_checked(const CacheKey& key, const CanonicalOutcome& outcome);
 
   /// Boot-time insert of an entry recovered from durable storage.  The
   /// entry is flagged recovered (hits on it count as warm hits forever)

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/bandwidth_baselines.hpp"
 #include "core/bandwidth_min.hpp"
 #include "core/bottleneck_min.hpp"
 #include "core/chain_bottleneck.hpp"
@@ -196,19 +195,6 @@ CanonicalOutcome solve_canonical_chain(Problem problem,
   }
   const std::size_t hw = acct.high_water_bytes();
   out.counters.arena_bytes_peak = hw > base ? hw - base : 0;
-  return out;
-}
-
-CanonicalOutcome solve_canonical_chain_degraded(const graph::Chain& chain,
-                                                graph::Weight K) {
-  CanonicalOutcome out;
-  {
-    obs::CounterScope scope(&out.counters);
-    auto r = core::bandwidth_min_dp_deque(chain, K);
-    out.cut = std::move(r.cut);
-    out.objective = r.cut_weight;
-    out.components = out.cut.size() + 1;
-  }
   return out;
 }
 

@@ -127,12 +127,6 @@ struct JobResult {
   /// accounting-only field).  Zero for failed jobs.
   obs::SolveCounters counters;
   bool cache_hit = false;
-  /// Solved with the cheaper degraded-mode baseline under queue pressure
-  /// (service degrade watermark — see svc/resilience.hpp).  The objective
-  /// is still optimal for chain bandwidth-min (the fallback is an exact
-  /// O(n) algorithm) but the *cut* may differ from the primary solver's,
-  /// so degraded results are excluded from bit-identity differentials.
-  bool degraded = false;
   double latency_micros = 0;
 };
 
@@ -186,14 +180,6 @@ CanonicalOutcome solve_canonical_tree(Problem problem,
                                       const util::CancelToken* cancel =
                                           nullptr,
                                       util::Arena* arena = nullptr);
-
-/// Degraded-mode fallback for chain bandwidth-min under queue pressure:
-/// the O(n) monotone-deque baseline (core/bandwidth_baselines.hpp).  The
-/// objective equals the primary solver's (both are exact), but the cut
-/// may be a different optimal witness — results built from this outcome
-/// must be flagged JobResult::degraded and must not enter the memo cache.
-CanonicalOutcome solve_canonical_chain_degraded(const graph::Chain& chain,
-                                                graph::Weight K);
 
 /// Translate a canonical-coordinates outcome onto the submitted
 /// presentation (sorted edge indices), marking the result ok.  Shared by

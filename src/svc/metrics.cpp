@@ -82,15 +82,6 @@ void MetricsSnapshot::record(obs::MetricsRegistry& r) const {
             "Jobs dropped at dequeue (deadline expired or cancelled while "
             "queued)",
             resilience.jobs_shed);
-  r.counter("tgp_retry_attempts_total",
-            "Backoff retries taken on transient cache faults",
-            resilience.retry_attempts);
-  r.counter("tgp_cache_bypasses_total",
-            "Cache operations skipped while the breaker was open",
-            resilience.cache_bypasses);
-  r.counter("tgp_degraded_solves_total",
-            "Jobs solved with the degraded-mode baseline",
-            resilience.degraded_solves);
   r.gauge("tgp_inflight_jobs", "Jobs admitted but not yet settled",
           static_cast<double>(resilience.inflight_now));
   r.gauge("tgp_inflight_jobs_peak", "High-water of admitted unfinished jobs",
@@ -98,21 +89,6 @@ void MetricsSnapshot::record(obs::MetricsRegistry& r) const {
   r.gauge("tgp_inflight_jobs_cap",
           "Admission cap on jobs in flight (0 = uncapped)",
           static_cast<double>(resilience.max_inflight));
-  r.gauge("tgp_breaker_enabled", "Whether the cache circuit breaker is on",
-          resilience.breaker_enabled ? 1.0 : 0.0);
-  r.gauge("tgp_breaker_state",
-          "Cache circuit breaker state (0=closed 1=open 2=half_open)",
-          static_cast<double>(static_cast<int>(resilience.breaker.state)));
-  r.counter("tgp_breaker_trips_total", "Breaker transitions into open",
-            resilience.breaker.trips);
-  r.counter("tgp_breaker_half_opens_total",
-            "Breaker transitions open -> half_open",
-            resilience.breaker.half_opens);
-  r.counter("tgp_breaker_closes_total",
-            "Breaker transitions half_open -> closed",
-            resilience.breaker.closes);
-  r.counter("tgp_breaker_transitions_total", "All breaker state changes",
-            resilience.breaker.transitions);
 
   r.gauge("tgp_durability_enabled",
           "Whether a crash-safe cache store is configured",

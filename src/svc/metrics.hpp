@@ -14,7 +14,6 @@
 #include "obs/registry.hpp"
 #include "svc/cache.hpp"
 #include "svc/job.hpp"
-#include "svc/resilience.hpp"
 
 namespace tgp::svc {
 
@@ -38,8 +37,8 @@ struct MetricsSnapshot {
                                         ///< the stuck threshold
   int stuck_workers_now = 0;            ///< currently over the threshold
 
-  /// Overload-resilience accounting (svc/resilience.hpp).  All zero when
-  /// the layer is disabled.
+  /// Admission-control and shedding accounting (svc/resilience.hpp).
+  /// All zero while neither cap is set and no job is shed.
   struct ResilienceStats {
     std::size_t max_inflight = 0;   ///< configured cap (0 = uncapped)
     std::size_t inflight_now = 0;   ///< jobs admitted but not yet settled
@@ -47,17 +46,10 @@ struct MetricsSnapshot {
     std::uint64_t rejected_inflight = 0;  ///< kOverloaded: cap reached
     std::uint64_t rejected_rate = 0;      ///< kOverloaded: bucket empty
     std::uint64_t jobs_shed = 0;       ///< dropped at dequeue (expired)
-    std::uint64_t retry_attempts = 0;  ///< backoffs taken on cache faults
-    std::uint64_t cache_bypasses = 0;  ///< cache ops skipped, breaker open
-    std::uint64_t degraded_solves = 0;
-    bool breaker_enabled = false;
-    BreakerStats breaker;
 
     bool any() const {
       return max_inflight != 0 || inflight_now != 0 || inflight_peak != 0 ||
-             rejected_inflight != 0 || rejected_rate != 0 || jobs_shed != 0 ||
-             retry_attempts != 0 || cache_bypasses != 0 ||
-             degraded_solves != 0 || breaker_enabled;
+             rejected_inflight != 0 || rejected_rate != 0 || jobs_shed != 0;
     }
   };
   ResilienceStats resilience;

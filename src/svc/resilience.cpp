@@ -6,23 +6,6 @@
 
 namespace tgp::svc {
 
-FaultClass classify_site(std::string_view site) {
-  if (site == "svc.cache.get" || site == "svc.cache.put")
-    return FaultClass::kTransientError;
-  if (site == "svc.queue.push" || site == "svc.queue.pop")
-    return FaultClass::kTransientDelay;
-  // Network faults (net/socket.hpp): a reset read, a broken write, or a
-  // dropped/truncated frame fails that connection attempt but a
-  // reconnect + resubmit can succeed — transient errors.  A stalled
-  // frame is pure delay: the bytes still arrive.
-  if (site == "net.sock.accept" || site == "net.sock.read" ||
-      site == "net.sock.write" || site == "net.frame.drop" ||
-      site == "net.frame.dup" || site == "net.frame.truncate")
-    return FaultClass::kTransientError;
-  if (site == "net.frame.stall") return FaultClass::kTransientDelay;
-  return FaultClass::kPermanent;
-}
-
 double RetryPolicy::backoff_us(int attempt, util::Pcg32& rng) const {
   TGP_REQUIRE(attempt >= 1, "backoff precedes a retry, not the first try");
   double delay = base_us;

@@ -1,72 +1,45 @@
-// Overload-resilience primitives for the partition service.
+// Overload-protection primitives shared by the service and the network
+// layer.
 //
-// Three small, independently testable mechanisms that the service wires
-// together so throughput degrades gracefully under saturation instead of
-// collapsing:
+//   * TokenBucket — admission-rate limiter.  The service's submit() asks
+//     for one token per job; an empty bucket means the caller is pushing
+//     faster than the configured sustained rate and the job is rejected
+//     up front with JobStatus::kOverloaded (cheap, before the queue is
+//     touched).  The router's per-tenant quotas (svc/tenant.hpp) reuse
+//     it.
 //
-//   * TokenBucket — admission-rate limiter.  submit() asks for one token
-//     per job; an empty bucket means the caller is pushing faster than
-//     the configured sustained rate and the job is rejected up front with
-//     JobStatus::kOverloaded (cheap, before the queue is touched).
-//
-//   * RetryPolicy — exponential backoff for fault sites classified
-//     *transient-error* (the memo cache's get/put, which can be made to
-//     fail by util::FaultInjector and, in a real deployment, by a remote
-//     cache).  Retrying a cache operation can never change a job's
-//     payload — the service computes in canonical coordinates and the
-//     cache is a pure memo — so the policy only trades latency for hit
-//     rate.  Sites classified *transient-delay* (queue push/pop
-//     perturbations) have nothing to retry, and *permanent* sites
-//     (svc.worker.solve) must not be retried: a solver that threw once
-//     on a spec will throw every time.
+//   * RetryPolicy — exponential backoff with jitter.  net::Client spaces
+//     its re-dials with it.
 //
 //   * CircuitBreaker — closed/open/half-open state machine over a
-//     sliding window of recent cache-operation outcomes.  A fault rate
-//     above the trip threshold opens the breaker: the service then
-//     bypasses the cache entirely (recompute, never fail) instead of
-//     paying probe + retry backoff on every job.  After a cooldown the
-//     breaker admits a limited number of half-open probes; enough
-//     successes close it again, one fault re-opens it.
+//     sliding window of recent outcomes.  A fault rate above the trip
+//     threshold opens the breaker; after a cooldown it admits a limited
+//     number of half-open probes, and enough successes close it again
+//     while one fault re-opens it.  net::ShardHealth builds a router's
+//     per-shard up/down tracking on it.
 //
-// All time is caller-supplied microseconds (the service's monotonic
-// epoch), so every mechanism is deterministic under test — no hidden
-// clock reads.
+// All time is caller-supplied microseconds, so every mechanism is
+// deterministic under test — no hidden clock reads.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <string_view>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace tgp::svc {
 
-/// How the retry layer treats a fault site.
-enum class FaultClass {
-  kTransientError,  ///< failed operation, safe + useful to retry (cache ops)
-  kTransientDelay,  ///< scheduling perturbation, nothing to retry (queue)
-  kPermanent,       ///< deterministic failure, retrying cannot help (solve)
-};
-
-/// Classification table for the known fault sites (see util/fault.hpp).
-/// Unknown sites are conservatively kPermanent.
-FaultClass classify_site(std::string_view site);
-
-/// Exponential backoff schedule.  max_attempts == 1 disables retries
-/// (the first attempt is attempt 0; no backoff precedes it).
+/// Exponential backoff schedule.  The caller bounds its own retry loop;
+/// the first attempt is attempt 0 and no backoff precedes it.
 struct RetryPolicy {
-  int max_attempts = 1;    ///< total tries, including the first
   double base_us = 50;     ///< backoff before the first retry
   double multiplier = 2.0; ///< growth per additional retry
   double jitter = 0.1;     ///< ± fraction of the delay, from `rng`
 
-  bool enabled() const { return max_attempts > 1; }
-
   /// Delay in microseconds before try number `attempt` (>= 1).  The
-  /// jittered delay is sampled from `rng`, so two workers backing off at
-  /// the same attempt do not thundering-herd in lockstep; payloads stay
-  /// deterministic because backoff only ever delays a cache operation.
+  /// jittered delay is sampled from `rng`, so two callers backing off at
+  /// the same attempt do not thundering-herd in lockstep.
   double backoff_us(int attempt, util::Pcg32& rng) const;
 };
 
@@ -104,14 +77,13 @@ enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 const char* breaker_state_name(BreakerState s);
 
 struct BreakerConfig {
-  bool enabled = false;
-  /// Sliding window: the most recent `window` cache-operation outcomes.
+  /// Sliding window: the most recent `window` outcomes.
   int window = 64;
   /// No trip decision before this many outcomes are in the window.
   int min_samples = 16;
   /// Fault fraction of the window at or above which the breaker opens.
   double trip_fault_rate = 0.5;
-  /// Open → half-open after this long without cache traffic.
+  /// Open → half-open after this long.
   double open_cooldown_us = 5000;
   /// Consecutive half-open successes required to close again.  Also the
   /// number of probe operations admitted while half-open.
@@ -140,13 +112,13 @@ class CircuitBreaker {
 
   explicit CircuitBreaker(BreakerConfig config = {});
 
-  /// May the caller touch the cache right now?  Closed: yes.  Open:
+  /// May the caller try the guarded operation now?  Closed: yes.  Open:
   /// no — until `open_cooldown_us` has elapsed, at which point the call
   /// itself transitions to half-open and admits.  Half-open: yes for up
   /// to `half_open_probes` outstanding probes, no beyond that.
   Outcome allow(std::int64_t now_micros);
 
-  /// Report the outcome of an admitted cache operation.
+  /// Report the outcome of an admitted operation.
   Outcome record_success(std::int64_t now_micros);
   Outcome record_fault(std::int64_t now_micros);
 

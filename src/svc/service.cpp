@@ -1,6 +1,5 @@
 #include "svc/service.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -55,8 +54,7 @@ PartitionService::PartitionService(ServiceConfig config)
       cache_(config.cache_bytes, config.cache_shards,
              config.max_entry_bytes),
       queue_(config.queue_capacity),
-      bucket_(config.rate_limit_per_sec, config.rate_burst),
-      breaker_(config.breaker) {
+      bucket_(config.rate_limit_per_sec, config.rate_burst) {
   int threads = config.threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -66,11 +64,6 @@ PartitionService::PartitionService(ServiceConfig config)
   TGP_REQUIRE(config.watchdog_interval_micros >= 0 &&
                   config.stuck_threshold_micros >= 0,
               "watchdog periods must be non-negative");
-  TGP_REQUIRE(config.retry.max_attempts >= 1,
-              "retry.max_attempts counts the first try (>= 1)");
-  TGP_REQUIRE(config.retry.base_us >= 0 && config.retry.multiplier >= 1 &&
-                  config.retry.jitter >= 0,
-              "retry backoff parameters out of range");
   TGP_REQUIRE(config.solve_threads == 1,
               "solves are serial: solve_threads must be 1");
   // Warm-start before any worker can race a probe: recovery happens on
@@ -79,11 +72,8 @@ PartitionService::PartitionService(ServiceConfig config)
     recover_cache_store();
   worker_state_.reserve(static_cast<std::size_t>(threads));
   workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
+  for (int i = 0; i < threads; ++i)
     worker_state_.push_back(std::make_unique<WorkerState>());
-    worker_state_.back()->rng = util::Pcg32(
-        config.resilience_seed, static_cast<std::uint64_t>(i) + 1);
-  }
   for (int i = 0; i < threads; ++i)
     workers_.emplace_back(&PartitionService::worker_loop, this,
                           std::ref(*worker_state_[static_cast<std::size_t>(i)]));
@@ -309,11 +299,6 @@ MetricsSnapshot PartitionService::metrics() const {
   m.resilience.rejected_inflight = rejected_inflight_.load();
   m.resilience.rejected_rate = rejected_rate_.load();
   m.resilience.jobs_shed = jobs_shed_.load();
-  m.resilience.retry_attempts = retry_attempts_.load();
-  m.resilience.cache_bypasses = cache_bypasses_.load();
-  m.resilience.degraded_solves = degraded_solves_.load();
-  m.resilience.breaker_enabled = config_.breaker.enabled;
-  m.resilience.breaker = breaker_.stats();
   m.durability.verified_ok = verified_ok_.load();
   m.durability.verify_failed = verify_failed_.load();
   if (store_) {
@@ -478,18 +463,12 @@ void PartitionService::worker_loop(WorkerState& state) {
             end_ns - static_cast<std::int64_t>(wait_micros * 1e3), end_ns,
             {"slot", static_cast<std::int64_t>(job->slot)});
       }
-      // Degraded mode triggers on the backlog *behind* this job: depth is
-      // only sampled when the watermark is configured, so the default
-      // path never takes the queue lock here.
-      const bool degrade =
-          config_.degrade_watermark > 0 &&
-          queue_.size() >= config_.degrade_watermark;
       state.busy_since_micros.store(dequeued);
       {
         obs::Span job_span("svc", "job");
         job_span.arg("slot", static_cast<std::int64_t>(job->slot));
         util::ScopedTimer timer(micros);
-        r = process(state, job->spec, token, degrade);
+        r = process(state, job->spec, token);
         job_span.arg("cache_hit", r.cache_hit ? 1 : 0);
       }
       state.busy_since_micros.store(-1);
@@ -543,92 +522,22 @@ void PartitionService::watchdog_loop() {
   }
 }
 
-void PartitionService::note_breaker(CircuitBreaker::Outcome outcome) {
-  if (!outcome.transitioned) return;
-  if (obs::trace::enabled()) {
-    // Instant (zero-duration) event: breaker state changes are rare and
-    // cross-cutting, so they are recorded as markers, not scopes.
-    const std::int64_t ns = obs::trace::now_ns();
-    obs::trace::emit_complete(
-        "svc", "breaker.transition", ns, ns,
-        {"state", static_cast<std::int64_t>(outcome.state)});
-  }
-}
-
-void PartitionService::backoff(WorkerState& state, int attempt) {
-  retry_attempts_.fetch_add(1);
-  // state.rng is worker-private (no lock): jitter decorrelates workers
-  // backing off at the same attempt without affecting any payload.
-  const double delay_us = config_.retry.backoff_us(attempt, state.rng);
-  TGP_SPAN("svc", "retry.backoff");
-  if (delay_us > 0)
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::micro>(delay_us));
-}
-
-bool PartitionService::cache_probe(WorkerState& state, const CacheKey& key,
-                                   CanonicalOutcome& out,
+bool PartitionService::cache_probe(const CacheKey& key, CanonicalOutcome& out,
                                    CacheHitInfo* info) {
   if (config_.cache_bytes == 0) return false;
-  const bool gated = config_.breaker.enabled;
-  if (gated) {
-    CircuitBreaker::Outcome gate = breaker_.allow(now_micros());
-    note_breaker(gate);
-    if (!gate.admitted) {
-      // Open breaker: skip the probe entirely — the job recomputes,
-      // which costs time but can never fail it.
-      cache_bypasses_.fetch_add(1);
-      return false;
-    }
-  }
-  CacheLookup looked = CacheLookup::kFault;
-  const int attempts = std::max(1, config_.retry.max_attempts);
-  for (int a = 0; a < attempts; ++a) {
-    if (a > 0) backoff(state, a);
-    TGP_SPAN("svc", "cache.probe");
-    looked = cache_.get_checked(key, out, info);
-    if (looked != CacheLookup::kFault) break;
-  }
-  if (gated)
-    note_breaker(looked == CacheLookup::kFault
-                     ? breaker_.record_fault(now_micros())
-                     : breaker_.record_success(now_micros()));
-  return looked == CacheLookup::kHit;
+  TGP_SPAN("svc", "cache.probe");
+  return cache_.get_into(key, out, info);
 }
 
-void PartitionService::cache_store(WorkerState& state, const CacheKey& key,
+void PartitionService::cache_store(const CacheKey& key,
                                    const CanonicalOutcome& outcome) {
   if (config_.cache_bytes == 0) return;
-  const bool gated = config_.breaker.enabled;
-  if (gated) {
-    CircuitBreaker::Outcome gate = breaker_.allow(now_micros());
-    note_breaker(gate);
-    if (!gate.admitted) {
-      cache_bypasses_.fetch_add(1);
-      return;
-    }
-  }
-  if (!gated && !config_.retry.enabled()) {
-    // Resilience off: keep the original single-attempt store.
-    TGP_SPAN("svc", "cache.store");
-    cache_.put(key, outcome);
-    return;
-  }
-  bool stored = false;
-  const int attempts = std::max(1, config_.retry.max_attempts);
-  for (int a = 0; a < attempts && !stored; ++a) {
-    if (a > 0) backoff(state, a);
-    TGP_SPAN("svc", "cache.store");
-    stored = cache_.put_checked(key, outcome);
-  }
-  if (gated)
-    note_breaker(stored ? breaker_.record_success(now_micros())
-                        : breaker_.record_fault(now_micros()));
+  TGP_SPAN("svc", "cache.store");
+  cache_.put(key, outcome);
 }
 
 JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
-                                    const util::CancelToken* cancel,
-                                    bool degrade) {
+                                    const util::CancelToken* cancel) {
   JobResult r;
   try {
     if (util::faults().fire("svc.worker.solve"))
@@ -640,10 +549,8 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
       }();
       CacheKey key = CacheKey::make(graph::chain_fingerprint(cc.chain),
                                     spec.problem, spec.K);
-      // Degraded or not, the cache is probed first: a hit serves the
-      // *optimal* cached payload and needs no degradation at all.
       CacheHitInfo hit_info;
-      bool hit = cache_probe(state, key, state.hit_scratch, &hit_info);
+      bool hit = cache_probe(key, state.hit_scratch, &hit_info);
       if (hit && (hit_info.needs_verify || config_.verify_results)) {
         // A recovery-loaded entry crossed a process boundary; re-check
         // it with the independent verifier before serving.  A failure
@@ -668,11 +575,8 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         r.cache_hit = true;
         return r;
       }
-      const bool fallback = degrade && spec.problem == Problem::kBandwidth;
       CanonicalOutcome o = [&] {
         TGP_SPAN("svc", "solve");
-        if (fallback)
-          return solve_canonical_chain_degraded(cc.chain, spec.K);
         return solve_canonical_chain(spec.problem, cc.chain, spec.K, cancel,
                                      &state.arena);
       }();
@@ -685,17 +589,8 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         verified_ok_.fetch_add(1);
       }
       apply_outcome(r, o, cc);
-      if (fallback) {
-        // The degraded cut is exact in objective but may differ from the
-        // primary solver's cut, so it is flagged and never cached — a
-        // later uncontended solve must still produce the canonical
-        // payload.
-        r.degraded = true;
-        degraded_solves_.fetch_add(1);
-      } else {
-        cache_store(state, key, o);
-        journal_store(state, key, o);
-      }
+      cache_store(key, o);
+      journal_store(state, key, o);
     } else {
       // One hashing pass yields both the cache key and the maps back.
       graph::TreeLabelling labelling = [&] {
@@ -714,7 +609,7 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         return *canon;
       };
       CacheHitInfo hit_info;
-      bool hit = cache_probe(state, key, state.hit_scratch, &hit_info);
+      bool hit = cache_probe(key, state.hit_scratch, &hit_info);
       if (hit && (hit_info.needs_verify || config_.verify_results)) {
         TGP_SPAN("svc", "verify");
         core::CutCheck check =
@@ -748,7 +643,7 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
         verified_ok_.fetch_add(1);
       }
       apply_outcome(r, o, labelling);
-      cache_store(state, key, o);
+      cache_store(key, o);
       journal_store(state, key, o);
     }
   } catch (...) {

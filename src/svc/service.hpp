@@ -64,7 +64,6 @@
 #include "svc/resilience.hpp"
 #include "util/arena.hpp"
 #include "util/cancel.hpp"
-#include "util/rng.hpp"
 
 namespace tgp::svc {
 
@@ -93,10 +92,10 @@ struct ServiceConfig {
   /// A worker busy on one job longer than this counts as stuck.
   double stuck_threshold_micros = 1e6;
 
-  // --- Overload resilience (svc/resilience.hpp) ----------------------
-  // Everything below ships disabled: the default-configured service
-  // behaves exactly as before and the admission path adds only an atomic
-  // increment per submit (the ≤5% idle-overhead gate holds it to that).
+  // --- Admission control (svc/resilience.hpp) ------------------------
+  // Both caps ship disabled: the default-configured service admits every
+  // valid job and the admission path adds only an atomic increment per
+  // submit (the ≤5% idle-overhead gate holds it to that).
 
   /// Admission cap on incomplete jobs (queued + running); a submit that
   /// would exceed it settles kOverloaded instead of enqueuing.  0 = off.
@@ -106,15 +105,6 @@ struct ServiceConfig {
   double rate_limit_per_sec = 0;
   /// Bucket capacity; 0 defaults to one second of tokens.
   double rate_burst = 0;
-  /// Queue depth at or above which chain bandwidth-min jobs fall back to
-  /// the O(n) degraded-mode baseline (result flagged degraded).  0 = off.
-  std::size_t degrade_watermark = 0;
-  /// Retry schedule for transient cache faults.  max_attempts=1 = off.
-  RetryPolicy retry{};
-  /// Cache circuit breaker; enabled=false = off.
-  BreakerConfig breaker{};
-  /// Seeds the per-worker backoff-jitter streams.
-  std::uint64_t resilience_seed = 0x7e5112e5;
 
   // --- Durability & integrity (src/dur, core/verify) ------------------
   // All off by default: an empty cache_dir keeps the service fully
@@ -258,8 +248,6 @@ class PartitionService {
     std::atomic<std::int64_t> busy_since_micros{-1};
     util::Arena arena;
     CanonicalOutcome hit_scratch;
-    /// Backoff-jitter stream (seeded per worker; touched only on retry).
-    util::Pcg32 rng;
     /// Reused encode buffer for journal appends (one warm allocation).
     std::vector<std::uint8_t> record_scratch;
   };
@@ -267,15 +255,13 @@ class PartitionService {
   void worker_loop(WorkerState& state);
   void watchdog_loop();
   JobResult process(WorkerState& state, const JobSpec& spec,
-                    const util::CancelToken* cancel, bool degrade);
-  /// Cache probe/store with the resilience layer applied: breaker gate,
-  /// transient-fault retries with jittered backoff, fault accounting.
-  bool cache_probe(WorkerState& state, const CacheKey& key,
-                   CanonicalOutcome& out, CacheHitInfo* info = nullptr);
-  void cache_store(WorkerState& state, const CacheKey& key,
-                   const CanonicalOutcome& outcome);
-  void backoff(WorkerState& state, int attempt);
-  void note_breaker(CircuitBreaker::Outcome outcome);
+                    const util::CancelToken* cancel);
+  /// One memo-cache probe / one put, each under its trace span; both are
+  /// no-ops when the cache is disabled.  A faulted probe is a miss and a
+  /// faulted put a dropped insert (MemoCache counts both).
+  bool cache_probe(const CacheKey& key, CanonicalOutcome& out,
+                   CacheHitInfo* info);
+  void cache_store(const CacheKey& key, const CanonicalOutcome& outcome);
   void settle(std::size_t slot, JobResult r);
   void cancel_all_incomplete();
   std::int64_t now_micros() const;
@@ -316,17 +302,13 @@ class PartitionService {
   std::atomic<std::uint64_t> deadline_cancels_{0};
   std::atomic<std::uint64_t> stuck_worker_peak_{0};
 
-  // Resilience layer state + counters (see MetricsSnapshot::resilience).
+  // Admission control state + counters (see MetricsSnapshot::resilience).
   TokenBucket bucket_;
-  CircuitBreaker breaker_;
   std::atomic<std::size_t> inflight_{0};
   std::atomic<std::size_t> inflight_peak_{0};
   std::atomic<std::uint64_t> rejected_inflight_{0};
   std::atomic<std::uint64_t> rejected_rate_{0};
   std::atomic<std::uint64_t> jobs_shed_{0};
-  std::atomic<std::uint64_t> retry_attempts_{0};
-  std::atomic<std::uint64_t> cache_bypasses_{0};
-  std::atomic<std::uint64_t> degraded_solves_{0};
 
   // Integrity accounting (see MetricsSnapshot::durability).
   std::atomic<std::uint64_t> verified_ok_{0};

@@ -264,23 +264,49 @@ TEST(WireResult, OkResultRoundTrips) {
   r.counters.prime_subpaths = 5;
   r.counters.arena_bytes_peak = 4096;
   std::vector<std::uint8_t> frame = encode_result(r, 77);
+  // The frame's exact bytes, pinned: header (magic, v1, kResult, no
+  // flags, id 77, payload length 100), then status, the retired flag
+  // byte (always 0), cache hit, reserved, components, objective, latency,
+  // the seven counter words, an empty error string and the cut.
+  const std::vector<std::uint8_t> pinned = {
+      0x54, 0x47, 0x50, 0x57, 0x01, 0x00, 0x02, 0x00, 0x4d, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x29, 0x40,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x18, 0x74, 0x40, 0x63, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(frame, pinned);
   FrameHeader h = parse_header(frame);
   EXPECT_EQ(h.type, FrameType::kResult);
   EXPECT_EQ(h.request_id, 77u);
-  svc::JobResult back = decode_result(
-      std::span<const std::uint8_t>(frame).subspan(kHeaderBytes));
-  EXPECT_TRUE(back.ok);
-  EXPECT_EQ(back.status, svc::JobStatus::kOk);
-  EXPECT_EQ(back.cut.edges, r.cut.edges);
-  EXPECT_EQ(back.objective, 12.75);
-  EXPECT_EQ(back.components, 4);
-  EXPECT_TRUE(back.cache_hit);
-  EXPECT_FALSE(back.degraded);
-  EXPECT_EQ(back.latency_micros, 321.5);
-  EXPECT_EQ(back.counters.oracle_calls, 99u);
-  EXPECT_EQ(back.counters.bsearch_probes, 13u);
-  EXPECT_EQ(back.counters.prime_subpaths, 5u);
-  EXPECT_EQ(back.counters.arena_bytes_peak, 4096u);
+
+  auto expect_intact = [&](const std::vector<std::uint8_t>& bytes) {
+    svc::JobResult back = decode_result(
+        std::span<const std::uint8_t>(bytes).subspan(kHeaderBytes));
+    EXPECT_TRUE(back.ok);
+    EXPECT_EQ(back.status, svc::JobStatus::kOk);
+    EXPECT_EQ(back.cut.edges, r.cut.edges);
+    EXPECT_EQ(back.objective, 12.75);
+    EXPECT_EQ(back.components, 4);
+    EXPECT_TRUE(back.cache_hit);
+    EXPECT_EQ(back.latency_micros, 321.5);
+    EXPECT_EQ(back.counters.oracle_calls, 99u);
+    EXPECT_EQ(back.counters.bsearch_probes, 13u);
+    EXPECT_EQ(back.counters.prime_subpaths, 5u);
+    EXPECT_EQ(back.counters.arena_bytes_peak, 4096u);
+    EXPECT_TRUE(back.error.empty());
+  };
+  expect_intact(frame);
+  // A backend that still sets payload byte 1 (it once flagged a
+  // degraded-mode solve) decodes to the same result.
+  std::vector<std::uint8_t> flagged = frame;
+  flagged[kHeaderBytes + 1] = 1;
+  expect_intact(flagged);
 }
 
 TEST(WireResult, FailedResultKeepsStatusAndError) {

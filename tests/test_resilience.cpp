@@ -1,12 +1,11 @@
-// The overload-resilience layer (svc/resilience.hpp) and its service
-// integration: token-bucket admission, retry backoff determinism, the
-// cache circuit breaker's state machine, thread-safe fault-site
-// registration, and degraded-mode solves under queue pressure.
+// The overload-protection primitives (svc/resilience.hpp) and how the
+// service behaves under load and faults: token-bucket admission, retry
+// backoff determinism, the circuit breaker's state machine, thread-safe
+// fault-site registration, what each service fault site does to a job,
+// and the one solve path and one cache path every job takes — under a
+// backlog and under cache fault storms alike.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -14,6 +13,8 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "net/client.hpp"
+#include "net/socket.hpp"
 #include "svc/resilience.hpp"
 #include "svc/service.hpp"
 #include "util/fault.hpp"
@@ -37,15 +38,63 @@ JobSpec chain_job(Problem p, int n, std::uint64_t seed, double frac = 0.3) {
   return JobSpec::for_chain(p, K, std::move(c));
 }
 
-// --- Fault-site classification -------------------------------------------
+JobSpec tree_job(Problem p, int n, std::uint64_t seed, double frac = 0.3) {
+  util::Pcg32 rng(seed, 23);
+  graph::Tree t = graph::random_tree(rng, n, graph::WeightDist::uniform(1, 30),
+                                     graph::WeightDist::uniform(1, 30));
+  Weight maxw = t.max_vertex_weight();
+  Weight K = maxw + frac * (t.total_vertex_weight() - maxw);
+  return JobSpec::for_tree(p, K, std::move(t));
+}
 
+void expect_same_payload(const JobResult& got, const JobResult& want,
+                         std::size_t i) {
+  ASSERT_TRUE(got.ok) << "job " << i << ": " << got.error;
+  EXPECT_EQ(got.cut.edges, want.cut.edges) << "job " << i;
+  EXPECT_EQ(got.objective, want.objective) << "job " << i;
+  EXPECT_EQ(got.components, want.components) << "job " << i;
+}
+
+// --- Fault sites ----------------------------------------------------------
+
+// Nothing retries, so each service fault site has one fixed effect on a
+// job.  A cache get or put fault is a counted miss or a counted dropped
+// insert, and the job still solves to the same payload.  A queue push or
+// pop fault only delays.  A solve fault fails the job kInternalError
+// before the cache is touched.  A site nothing fires changes nothing.
 TEST(FaultClassify, KnownSitesAndConservativeDefault) {
-  EXPECT_EQ(classify_site("svc.cache.get"), FaultClass::kTransientError);
-  EXPECT_EQ(classify_site("svc.cache.put"), FaultClass::kTransientError);
-  EXPECT_EQ(classify_site("svc.queue.push"), FaultClass::kTransientDelay);
-  EXPECT_EQ(classify_site("svc.queue.pop"), FaultClass::kTransientDelay);
-  EXPECT_EQ(classify_site("svc.worker.solve"), FaultClass::kPermanent);
-  EXPECT_EQ(classify_site("made.up.site"), FaultClass::kPermanent);
+  std::vector<JobSpec> specs;
+  for (int i = 0; i < 8; ++i)
+    specs.push_back(chain_job(static_cast<Problem>(i % kProblemCount),
+                              40 + i, 0xF17E + i));
+  std::vector<JobResult> clean;
+  for (const JobSpec& s : specs) clean.push_back(execute_job_captured(s));
+  const std::uint64_t jobs = specs.size();
+
+  for (const std::string site :
+       {"svc.cache.get", "svc.cache.put", "svc.queue.push", "svc.queue.pop",
+        "svc.worker.solve", "made.up.site"}) {
+    util::FaultScope chaos(0x517E, 0.0);
+    util::faults().set_site_probability(site, 1.0);
+    ServiceConfig config;
+    config.threads = 2;
+    PartitionService service(config);
+    std::vector<JobResult> got = service.run_batch(specs);
+    const CacheStats cache = service.metrics().cache;
+    if (site == "svc.worker.solve") {
+      for (const JobResult& r : got)
+        EXPECT_EQ(r.status, JobStatus::kInternalError);
+      EXPECT_EQ(cache.hits + cache.misses, 0u);
+      continue;
+    }
+    for (std::size_t i = 0; i < got.size(); ++i)
+      expect_same_payload(got[i], clean[i], i);
+    EXPECT_EQ(cache.lookup_faults, site == "svc.cache.get" ? jobs : 0u)
+        << site;
+    EXPECT_EQ(cache.store_faults, site == "svc.cache.put" ? jobs : 0u)
+        << site;
+    EXPECT_EQ(cache.insertions, site == "svc.cache.put" ? 0u : jobs) << site;
+  }
 }
 
 // --- TokenBucket ---------------------------------------------------------
@@ -92,16 +141,24 @@ TEST(TokenBucket, ZeroBurstDefaultsToOneSecondOfTokens) {
 
 // --- RetryPolicy ---------------------------------------------------------
 
+// The one retry loop left is net::Client's re-dial, and it is off by
+// default: against a peer that never answers, a default-configured
+// client gives up after the first timed-out exchange, with no re-dial.
 TEST(RetryPolicy, DisabledByDefault) {
-  RetryPolicy p;
-  EXPECT_FALSE(p.enabled());
-  p.max_attempts = 2;
-  EXPECT_TRUE(p.enabled());
+  net::UniqueFd silent = net::listen_tcp("127.0.0.1", 0, 8);  // never accepts
+  net::Client::Config cc;
+  EXPECT_EQ(cc.reconnect_attempts, 0);
+  cc.host = "127.0.0.1";
+  cc.port = net::local_port(silent.get());
+  cc.io_timeout_ms = 20;
+  net::Client client(cc);
+  EXPECT_THROW(client.ping(), net::WireError);
+  EXPECT_EQ(client.stats().reconnects, 0u);
+  EXPECT_EQ(client.stats().timeouts, 1u);
 }
 
 TEST(RetryPolicy, BackoffGrowsExponentiallyWithinJitterBounds) {
   RetryPolicy p;
-  p.max_attempts = 4;
   p.base_us = 100;
   p.multiplier = 2.0;
   p.jitter = 0.1;
@@ -118,7 +175,6 @@ TEST(RetryPolicy, BackoffGrowsExponentiallyWithinJitterBounds) {
 
 TEST(RetryPolicy, BackoffIsDeterministicPerRngStream) {
   RetryPolicy p;
-  p.max_attempts = 3;
   auto draw = [&](std::uint64_t seed) {
     util::Pcg32 rng(seed, 9);
     std::vector<double> out;
@@ -144,7 +200,6 @@ TEST(RetryPolicy, ZeroJitterIsExact) {
 
 BreakerConfig small_breaker() {
   BreakerConfig c;
-  c.enabled = true;
   c.window = 8;
   c.min_samples = 4;
   c.trip_fault_rate = 0.5;
@@ -351,8 +406,11 @@ TEST(ServiceResilience, RateLimitShedsExcessSubmits) {
             static_cast<std::uint64_t>(overloaded));
 }
 
-// --- Service integration: retries stay deterministic ---------------------
+// --- Service integration: one cache path ---------------------------------
 
+// A faulted probe is a miss, so a job whose answer sits in a warm cache
+// solves again — and the re-solve is bit-identical to the cached answer
+// at any thread count.
 TEST(ServiceResilience, RetriedSolvesAreBitIdenticalAcrossThreadCounts) {
   std::vector<JobSpec> specs;
   for (int i = 0; i < 24; ++i)
@@ -362,115 +420,116 @@ TEST(ServiceResilience, RetriedSolvesAreBitIdenticalAcrossThreadCounts) {
   for (const JobSpec& s : specs) clean.push_back(execute_job_captured(s));
 
   for (int threads : {1, 8}) {
-    util::FaultScope chaos(0xD1CE, 0.0);
-    util::faults().set_site_probability("svc.cache.get", 0.6);
-    util::faults().set_site_probability("svc.cache.put", 0.6);
     ServiceConfig config;
     config.threads = threads;
-    config.retry.max_attempts = 3;
-    config.retry.base_us = 5;
+    PartitionService service(config);
+    std::vector<JobResult> warm = service.run_batch(specs);
     std::vector<JobResult> got;
     {
-      PartitionService service(config);
+      util::FaultScope chaos(0xD1CE, 0.0);
+      util::faults().set_site_probability("svc.cache.get", 1.0);
       got = service.run_batch(specs);
-      MetricsSnapshot m = service.metrics();
-      EXPECT_GT(m.resilience.retry_attempts, 0u) << threads;
     }
+    const CacheStats cache = service.metrics().cache;
+    EXPECT_EQ(cache.lookup_faults, specs.size()) << threads;
+    EXPECT_EQ(cache.hits, 0u) << threads;
     ASSERT_EQ(got.size(), clean.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i].ok) << "threads " << threads << " job " << i;
-      EXPECT_FALSE(got[i].degraded);
-      EXPECT_EQ(got[i].cut.edges, clean[i].cut.edges) << i;
-      EXPECT_EQ(got[i].objective, clean[i].objective) << i;
-      EXPECT_EQ(got[i].components, clean[i].components) << i;
+      expect_same_payload(warm[i], clean[i], i);
+      expect_same_payload(got[i], clean[i], i);
+      EXPECT_FALSE(got[i].cache_hit) << "threads " << threads << " job " << i;
     }
   }
 }
 
-// --- Service integration: breaker -----------------------------------------
-
+// A p = 1 fault storm on both cache sites fails no job: every probe is a
+// miss and every put is dropped.  Once it passes, the cache recovers on
+// its own — the first clean pass refills it and the second is served
+// from it.
 TEST(ServiceResilience, BreakerTripsUnderFaultStormAndRecovers) {
   std::vector<JobSpec> specs;
   for (int i = 0; i < 40; ++i)
     specs.push_back(chain_job(Problem::kBottleneck, 50 + i, 0xB0B + i));
+  const std::uint64_t jobs = specs.size();
 
   ServiceConfig config;
   config.threads = 2;
-  config.breaker = small_breaker();
-  config.breaker.open_cooldown_us = 2000;
   PartitionService service(config);
-
+  std::vector<JobResult> storm;
   {
     util::FaultScope chaos(0xABCD, 0.0);
     util::faults().set_site_probability("svc.cache.get", 1.0);
     util::faults().set_site_probability("svc.cache.put", 1.0);
-    std::vector<JobResult> got = service.run_batch(specs);
-    for (std::size_t i = 0; i < got.size(); ++i)
-      EXPECT_TRUE(got[i].ok) << i;  // bypass recomputes, never fails
+    storm = service.run_batch(specs);
   }
-  MetricsSnapshot mid = service.metrics();
-  EXPECT_GE(mid.resilience.breaker.trips, 1u);
-  EXPECT_GT(mid.resilience.cache_bypasses, 0u);
+  const CacheStats mid = service.metrics().cache;
+  EXPECT_EQ(mid.lookup_faults, jobs);
+  EXPECT_EQ(mid.store_faults, jobs);
+  EXPECT_EQ(mid.hits, 0u);
+  EXPECT_EQ(mid.entries, 0u);
 
-  // Storm over: wait out the cooldown, then clean traffic must walk the
-  // breaker open -> half-open -> closed.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  std::vector<JobResult> after = service.run_batch(specs);
-  for (std::size_t i = 0; i < after.size(); ++i)
-    EXPECT_TRUE(after[i].ok) << i;
-  MetricsSnapshot end = service.metrics();
-  EXPECT_GE(end.resilience.breaker.half_opens, 1u);
-  EXPECT_GE(end.resilience.breaker.closes, 1u);
-  EXPECT_EQ(end.resilience.breaker.state, BreakerState::kClosed);
+  std::vector<JobResult> refill = service.run_batch(specs);
+  std::vector<JobResult> served = service.run_batch(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(storm[i].ok) << i;
+    expect_same_payload(refill[i], storm[i], i);
+    expect_same_payload(served[i], storm[i], i);
+    EXPECT_FALSE(refill[i].cache_hit) << i;
+    EXPECT_TRUE(served[i].cache_hit) << i;
+  }
+  const CacheStats end = service.metrics().cache;
+  EXPECT_EQ(end.hits, jobs);
+  EXPECT_EQ(end.entries, jobs);
+  EXPECT_EQ(end.lookup_faults, jobs);
 }
 
-// --- Service integration: degraded mode ----------------------------------
+// --- Service integration: one solve path ---------------------------------
 
+// A backlog does not change how a job is solved: with one worker and the
+// whole batch queued behind it, every chain bandwidth job gets the primary
+// solver's exact cut, and its answer is stored — so each repeat queued
+// later in the same backlog is served from the cache.
 TEST(ServiceResilience, DegradedSolvesKeepTheExactObjective) {
   std::vector<JobSpec> specs;
   for (int i = 0; i < 32; ++i)
     specs.push_back(chain_job(Problem::kBandwidth, 80 + i, 0xDE6 + i));
   std::vector<JobResult> clean;
   for (const JobSpec& s : specs) clean.push_back(execute_job_captured(s));
+  const std::size_t distinct = specs.size();
+  for (std::size_t i = 0; i < distinct; ++i) specs.push_back(specs[i]);
 
-  ServiceConfig config;
-  config.threads = 1;  // keep the queue deep while the worker drains it
-  config.degrade_watermark = 1;
-  PartitionService service(config);
-  std::vector<JobResult> got = service.run_batch(specs);
-
-  std::size_t degraded = 0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok) << i;
-    // Degraded or not, chain bandwidth-min stays exact: the objective
-    // (and part count) must match the primary solver's.
-    EXPECT_EQ(got[i].objective, clean[i].objective) << i;
-    if (got[i].degraded) {
-      ++degraded;
-    } else {
-      EXPECT_EQ(got[i].cut.edges, clean[i].cut.edges) << i;
-    }
-  }
-  EXPECT_GE(degraded, 1u);
-  MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.resilience.degraded_solves,
-            static_cast<std::uint64_t>(degraded));
-}
-
-TEST(ServiceResilience, NonBandwidthJobsNeverDegrade) {
   ServiceConfig config;
   config.threads = 1;
-  config.degrade_watermark = 1;
   PartitionService service(config);
-  std::vector<JobSpec> specs;
-  for (int i = 0; i < 16; ++i)
-    specs.push_back(chain_job(Problem::kBottleneck, 60, 0xFACE + i));
   std::vector<JobResult> got = service.run_batch(specs);
+  ASSERT_EQ(got.size(), 2 * distinct);
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok) << i;
-    EXPECT_FALSE(got[i].degraded) << i;
+    expect_same_payload(got[i], clean[i % distinct], i);
+    EXPECT_EQ(got[i].cache_hit, i >= distinct) << i;
   }
-  EXPECT_EQ(service.metrics().resilience.degraded_solves, 0u);
+  const CacheStats cache = service.metrics().cache;
+  EXPECT_EQ(cache.insertions, distinct);
+  EXPECT_EQ(cache.hits, distinct);
+}
+
+// The same backlog leaves every other problem alone too, on chains and on
+// trees: each result is bit-identical to the direct solve.
+TEST(ServiceResilience, NonBandwidthJobsNeverDegrade) {
+  const Problem problems[] = {Problem::kBottleneck, Problem::kProcMin,
+                              Problem::kPipeline};
+  std::vector<JobSpec> specs;
+  for (int i = 0; i < 18; ++i) {
+    const Problem p = problems[i % 3];
+    specs.push_back(i % 2 == 0 ? chain_job(p, 60 + i, 0xFACE + i)
+                               : tree_job(p, 60 + i, 0xFACE + i));
+  }
+  ServiceConfig config;
+  config.threads = 1;
+  PartitionService service(config);
+  std::vector<JobResult> got = service.run_batch(specs);
+  ASSERT_EQ(got.size(), specs.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_same_payload(got[i], execute_job_captured(specs[i]), i);
 }
 
 }  // namespace

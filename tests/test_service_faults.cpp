@@ -264,7 +264,10 @@ TEST(ServiceFaults, InjectedSolverFaultsAreIsolatedAndDeterministic) {
 
 TEST(ServiceFaults, CacheFaultsDegradeWithoutChangingResults) {
   // Duplicate-heavy workload so the cache actually matters, then make the
-  // cache unreliable: lookups randomly miss, stores randomly vanish.
+  // cache unreliable: lookups miss and stores vanish, at p = 0.5 and in a
+  // p = 1 storm.  A faulted probe is a miss and a faulted put a dropped
+  // insert — nothing retries — so every job must still solve to the clean
+  // run's payload, at every thread count.
   std::vector<JobSpec> specs = mixed_jobs(15, 0xCAC4E);
   std::vector<JobSpec> dup(specs);
   specs.insert(specs.end(), dup.begin(), dup.end());
@@ -273,16 +276,25 @@ TEST(ServiceFaults, CacheFaultsDegradeWithoutChangingResults) {
   config.threads = 2;
   std::vector<JobResult> clean = PartitionService(config).run_batch(specs);
 
-  util::FaultScope chaos(/*seed=*/5, /*default_probability=*/0.0);
-  util::faults().set_site_probability("svc.cache.get", 0.5);
-  util::faults().set_site_probability("svc.cache.put", 0.5);
-  std::vector<JobResult> got = PartitionService(config).run_batch(specs);
-  ASSERT_EQ(got.size(), clean.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].status, JobStatus::kOk) << i;
-    expect_same_payload(got[i], clean[i], i);
+  for (int threads : {1, 2, 8}) {
+    for (double p : {0.5, 1.0}) {
+      util::FaultScope chaos(/*seed=*/5, /*default_probability=*/0.0);
+      util::faults().set_site_probability("svc.cache.get", p);
+      util::faults().set_site_probability("svc.cache.put", p);
+      config.threads = threads;
+      PartitionService service(config);
+      std::vector<JobResult> got = service.run_batch(specs);
+      const CacheStats cache = service.metrics().cache;
+      ASSERT_EQ(got.size(), clean.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].status, JobStatus::kOk)
+            << "threads " << threads << " p " << p << " job " << i;
+        expect_same_payload(got[i], clean[i], i);
+      }
+      EXPECT_GT(cache.lookup_faults, 0u) << threads << " " << p;
+      EXPECT_GT(cache.store_faults, 0u) << threads << " " << p;
+    }
   }
-  EXPECT_GT(util::faults().calls("svc.cache.get"), 0u);
 }
 
 TEST(ServiceFaults, QueuePerturbationPreservesBatchOrderAndPayloads) {

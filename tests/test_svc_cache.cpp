@@ -210,14 +210,14 @@ TEST(MemoCache, CorruptEntryReadsAsMissAndIsQuarantined) {
   ASSERT_TRUE(cache.corrupt_for_test(k));
 
   CanonicalOutcome out;
-  EXPECT_EQ(cache.get_checked(k, out), CacheLookup::kMiss);
+  EXPECT_FALSE(cache.get_into(k, out));
   EXPECT_EQ(quarantined, 1);
   CacheStats s = cache.stats();
   EXPECT_EQ(s.corrupt, 1u);
   EXPECT_EQ(s.entries, 0u) << "the corrupt entry must be erased";
   // The slot is usable again.
   cache.put(k, outcome(10));
-  EXPECT_EQ(cache.get_checked(k, out), CacheLookup::kHit);
+  EXPECT_TRUE(cache.get_into(k, out));
   EXPECT_EQ(out.cut.edges, std::vector<int>{10});
 }
 
@@ -229,13 +229,13 @@ TEST(MemoCache, RecoveredEntriesCarryProvenanceUntilVerified) {
 
   CanonicalOutcome out;
   CacheHitInfo info;
-  ASSERT_EQ(cache.get_checked(k, out, &info), CacheLookup::kHit);
+  ASSERT_TRUE(cache.get_into(k, out, &info));
   EXPECT_TRUE(info.recovered);
   EXPECT_TRUE(info.needs_verify) << "first recovered hit must be verified";
   EXPECT_EQ(cache.stats().warm_hits, 1u);
 
   cache.mark_verified(k);
-  ASSERT_EQ(cache.get_checked(k, out, &info), CacheLookup::kHit);
+  ASSERT_TRUE(cache.get_into(k, out, &info));
   EXPECT_TRUE(info.recovered) << "provenance survives verification";
   EXPECT_FALSE(info.needs_verify);
   EXPECT_EQ(cache.stats().warm_hits, 2u) << "warm hits keep counting";
@@ -243,7 +243,7 @@ TEST(MemoCache, RecoveredEntriesCarryProvenanceUntilVerified) {
   // A fresh put is neither recovered nor in need of verification.
   CacheKey k2 = CacheKey::make(fp(6, 7), Problem::kPipeline, 2.0);
   cache.put(k2, outcome(4));
-  ASSERT_EQ(cache.get_checked(k2, out, &info), CacheLookup::kHit);
+  ASSERT_TRUE(cache.get_into(k2, out, &info));
   EXPECT_FALSE(info.recovered);
   EXPECT_FALSE(info.needs_verify);
   EXPECT_EQ(cache.stats().warm_hits, 2u);

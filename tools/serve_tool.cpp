@@ -244,7 +244,7 @@ std::string render_results_table(const std::vector<JobEcho>& echo,
     char digest[20];
     std::snprintf(digest, sizeof digest, "%016llx",
                   static_cast<unsigned long long>(cut_digest(r.cut)));
-    row.cell(r.degraded ? "degraded" : svc::job_status_name(r.status))
+    row.cell(svc::job_status_name(r.status))
         .cell(r.cut.size())
         .cell(digest)
         .cell(r.objective, 6)
@@ -257,25 +257,20 @@ int batch_exit_report(const std::vector<svc::JobResult>& results,
                       int rows_skipped, std::ostream& err) {
   std::size_t jobs_failed = 0;
   std::size_t jobs_overloaded = 0;
-  std::size_t jobs_degraded = 0;
   for (const svc::JobResult& r : results) {
     if (r.status == svc::JobStatus::kOverloaded)
       ++jobs_overloaded;
     else if (!r.ok)
       ++jobs_failed;
-    else if (r.degraded)
-      ++jobs_degraded;
   }
   if (jobs_failed > 0 || rows_skipped > 0) {
     err << "batch degraded: " << jobs_failed + jobs_overloaded
-        << " job(s) failed, " << rows_skipped << " row(s) skipped, "
-        << jobs_degraded << " degraded solve(s)\n";
+        << " job(s) failed, " << rows_skipped << " row(s) skipped\n";
     return 3;
   }
   if (jobs_overloaded > 0) {
     err << "batch shed: " << jobs_overloaded
-        << " job(s) rejected by admission control, " << jobs_degraded
-        << " degraded solve(s)\n";
+        << " job(s) rejected by admission control\n";
     return 4;
   }
   return 0;
@@ -370,8 +365,7 @@ std::string serve_tool_help() {
       "usage: tgp_serve (--jobs FILE | --generate N) [--threads N]\n"
       "                 [--cache-mb M] [--queue-cap C] [--seed S]\n"
       "                 [--dup-frac F] [--deadline-us D] [--no-results]\n"
-      "                 [--max-inflight N] [--rate-limit R] [--retry N]\n"
-      "                 [--degrade-watermark W] [--breaker]\n"
+      "                 [--max-inflight N] [--rate-limit R]\n"
       "                 [--cache-dir DIR] [--verify]\n"
       "                 [--trace-out FILE] [--trace-buf N]\n"
       "                 [--metrics-out FILE] [--metrics-format FMT]\n"
@@ -391,8 +385,7 @@ std::string serve_tool_help() {
       "the batch still runs.\n"
       "\n"
       "Each results row carries the job's status (ok, invalid_spec,\n"
-      "timeout, cancelled, internal_error, overloaded; a job solved by\n"
-      "the degraded-mode fallback shows 'degraded' instead of 'ok').\n"
+      "timeout, cancelled, internal_error, overloaded).\n"
       "Exit code: 0 when every job succeeded, 3 when any job failed or\n"
       "any row was skipped, 4 when the batch completed but admission\n"
       "control shed jobs (every failure is 'overloaded'), 2 on usage\n"
@@ -411,12 +404,6 @@ std::string serve_tool_help() {
       "                        excess submits settle as 'overloaded'\n"
       "  --rate-limit R        token-bucket admission rate in jobs/sec\n"
       "                        (0 = off); rejects settle as 'overloaded'\n"
-      "  --retry N             attempts per transient cache fault\n"
-      "                        (default 1 = no retry; exponential backoff)\n"
-      "  --degrade-watermark W queue depth at which chain bandwidth jobs\n"
-      "                        fall back to the degraded O(n) solver\n"
-      "                        (0 = off); such rows show 'degraded'\n"
-      "  --breaker             enable the cache circuit breaker\n"
       "  --cache-dir DIR       persist the memo cache in DIR (checksummed\n"
       "                        snapshot + journal): a later run over the\n"
       "                        same directory starts warm, and a crashed\n"
@@ -455,9 +442,6 @@ int run_serve_tool(const std::vector<std::string>& args, std::ostream& out,
         .describe("no-results", "suppress the results table")
         .describe("max-inflight", "admission cap on jobs in flight")
         .describe("rate-limit", "admission rate limit in jobs/sec")
-        .describe("retry", "attempts per transient cache fault")
-        .describe("degrade-watermark", "queue depth triggering degraded mode")
-        .describe("breaker", "enable the cache circuit breaker")
         .describe("cache-dir", "persist the cache here across runs")
         .describe("verify", "independently re-check every result")
         .describe("trace-out", "write Chrome trace JSON to FILE")
@@ -536,10 +520,6 @@ int run_serve_tool(const std::vector<std::string>& args, std::ostream& out,
     config.max_inflight =
         static_cast<std::size_t>(parser.get_int("max-inflight", 0));
     config.rate_limit_per_sec = parser.get_double("rate-limit", 0);
-    config.retry.max_attempts = static_cast<int>(parser.get_int("retry", 1));
-    config.degrade_watermark =
-        static_cast<std::size_t>(parser.get_int("degrade-watermark", 0));
-    config.breaker.enabled = parser.get_bool("breaker", false);
     config.cache_dir = parser.get("cache-dir", "");
     config.verify_results = parser.get_bool("verify", false);
 

@@ -37,8 +37,7 @@ std::string render_results_table(const std::vector<JobEcho>& echo,
 /// Map a finished batch to the tool exit code, emitting a one-line
 /// summary on `err` for every nonzero exit: 3 when any job failed or a
 /// row was skipped ("batch degraded: ..."), 4 when the only failures
-/// were admission-control sheds ("batch shed: ...").  Degraded-mode
-/// solve counts ride along on both lines.
+/// were admission-control sheds ("batch shed: ...").
 int batch_exit_report(const std::vector<svc::JobResult>& results,
                       int rows_skipped, std::ostream& err);
 

@@ -203,8 +203,7 @@ std::string served_tool_help() {
       "                  [--trace-out FILE] [--trace-name NAME]\n"
       "                  [--trace-buf N]\n"
       "          backend: [--threads N] [--cache-mb M] [--queue-cap C]\n"
-      "                  [--max-inflight N] [--rate-limit R] [--retry N]\n"
-      "                  [--degrade-watermark W] [--breaker]\n"
+      "                  [--max-inflight N] [--rate-limit R]\n"
       "                  [--cache-dir DIR] [--cache-compact-mb M]\n"
       "                  [--durable-fsync] [--verify]\n"
       "                  [--shard-index I --shard-count N]\n"
@@ -284,9 +283,6 @@ int run_served_tool(const std::vector<std::string>& args, std::ostream& out,
         .describe("queue-cap", "job queue capacity")
         .describe("max-inflight", "admission cap on jobs in flight")
         .describe("rate-limit", "admission rate limit in jobs/sec")
-        .describe("retry", "attempts per transient cache fault")
-        .describe("degrade-watermark", "queue depth triggering degraded mode")
-        .describe("breaker", "enable the cache circuit breaker")
         .describe("cache-dir", "persist the cache here across restarts")
         .describe("cache-compact-mb", "journal size triggering compaction")
         .describe("durable-fsync", "fsync the journal on every append")
@@ -438,10 +434,6 @@ int run_served_tool(const std::vector<std::string>& args, std::ostream& out,
     config.max_inflight =
         static_cast<std::size_t>(parser.get_int("max-inflight", 0));
     config.rate_limit_per_sec = parser.get_double("rate-limit", 0);
-    config.retry.max_attempts = static_cast<int>(parser.get_int("retry", 1));
-    config.degrade_watermark =
-        static_cast<std::size_t>(parser.get_int("degrade-watermark", 0));
-    config.breaker.enabled = parser.get_bool("breaker", false);
     config.cache_dir = parser.get("cache-dir", "");
     config.journal_compact_bytes =
         static_cast<std::size_t>(parser.get_int("cache-compact-mb", 8)) << 20;
