@@ -1,8 +1,8 @@
 // Fleet kill-and-recover chaos soak: the distributed-resilience layer
 // under real process death plus a seeded wire-fault storm.
 //
-// Topology per run: an IN-PROCESS shard router (active health checking,
-// failover on) fronting THREE tgp_served backend CHILD PROCESSES over
+// Topology per run: an IN-PROCESS shard router (active health checking
+// and hand-off) fronting THREE tgp_served backend CHILD PROCESSES over
 // loopback.  The run has three phases:
 //
 //   calm    — pipelined batches through a resilient client; baseline.

@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
   }
 
   // The same wire batch against a DEGRADED two-shard fleet: a router
-  // with failover on fronts two backends, one of which is already dead.
+  // fronts two backends, one of which is already dead.
   // Every key the dead shard owns detours to the ring successor at
   // dispatch, so diffing this case against net_batch prices the failover
   // path itself (route_of walk + frame copy kept for hand-off) under

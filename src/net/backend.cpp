@@ -21,8 +21,7 @@ std::int64_t wall_clock_us() {
 Backend::Backend(svc::PartitionService& service, Config config)
     : service_(service),
       config_(config),
-      ring_(config.shard_count == 0 ? 1 : config.shard_count,
-            config.ring_vnodes) {}
+      ring_(config.shard_count == 0 ? 1 : config.shard_count) {}
 
 void Backend::on_frame(std::uint64_t conn, const FrameHeader& header,
                        std::span<const std::uint8_t> payload) {

@@ -38,7 +38,6 @@ class Backend : public Server::Handler {
     /// shard_count <= 1 means standalone: everything is owned.
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 1;
-    std::uint32_t ring_vnodes = HashRing::kDefaultVnodes;
   };
 
   /// Ownership counters (atomic: bumped from worker-thread completion

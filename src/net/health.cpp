@@ -1,23 +1,8 @@
 #include "net/health.hpp"
 
+#include "util/assert.hpp"
+
 namespace tgp::net {
-
-namespace {
-
-svc::BreakerConfig breaker_config(const ShardHealthConfig& c) {
-  svc::BreakerConfig b;
-  // window == min_samples == fail_threshold with a 1.0 trip rate means
-  // the breaker opens exactly when the last fail_threshold outcomes
-  // were all misses — consecutive-miss semantics.
-  b.window = c.fail_threshold;
-  b.min_samples = c.fail_threshold;
-  b.trip_fault_rate = 1.0;
-  b.open_cooldown_us = c.down_cooldown_us;
-  b.half_open_probes = c.recover_probes;
-  return b;
-}
-
-}  // namespace
 
 const char* shard_state_name(ShardState s) {
   switch (s) {
@@ -33,16 +18,20 @@ const char* shard_state_name(ShardState s) {
   return "?";
 }
 
-ShardHealth::ShardHealth(const ShardHealthConfig& config)
-    : breaker_(breaker_config(config)) {}
+ShardHealth::ShardHealth(const ShardHealthConfig& config) : config_(config) {
+  TGP_REQUIRE(config_.fail_threshold >= 1,
+              "a shard goes down after at least one miss");
+  TGP_REQUIRE(config_.recover_probes >= 1,
+              "a shard recovers after at least one probe");
+}
 
 ShardState ShardHealth::state() const {
-  switch (breaker_.state()) {
-    case svc::BreakerState::kClosed:
-      return consecutive_misses_ > 0 ? ShardState::kSuspect : ShardState::kUp;
-    case svc::BreakerState::kOpen:
+  switch (phase_) {
+    case Phase::kServing:
+      return misses_ > 0 ? ShardState::kSuspect : ShardState::kUp;
+    case Phase::kDown:
       return ShardState::kDown;
-    case svc::BreakerState::kHalfOpen:
+    case Phase::kRecovering:
       return ShardState::kRecovering;
   }
   return ShardState::kDown;
@@ -56,11 +45,20 @@ ShardHealth::Event ShardHealth::apply(Fn&& fn) {
   return {after, after != before};
 }
 
-ShardHealth::Event ShardHealth::probe_ok(std::int64_t now_micros) {
+void ShardHealth::go_down(std::int64_t now_micros) {
+  phase_ = Phase::kDown;
+  misses_ = 0;
+  down_since_us_ = now_micros;
+}
+
+ShardHealth::Event ShardHealth::probe_ok(std::int64_t /*now_micros*/) {
   return apply([&] {
-    consecutive_misses_ = 0;
-    if (breaker_.state() != svc::BreakerState::kOpen)
-      breaker_.record_success(now_micros);
+    if (phase_ == Phase::kServing) {
+      misses_ = 0;
+    } else if (phase_ == Phase::kRecovering &&
+               ++probes_answered_ >= config_.recover_probes) {
+      phase_ = Phase::kServing;
+    }
     // A pong while down is a stale answer from a connection we already
     // gave up on: recovery goes through reconnect_due, not here.
   });
@@ -68,46 +66,48 @@ ShardHealth::Event ShardHealth::probe_ok(std::int64_t now_micros) {
 
 ShardHealth::Event ShardHealth::probe_miss(std::int64_t now_micros) {
   return apply([&] {
-    if (breaker_.state() == svc::BreakerState::kOpen) return;
-    ++consecutive_misses_;
-    if (breaker_.record_fault(now_micros).state == svc::BreakerState::kOpen)
-      consecutive_misses_ = 0;  // suspect bookkeeping is meaningless down
+    if (phase_ == Phase::kRecovering ||
+        (phase_ == Phase::kServing && ++misses_ >= config_.fail_threshold))
+      go_down(now_micros);
   });
 }
 
 ShardHealth::Event ShardHealth::disconnected(std::int64_t now_micros) {
+  // Already down: the cooldown keeps its start.
   return apply([&] {
-    consecutive_misses_ = 0;
-    breaker_.trip(now_micros);
+    if (phase_ != Phase::kDown) go_down(now_micros);
   });
 }
 
 bool ShardHealth::reconnect_due(std::int64_t now_micros) {
-  if (breaker_.state() != svc::BreakerState::kOpen) return false;
-  // allow() transitions open → half-open once the cooldown elapses and
-  // admits the first probe: the reconnect attempt itself.
-  return breaker_.allow(now_micros).admitted;
+  if (phase_ != Phase::kDown ||
+      static_cast<double>(now_micros - down_since_us_) <
+          config_.down_cooldown_us)
+    return false;
+  phase_ = Phase::kRecovering;
+  probes_admitted_ = 1;  // the reconnect attempt itself
+  probes_answered_ = 0;
+  return true;
 }
 
 ShardHealth::Event ShardHealth::reconnect_succeeded(std::int64_t now_micros) {
-  return apply([&] {
-    consecutive_misses_ = 0;
-    // The completed TCP handshake is the first successful probe.
-    breaker_.record_success(now_micros);
-  });
+  // The completed TCP handshake is the first successful probe.
+  return probe_ok(now_micros);
 }
 
 ShardHealth::Event ShardHealth::reconnect_failed(std::int64_t now_micros) {
+  // Only a recovering shard has a reconnect attempt in flight.
   return apply([&] {
-    consecutive_misses_ = 0;
-    // A half-open fault re-opens immediately, restarting the cooldown.
-    breaker_.record_fault(now_micros);
+    if (phase_ == Phase::kRecovering) go_down(now_micros);
   });
 }
 
-bool ShardHealth::recovery_probe_due(std::int64_t now_micros) {
-  if (breaker_.state() != svc::BreakerState::kHalfOpen) return false;
-  return breaker_.allow(now_micros).admitted;
+bool ShardHealth::recovery_probe_due(std::int64_t /*now_micros*/) {
+  if (phase_ != Phase::kRecovering ||
+      probes_admitted_ >= config_.recover_probes)
+    return false;
+  ++probes_admitted_;
+  return true;
 }
 
 }  // namespace tgp::net

@@ -11,29 +11,25 @@
 //         pongs on the          reconnect succeeded
 //         new connection
 //
-// The machine is a thin skin over svc::CircuitBreaker (PR 5's overload
-// core): breaker closed ↦ up/suspect, open ↦ down, half-open ↦
-// recovering.  Configured with window == min_samples == fail_threshold
-// and trip_fault_rate == 1.0, the breaker trips exactly when the last
-// fail_threshold probe outcomes were all misses — i.e. on consecutive
-// misses, the classic health-check rule — while a hard disconnect trips
-// it immediately via CircuitBreaker::trip().  The open-state cooldown
-// paces reconnect attempts and the half-open probe budget is the number
-// of pongs a recovering shard must answer before taking traffic again.
+// The machine stores a phase — serving, down or recovering — and, while
+// serving, the count of consecutive probe misses: up is serving with no
+// miss, suspect is serving with at least one.  fail_threshold
+// consecutive misses take the shard down (one answer resets the count),
+// and a hard disconnect takes it down at once.  Down starts a cooldown
+// that paces reconnect attempts; the attempt itself is the first of
+// recover_probes recovery probes, and the shard serves again once that
+// many have answered.  Any miss or failure while recovering takes it
+// back down and restarts the cooldown.
 //
-// `suspect` is derived, not stored: breaker still closed but at least
-// one recent miss.  A suspect shard keeps serving (its connection is
-// alive; it may just be slow); only `down` and `recovering` shards are
-// excluded from routing.
+// A suspect shard keeps serving (its connection is alive; it may just
+// be slow); only down and recovering shards are excluded from routing.
 //
-// Loop-thread only, like everything else in the router — the breaker's
-// internal mutex is uncontended here and all time is caller-supplied
-// microseconds, so the machine is fully deterministic under test.
+// Loop-thread only, like everything else in the router, so it takes no
+// lock; all time is caller-supplied microseconds, so the machine is fully
+// deterministic under test.
 #pragma once
 
 #include <cstdint>
-
-#include "svc/resilience.hpp"
 
 namespace tgp::net {
 
@@ -61,15 +57,14 @@ class ShardHealth {
     bool changed = false;
   };
 
+  /// Throws std::invalid_argument unless fail_threshold >= 1 and
+  /// recover_probes >= 1.
   explicit ShardHealth(const ShardHealthConfig& config);
 
   ShardState state() const;
 
   /// May this shard take new traffic?  up and suspect only.
-  bool serving() const {
-    ShardState s = state();
-    return s == ShardState::kUp || s == ShardState::kSuspect;
-  }
+  bool serving() const { return phase_ == Phase::kServing; }
 
   /// A probe (ping) was answered, or a recovery probe succeeded.
   Event probe_ok(std::int64_t now_micros);
@@ -77,35 +72,39 @@ class ShardHealth {
   /// A probe went unanswered past its deadline, or failed to send.
   Event probe_miss(std::int64_t now_micros);
 
-  /// The shard's connection dropped: immediately down, no statistics.
+  /// The shard's connection dropped: immediately down.
   Event disconnected(std::int64_t now_micros);
 
   /// Down + cooldown elapsed: the caller should attempt one reconnect
   /// now.  Consumes the attempt — a `true` return moves the machine to
-  /// the probing phase, and the caller must follow up with
+  /// recovering, and the caller must follow up with
   /// reconnect_succeeded() or reconnect_failed().
   bool reconnect_due(std::int64_t now_micros);
 
-  /// The TCP handshake to the restarted shard completed — recovering,
-  /// with the handshake itself counted as the first successful probe.
+  /// The TCP handshake to the restarted shard completed — the handshake
+  /// counts as the first successful recovery probe.
   Event reconnect_succeeded(std::int64_t now_micros);
 
   /// The reconnect attempt failed: back to down, cooldown restarted.
   Event reconnect_failed(std::int64_t now_micros);
 
-  /// Recovering: is another recovery probe admitted right now?
+  /// Recovering: is another recovery probe admitted right now?  At most
+  /// recover_probes are admitted per recovery, the reconnect included.
   bool recovery_probe_due(std::int64_t now_micros);
 
-  int consecutive_misses() const { return consecutive_misses_; }
-
-  std::uint64_t transitions() const { return breaker_.stats().transitions; }
-
  private:
+  enum class Phase { kServing, kDown, kRecovering };
+
   template <class Fn>
   Event apply(Fn&& fn);
+  void go_down(std::int64_t now_micros);
 
-  svc::CircuitBreaker breaker_;
-  int consecutive_misses_ = 0;
+  ShardHealthConfig config_;
+  Phase phase_ = Phase::kServing;
+  int misses_ = 0;                  ///< consecutive misses while serving
+  std::int64_t down_since_us_ = 0;  ///< cooldown start
+  int probes_admitted_ = 0;         ///< this recovery's, reconnect included
+  int probes_answered_ = 0;         ///< this recovery's, reconnect included
 };
 
 }  // namespace tgp::net

@@ -34,6 +34,7 @@ void Router::connect_backends(
   TGP_REQUIRE(server_ != nullptr, "Router::attach must precede connect");
   TGP_REQUIRE(!backends.empty(), "router needs at least one backend");
   TGP_REQUIRE(backends_.empty(), "backends already connected");
+  backends_.reserve(backends.size());
   for (std::size_t i = 0; i < backends.size(); ++i) {
     std::uint64_t conn = server_->connect(backends[i].first,
                                           backends[i].second);
@@ -44,8 +45,7 @@ void Router::connect_backends(
     link.host = backends[i].first;
     link.port = backends[i].second;
   }
-  ring_ = HashRing(static_cast<std::uint32_t>(backends_.size()),
-                   config_.ring_vnodes);
+  ring_ = HashRing(static_cast<std::uint32_t>(backends_.size()));
 }
 
 std::uint32_t Router::route_of(std::uint64_t key) const {
@@ -150,24 +150,14 @@ void Router::handle_submit(std::uint64_t conn, const FrameHeader& header,
 }
 
 void Router::dispatch(Waiting w) {
-  const std::uint32_t primary = ring_.owner(w.key);
-  std::uint32_t target = primary;
-  if (config_.failover) {
-    target = route_of(w.key);
-    if (target >= backends_.size()) {
-      ++shard_down_rejects_;
-      reject_client(w.client_conn, w.client_request_id,
-                    RejectCode::kShardDown, "no serving shard in the fleet");
-      return;
-    }
-    if (target != primary) ++requests_rerouted_;
-  } else if (!backends_[primary].connected ||
-             !backends_[primary].health.serving()) {
+  const std::uint32_t target = route_of(w.key);
+  if (target >= backends_.size()) {
     ++shard_down_rejects_;
     reject_client(w.client_conn, w.client_request_id, RejectCode::kShardDown,
-                  "shard " + std::to_string(primary) + " is down");
+                  "no serving shard in the fleet");
     return;
   }
+  if (target != ring_.owner(w.key)) ++requests_rerouted_;
   const std::uint64_t router_id = next_router_id_++;
   patch_request_id(w.frame, router_id);
   Pending p;
@@ -178,7 +168,7 @@ void Router::dispatch(Waiting w) {
   p.ctx = w.ctx;
   p.accept_ns = w.accept_ns;
   p.dispatch_ns = obs::trace::now_ns();
-  if (config_.failover) p.frame = w.frame;  // kept for hand-off
+  p.frame = w.frame;  // kept for hand-off
   pending_.emplace(router_id, std::move(p));
   ++forwarded_;
   server_->send(backends_[target].conn, std::move(w.frame));
@@ -419,7 +409,7 @@ void Router::shard_down(std::uint32_t backend, const char* why) {
     server_->close_conn(link.conn);
     return;
   }
-  if (config_.failover) hand_off(backend);
+  hand_off(backend);
 }
 
 void Router::on_close(std::uint64_t conn) {
@@ -432,25 +422,9 @@ void Router::on_close(std::uint64_t conn) {
   link.conn = 0;
   link.ping_id = 0;
   note_event(backend, link.health.disconnected(now_micros()));
-
-  if (config_.failover) {
-    // Hand the dead shard's in-flight work to the ring successors;
-    // queued work re-routes at dispatch.
-    hand_off(backend);
-  } else {
-    // PR 6 semantics: fail fast everything in flight to that shard.
-    std::vector<std::pair<std::uint64_t, Pending>> doomed;
-    for (const auto& [id, p] : pending_)
-      if (p.backend == backend) doomed.emplace_back(id, p);
-    for (const auto& [id, p] : doomed) {
-      pending_.erase(id);
-      ++shard_down_rejects_;
-      reject_client(p.client_conn, p.client_request_id,
-                    RejectCode::kShardDown,
-                    "shard " + std::to_string(backend) +
-                        " disconnected with the job in flight");
-    }
-  }
+  // Hand the dead shard's in-flight work to the ring successors; queued
+  // work re-routes at dispatch.
+  hand_off(backend);
   pump();
 }
 
@@ -491,9 +465,6 @@ void Router::on_tick() {
       tick_count_ % static_cast<std::uint64_t>(config_.metrics_every_ticks) ==
           0)
     poll_shard_metrics();
-  const bool probe_tick =
-      config_.probe_every_ticks <= 1 ||
-      tick_count_ % static_cast<std::uint64_t>(config_.probe_every_ticks) == 0;
 
   for (std::uint32_t i = 0; i < backends_.size(); ++i) {
     BackendLink& link = backends_[i];
@@ -522,7 +493,6 @@ void Router::on_tick() {
       }
       continue;
     }
-    if (!probe_tick) continue;
 
     const ShardState state = link.health.state();
     if ((state == ShardState::kUp || state == ShardState::kSuspect) &&

@@ -23,7 +23,7 @@
 // modes"):
 //
 //   * Health checking — with Server ticks enabled, the router pings
-//     every backend each probe interval and runs a per-shard
+//     every backend each tick and runs a per-shard
 //     up → suspect → down → recovering machine (net/health.hpp) on the
 //     answers.  State is exported as tgp_shard_health gauges and
 //     shard.transition trace events.
@@ -43,9 +43,6 @@
 //     recovering, and drained back in once healthy: the ring's minimal
 //     reshuffle means exactly the keys they own come home, nothing else
 //     moves.
-//
-// With `failover = false` the PR 6 behavior is preserved: a dead shard
-// fast-fails its owned jobs with kShardDown until it returns.
 //
 // Single-threaded: every callback (frames, closes, ticks) runs on the
 // Server's loop thread, so the router needs no locks anywhere.  stats()
@@ -80,18 +77,13 @@ class Router : public Server::Handler {
     /// And a cap on how many may wait: beyond it, submits are rejected
     /// kOverloaded at the wire (backpressure must reach the client).
     std::size_t max_queued = 4096;
-    std::uint32_t ring_vnodes = HashRing::kDefaultVnodes;
 
-    /// Hand off a dead shard's work to the ring successor (and detour
-    /// new submits around it).  false = PR 6 fast-fail semantics.
-    bool failover = true;
     /// Active probing (requires Server::Config::tick_interval_ms > 0;
     /// without ticks only disconnect-driven transitions fire).
     ShardHealthConfig health;
-    /// A ping unanswered this long counts as a probe miss.
+    /// A ping unanswered this long counts as a probe miss.  Each tick
+    /// sends one ping to every serving backend with none outstanding.
     double probe_timeout_us = 500'000;
-    /// Probe cadence: one ping per backend every this many ticks.
-    int probe_every_ticks = 1;
     /// Deadline for reconnect attempts to down shards (loop-blocking!).
     int connect_timeout_ms = 250;
 
@@ -140,11 +132,6 @@ class Router : public Server::Handler {
     return static_cast<std::uint32_t>(backends_.size());
   }
 
-  /// Health state of one shard (loop thread, or loop stopped).
-  ShardState shard_state(std::uint32_t shard) const {
-    return backends_[shard].health.state();
-  }
-
   void on_frame(std::uint64_t conn, const FrameHeader& header,
                 std::span<const std::uint8_t> payload) override;
   void on_close(std::uint64_t conn) override;
@@ -174,10 +161,6 @@ class Router : public Server::Handler {
   /// slow_requests() as a JSON array for `--slow-log` dumps.
   std::string slow_log_json() const;
 
-  /// End-to-end latency (client submit accepted → response forwarded)
-  /// across all shards, as observed by the router.
-  const obs::LatencyHistogram& e2e_latency() const { return e2e_latency_; }
-
  private:
   struct BackendLink {
     std::uint64_t conn = 0;
@@ -200,7 +183,7 @@ class Router : public Server::Handler {
     std::uint32_t backend = 0;
     std::uint64_t key = 0;  ///< fingerprint fold (ring position)
     /// Frame copy kept for hand-off (fingerprint stamped, router id
-    /// patched); empty when failover is off.
+    /// patched).
     std::vector<std::uint8_t> frame;
     /// Distributed-trace identity of the client request (unsampled when
     /// the client did not trace) and the router-side phase timestamps.
@@ -251,9 +234,7 @@ class Router : public Server::Handler {
   Config config_;
   Server* server_ = nullptr;
   HashRing ring_{1};  // rebuilt by connect_backends
-  // deque, not vector: BackendLink is pinned (ShardHealth's breaker owns
-  // a mutex), so elements must be constructed in place and never moved.
-  std::deque<BackendLink> backends_;
+  std::vector<BackendLink> backends_;
   std::unordered_map<std::uint64_t, std::uint32_t> backend_of_conn_;
 
   std::uint64_t next_router_id_ = 1;

@@ -130,15 +130,6 @@ std::uint64_t Server::connect(const std::string& host, std::uint16_t port,
   return id;
 }
 
-void Server::set_tag(std::uint64_t conn, std::uint64_t tag) {
-  if (Conn* c = find(conn)) c->tag = tag;
-}
-
-std::uint64_t Server::tag(std::uint64_t conn) const {
-  auto it = conns_.find(conn);
-  return it == conns_.end() ? 0 : it->second->tag;
-}
-
 Server::Conn* Server::find(std::uint64_t id) {
   auto it = conns_.find(id);
   return it == conns_.end() ? nullptr : it->second.get();

@@ -112,16 +112,8 @@ class Server {
   /// Close once pending writes flush.  Thread-safe.
   void close_conn(std::uint64_t conn);
 
-  /// Loop-thread only: a per-connection tag for the Handler's use
-  /// (the router tags backend connections with their shard index).
-  void set_tag(std::uint64_t conn, std::uint64_t tag);
-  std::uint64_t tag(std::uint64_t conn) const;
-
   /// Loop-thread only (or after run() returned).
   const obs::NetCounters& counters() const { return counters_; }
-
-  /// Number of live connections (loop thread only).
-  std::size_t open_conns() const { return conns_.size(); }
 
   /// Loop-thread only: when the bytes of the frame currently being
   /// delivered to Handler::on_frame were read off the socket.  A client
@@ -135,7 +127,6 @@ class Server {
   struct Conn {
     UniqueFd fd;
     std::uint64_t id = 0;
-    std::uint64_t tag = 0;
     bool outbound = false;
     bool http = false;          // sniffed as plain HTTP
     bool mode_known = false;    // first bytes seen yet?
@@ -159,7 +150,6 @@ class Server {
   void wake();
   void drain_mailbox();
   void accept_ready();
-  void register_conn(std::unique_ptr<Conn> conn);
   void readable(Conn& c);
   void writable(Conn& c);
   bool flush(Conn& c);  // false = connection died

@@ -12,13 +12,11 @@ std::uint64_t ring_mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-HashRing::HashRing(std::uint32_t shard_count, std::uint32_t vnodes)
-    : shard_count_(shard_count) {
+HashRing::HashRing(std::uint32_t shard_count) : shard_count_(shard_count) {
   if (shard_count == 0) throw std::invalid_argument("HashRing: 0 shards");
-  if (vnodes == 0) throw std::invalid_argument("HashRing: 0 vnodes");
-  points_.reserve(static_cast<std::size_t>(shard_count) * vnodes);
+  points_.reserve(static_cast<std::size_t>(shard_count) * kVnodes);
   for (std::uint32_t s = 0; s < shard_count; ++s)
-    for (std::uint32_t v = 0; v < vnodes; ++v) {
+    for (std::uint32_t v = 0; v < kVnodes; ++v) {
       // Distinct well-mixed point per (shard, vnode); the odd multiplier
       // keeps shard/vnode pairs from colliding before the mix.
       const std::uint64_t seed =

@@ -7,11 +7,11 @@
 // fixed fleet but reshuffles almost every key when N changes; the ring
 // moves only ~1/N of the keyspace per added or removed shard.
 //
-// Construction hashes `vnodes` virtual points per shard onto a u64
+// Construction hashes kVnodes virtual points per shard onto a u64
 // circle; lookup is a binary search for the first point at or after the
 // key's hash.  Both sides of the mapping are pure functions of
-// (shard count, vnodes, key), so a backend can independently recompute
-// its ownership — that is how the per-shard "foreign" Prometheus
+// (shard count, key), so a backend can independently recompute its
+// ownership — that is how the per-shard "foreign" Prometheus
 // counters in net/backend.hpp verify routing disjointness end to end.
 #pragma once
 
@@ -31,11 +31,13 @@ std::uint64_t ring_mix(std::uint64_t x);
 
 class HashRing {
  public:
-  static constexpr std::uint32_t kDefaultVnodes = 64;
+  /// Virtual points per shard.  A constant, not a knob: the router and
+  /// every backend must build the same ring, or the backends' ownership
+  /// accounting stops matching the router's routing.
+  static constexpr std::uint32_t kVnodes = 64;
 
   /// A ring over shards 0..shard_count-1.  shard_count must be >= 1.
-  explicit HashRing(std::uint32_t shard_count,
-                    std::uint32_t vnodes = kDefaultVnodes);
+  explicit HashRing(std::uint32_t shard_count);
 
   std::uint32_t shard_count() const { return shard_count_; }
 

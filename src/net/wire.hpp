@@ -93,7 +93,7 @@ enum class RejectCode : std::uint8_t {
   kQuotaExceeded = 3,       ///< tenant over its admission quota (router)
   kOverloaded = 4,          ///< pending queue full, shed before service
   kShuttingDown = 5,        ///< server is draining
-  kShardDown = 6,           ///< owning backend connection is gone
+  kShardDown = 6,           ///< no shard in the fleet is serving (router)
   kInternal = 7,            ///< anything else
 };
 

@@ -151,8 +151,7 @@ TEST_F(FailoverTest, DeadShardsJobsRerouteToTheSuccessor) {
   Client client("127.0.0.1", router_port());
   std::vector<svc::JobResult> results = client.run_batch(to_requests(specs));
   ASSERT_EQ(results.size(), specs.size());
-  // Unlike the failover=false router (test_net_router.cpp), every job
-  // succeeds: shard 1's keys detour to the ring successor.
+  // Every job succeeds: shard 1's keys detour to the ring successor.
   for (std::size_t i = 0; i < results.size(); ++i)
     EXPECT_TRUE(results[i].ok) << "job " << i << ": " << results[i].error;
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "net/shard.hpp"
@@ -26,7 +27,22 @@ TEST(ShardHealth, StartsUp) {
   ShardHealth h(fast_config());
   EXPECT_EQ(h.state(), ShardState::kUp);
   EXPECT_TRUE(h.serving());
-  EXPECT_EQ(h.transitions(), 0u);
+}
+
+TEST(ShardHealth, RejectsNonPositiveThresholds) {
+  // What `tgp_served --fail-threshold 0` / `--recover-probes 0` pass in:
+  // a shard that goes down without a miss, or recovers without a probe,
+  // is a configuration error, not a state.
+  ShardHealthConfig c = fast_config();
+  c.fail_threshold = 0;
+  EXPECT_THROW(ShardHealth{c}, std::invalid_argument);
+  c = fast_config();
+  c.recover_probes = 0;
+  EXPECT_THROW(ShardHealth{c}, std::invalid_argument);
+  c = fast_config();
+  c.fail_threshold = 1;
+  c.recover_probes = 1;
+  EXPECT_NO_THROW(ShardHealth{c});
 }
 
 TEST(ShardHealth, MissesWalkUpSuspectDown) {
@@ -68,9 +84,10 @@ TEST(ShardHealth, DisconnectTripsImmediately) {
   EXPECT_EQ(ev.state, ShardState::kDown);
   EXPECT_TRUE(ev.changed);
   EXPECT_FALSE(h.serving());
-  // Idempotent while already down.
+  // Idempotent while already down, and the cooldown keeps its start.
   ev = h.disconnected(2);
   EXPECT_FALSE(ev.changed);
+  EXPECT_TRUE(h.reconnect_due(1 + 1000));
 }
 
 TEST(ShardHealth, ReconnectWaitsOutTheCooldown) {
@@ -119,6 +136,120 @@ TEST(ShardHealth, MissDuringRecoveryReopens) {
   ShardHealth::Event ev = h.probe_miss(2200);
   EXPECT_EQ(ev.state, ShardState::kDown);
   EXPECT_TRUE(ev.changed);
+}
+
+// ---- The same transitions under the circuit-breaker names ----------------
+//
+// These five carry the names of the tests of the sliding-window circuit
+// breaker (window = min_samples = fail_threshold, trip rate 1.0) that the
+// shard machine replaces, and drive the same transitions through it.
+
+TEST(CircuitBreaker, NoTripBeforeMinSamples) {
+  ShardHealth h(fast_config());  // fail_threshold = 3
+  // fail_threshold - 1 misses: suspect, still serving.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(h.probe_miss(i).state, ShardState::kSuspect) << i;
+    EXPECT_TRUE(h.serving()) << i;
+  }
+  // The next miss reaches the threshold: down.
+  ShardHealth::Event ev = h.probe_miss(2);
+  EXPECT_TRUE(ev.changed);
+  EXPECT_EQ(ev.state, ShardState::kDown);
+  EXPECT_FALSE(h.serving());
+}
+
+TEST(CircuitBreaker, SuccessesSlideFaultsOutOfTheWindow) {
+  ShardHealth h(fast_config());  // fail_threshold = 3
+  // Long runs of misses, each one short of the threshold and broken up
+  // by an answer, never take the shard down.
+  std::int64_t t = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_NE(h.probe_miss(++t).state, ShardState::kDown) << round;
+      EXPECT_TRUE(h.serving()) << round;
+    }
+    ShardHealth::Event ev = h.probe_ok(++t);
+    EXPECT_EQ(ev.state, ShardState::kUp) << round;
+    EXPECT_TRUE(ev.changed) << round;
+  }
+  // An answer between two misses resets the count, so the threshold
+  // needs three fresh misses in a row.
+  h.probe_miss(++t);
+  h.probe_ok(++t);
+  h.probe_miss(++t);
+  h.probe_miss(++t);
+  EXPECT_EQ(h.state(), ShardState::kSuspect);
+  EXPECT_EQ(h.probe_miss(++t).state, ShardState::kDown);
+}
+
+TEST(CircuitBreaker, OpenRejectsUntilCooldownThenProbes) {
+  ShardHealthConfig c = fast_config();
+  c.recover_probes = 3;
+  ShardHealth h(c);
+  for (int i = 0; i < 3; ++i) h.probe_miss(i);
+  ASSERT_EQ(h.state(), ShardState::kDown);
+  // Down since t = 2; the cooldown is 1000us.
+  EXPECT_FALSE(h.reconnect_due(500));
+  EXPECT_FALSE(h.reconnect_due(2 + 999));
+  EXPECT_EQ(h.state(), ShardState::kDown);
+  EXPECT_FALSE(h.recovery_probe_due(600)) << "no probes while down";
+  EXPECT_FALSE(h.probe_ok(700).changed) << "a stale pong revives nothing";
+  // At the end of the cooldown the reconnect is due and is the first of
+  // recover_probes probes.
+  EXPECT_TRUE(h.reconnect_due(2 + 1000));
+  EXPECT_EQ(h.state(), ShardState::kRecovering);
+  EXPECT_FALSE(h.reconnect_due(1100)) << "one attempt at a time";
+  // recover_probes - 1 more probes are admitted, and no more.
+  EXPECT_TRUE(h.recovery_probe_due(1100));
+  EXPECT_TRUE(h.recovery_probe_due(1100));
+  EXPECT_FALSE(h.recovery_probe_due(1100));
+  EXPECT_FALSE(h.recovery_probe_due(5000));
+  EXPECT_EQ(h.state(), ShardState::kRecovering);
+}
+
+TEST(CircuitBreaker, HalfOpenSuccessQuotaCloses) {
+  ShardHealthConfig c = fast_config();
+  c.recover_probes = 3;
+  ShardHealth h(c);
+  for (int i = 0; i < 2; ++i) h.probe_miss(i);
+  h.disconnected(2);
+  ASSERT_TRUE(h.reconnect_due(2000));
+  // The handshake and the next answer are two of three: still recovering.
+  ShardHealth::Event ev = h.reconnect_succeeded(2001);
+  EXPECT_FALSE(ev.changed);
+  EXPECT_EQ(ev.state, ShardState::kRecovering);
+  ASSERT_TRUE(h.recovery_probe_due(2002));
+  ev = h.probe_ok(2003);
+  EXPECT_FALSE(ev.changed);
+  EXPECT_FALSE(h.serving());
+  // The third answer brings the shard up.
+  ASSERT_TRUE(h.recovery_probe_due(2004));
+  ev = h.probe_ok(2005);
+  EXPECT_TRUE(ev.changed);
+  EXPECT_EQ(ev.state, ShardState::kUp);
+  EXPECT_TRUE(h.serving());
+  // No misses carried over from before the outage: fail_threshold - 1
+  // fresh misses keep it serving.
+  h.probe_miss(3000);
+  h.probe_miss(3001);
+  EXPECT_EQ(h.state(), ShardState::kSuspect);
+  EXPECT_FALSE(h.reconnect_due(9000)) << "serving shards never re-dial";
+}
+
+TEST(CircuitBreaker, HalfOpenFaultReopensAndRestartsCooldown) {
+  ShardHealth h(fast_config());
+  h.disconnected(0);
+  ASSERT_TRUE(h.reconnect_due(2000));
+  h.reconnect_succeeded(2000);
+  ASSERT_EQ(h.state(), ShardState::kRecovering);
+  ShardHealth::Event ev = h.probe_miss(2001);
+  EXPECT_TRUE(ev.changed);
+  EXPECT_EQ(ev.state, ShardState::kDown);
+  // The cooldown restarts from the miss, not from the first outage.
+  EXPECT_FALSE(h.reconnect_due(2500));
+  EXPECT_FALSE(h.reconnect_due(2001 + 999));
+  EXPECT_TRUE(h.reconnect_due(2001 + 1000));
+  EXPECT_EQ(h.state(), ShardState::kRecovering);
 }
 
 // ---- HashRing failover properties -----------------------------------------

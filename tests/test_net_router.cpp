@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <thread>
@@ -186,6 +187,23 @@ class RouterTest : public ::testing::Test {
 
   std::uint16_t router_port() const { return router_server_->port(); }
 
+  /// Poll the router's metrics until tgp_shard_health{shard="S",
+  /// state="NAME"} reads 1 (or fail after ~5s).  Goes over the wire so no
+  /// off-loop-thread state is touched.
+  void wait_for_state(std::uint32_t shard, const char* name) {
+    const obs::Labels series{{"shard", std::to_string(shard)},
+                             {"state", name}};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      Client probe("127.0.0.1", router_port());
+      if (probe.fetch_metrics().value("tgp_shard_health", series) == 1.0)
+        return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    FAIL() << "shard " << shard << " never reached state " << name;
+  }
+
   /// Ring owner of a spec's canonical fingerprint — the pure function
   /// both the router and the backends evaluate.
   static std::uint32_t owner_of(const svc::JobSpec& spec) {
@@ -296,39 +314,49 @@ TEST_F(RouterTest, QuotaRejectsSurfaceAsOverloadedResults) {
 }
 
 TEST_F(RouterTest, DeadShardFailsFastOwnedJobsOnly) {
-  // failover=false pins the PR 6 contract: a dead shard's jobs fail
-  // fast with kShardDown instead of handing off to the ring successor
-  // (the failover path is covered by test_net_failover.cpp).
-  Router::Config cfg;
-  cfg.failover = false;
-  start_router(cfg);
+  // A dead shard's jobs go to its ring successor; only when no shard is
+  // serving do they fail, fast, with kShardDown.  (Deaths mid-batch and
+  // recovery are covered by test_net_failover.cpp.)
+  start_router(Router::Config{});
   std::vector<svc::JobSpec> specs = tools::generate_workload(40, 23, 0);
   // Make sure the workload actually spans both shards.
-  std::map<std::uint32_t, int> per_shard;
+  std::map<std::uint32_t, std::uint64_t> per_shard;
   for (const svc::JobSpec& s : specs) ++per_shard[owner_of(s)];
-  ASSERT_GT(per_shard[0], 0);
-  ASSERT_GT(per_shard[1], 0);
-
-  shards_[1]->shutdown();  // shard 1 dies before the batch
-
+  ASSERT_GT(per_shard[0], 0u);
+  ASSERT_GT(per_shard[1], 0u);
   std::vector<SubmitRequest> requests;
   for (const svc::JobSpec& s : specs) {
     SubmitRequest req;
     req.spec = s;
     requests.push_back(std::move(req));
   }
+
+  shards_[1]->shutdown();  // shard 1 dies before the batch
+  ASSERT_NO_FATAL_FAILURE(wait_for_state(1, "down"));
+  {
+    Client client("127.0.0.1", router_port());
+    std::vector<svc::JobResult> results = client.run_batch(requests);
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < results.size(); ++i)
+      EXPECT_TRUE(results[i].ok) << "job " << i << ": " << results[i].error;
+  }
+  // Shard 0 served shard 1's share, and counted it as foreign.
+  EXPECT_GE(shards_[0]->backend->shard_stats().foreign_submits, per_shard[1]);
+
+  shards_[0]->shutdown();  // now no shard is serving
+  ASSERT_NO_FATAL_FAILURE(wait_for_state(0, "down"));
   Client client("127.0.0.1", router_port());
   std::vector<svc::JobResult> results = client.run_batch(requests);
   ASSERT_EQ(results.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (owner_of(specs[i]) == 0) {
-      EXPECT_TRUE(results[i].ok) << "job " << i << " owned by live shard";
-    } else {
-      EXPECT_EQ(results[i].status, svc::JobStatus::kInternalError) << i;
-      EXPECT_NE(results[i].error.find("shard"), std::string::npos) << i;
-    }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].status, svc::JobStatus::kInternalError) << i;
+    EXPECT_NE(results[i].error.find("no serving shard"), std::string::npos)
+        << i << ": " << results[i].error;
   }
-  EXPECT_GT(router_->stats().shard_down_rejects, 0u);
+  // Over the wire: stats() is only for a stopped loop.
+  const obs::MetricsRegistry metrics = client.fetch_metrics();
+  EXPECT_GE(metrics.value("tgp_router_shard_down_rejects_total").value_or(0),
+            static_cast<double>(specs.size()));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The overload-protection primitives (svc/resilience.hpp) and how the
 // service behaves under load and faults: token-bucket admission, retry
-// backoff determinism, the circuit breaker's state machine, thread-safe
-// fault-site registration, what each service fault site does to a job,
-// and the one solve path and one cache path every job takes — under a
-// backlog and under cache fault storms alike.
+// backoff determinism, thread-safe fault-site registration, what each
+// service fault site does to a job, and the one solve path and one cache
+// path every job takes — under a backlog and under cache fault storms
+// alike.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -194,101 +194,6 @@ TEST(RetryPolicy, ZeroJitterIsExact) {
   EXPECT_DOUBLE_EQ(p.backoff_us(1, rng), 50.0);
   EXPECT_DOUBLE_EQ(p.backoff_us(2, rng), 150.0);
   EXPECT_DOUBLE_EQ(p.backoff_us(3, rng), 450.0);
-}
-
-// --- CircuitBreaker state machine ----------------------------------------
-
-BreakerConfig small_breaker() {
-  BreakerConfig c;
-  c.window = 8;
-  c.min_samples = 4;
-  c.trip_fault_rate = 0.5;
-  c.open_cooldown_us = 1000;
-  c.half_open_probes = 2;
-  return c;
-}
-
-TEST(CircuitBreaker, NoTripBeforeMinSamples) {
-  CircuitBreaker b(small_breaker());
-  // Three consecutive faults: rate 1.0 but below min_samples.
-  for (int i = 0; i < 3; ++i)
-    EXPECT_FALSE(b.record_fault(i).transitioned) << i;
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  // The fourth hits min_samples at rate 1.0 >= 0.5: trips.
-  CircuitBreaker::Outcome o = b.record_fault(3);
-  EXPECT_TRUE(o.transitioned);
-  EXPECT_EQ(o.state, BreakerState::kOpen);
-  EXPECT_EQ(b.stats().trips, 1u);
-}
-
-TEST(CircuitBreaker, SuccessesSlideFaultsOutOfTheWindow) {
-  CircuitBreaker b(small_breaker());
-  // 3 faults then 5 successes: window full at 3/8 = 0.375 < 0.5.
-  for (int i = 0; i < 3; ++i) b.record_fault(i);
-  for (int i = 0; i < 5; ++i) b.record_success(3 + i);
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  // Three more successes overwrite the old faults; the window is clean,
-  // so three fresh faults make 3/8 and still must not trip...
-  for (int i = 0; i < 3; ++i) b.record_success(10 + i);
-  for (int i = 0; i < 3; ++i)
-    EXPECT_FALSE(b.record_fault(20 + i).transitioned) << i;
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  // ...while the fourth reaches 4/8 = 0.5 and does.
-  EXPECT_TRUE(b.record_fault(30).transitioned);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-}
-
-TEST(CircuitBreaker, OpenRejectsUntilCooldownThenProbes) {
-  CircuitBreaker b(small_breaker());
-  for (int i = 0; i < 4; ++i) b.record_fault(i);
-  ASSERT_EQ(b.state(), BreakerState::kOpen);
-  // Before the cooldown: rejected, no transition.
-  CircuitBreaker::Outcome o = b.allow(500);
-  EXPECT_FALSE(o.admitted);
-  EXPECT_EQ(o.state, BreakerState::kOpen);
-  // After the cooldown the allow() itself half-opens and admits.
-  o = b.allow(3 + 1000);
-  EXPECT_TRUE(o.transitioned);
-  EXPECT_TRUE(o.admitted);
-  EXPECT_EQ(o.state, BreakerState::kHalfOpen);
-  // Probe budget: one more (half_open_probes = 2), then rejects.
-  EXPECT_TRUE(b.allow(1100).admitted);
-  EXPECT_FALSE(b.allow(1100).admitted);
-  EXPECT_EQ(b.stats().half_opens, 1u);
-}
-
-TEST(CircuitBreaker, HalfOpenSuccessQuotaCloses) {
-  CircuitBreaker b(small_breaker());
-  for (int i = 0; i < 4; ++i) b.record_fault(i);
-  b.allow(2000);  // half-open
-  EXPECT_FALSE(b.record_success(2001).transitioned);
-  CircuitBreaker::Outcome o = b.record_success(2002);
-  EXPECT_TRUE(o.transitioned);
-  EXPECT_EQ(o.state, BreakerState::kClosed);
-  BreakerStats s = b.stats();
-  EXPECT_EQ(s.trips, 1u);
-  EXPECT_EQ(s.half_opens, 1u);
-  EXPECT_EQ(s.closes, 1u);
-  EXPECT_EQ(s.transitions, 3u);
-  // The close reset the window: pre-trip faults must not linger, so three
-  // fresh faults (3/8 once refilled past min_samples) cannot re-trip.
-  for (int i = 0; i < 3; ++i) b.record_fault(3000 + i);
-  b.record_success(3100);
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-}
-
-TEST(CircuitBreaker, HalfOpenFaultReopensAndRestartsCooldown) {
-  CircuitBreaker b(small_breaker());
-  for (int i = 0; i < 4; ++i) b.record_fault(i);
-  b.allow(2000);  // half-open
-  CircuitBreaker::Outcome o = b.record_fault(2001);
-  EXPECT_TRUE(o.transitioned);
-  EXPECT_EQ(o.state, BreakerState::kOpen);
-  EXPECT_EQ(b.stats().trips, 2u);
-  // The cooldown restarts from the re-open time.
-  EXPECT_FALSE(b.allow(2500).admitted);
-  EXPECT_TRUE(b.allow(2001 + 1000).admitted);
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
 }
 
 // --- FaultInjector thread safety -----------------------------------------

@@ -210,9 +210,9 @@ std::string served_tool_help() {
       "          router:  --route HOST:PORT[,HOST:PORT...]\n"
       "                  [--tenant-rate R] [--tenant-burst B]\n"
       "                  [--max-outstanding N] [--max-queued N]\n"
-      "                  [--no-failover] [--fail-threshold N]\n"
-      "                  [--down-cooldown-ms MS] [--recover-probes N]\n"
-      "                  [--probe-timeout-ms MS] [--connect-timeout-ms MS]\n"
+      "                  [--fail-threshold N] [--down-cooldown-ms MS]\n"
+      "                  [--recover-probes N] [--probe-timeout-ms MS]\n"
+      "                  [--connect-timeout-ms MS]\n"
       "                  [--metrics-every-ticks N] [--slow-log FILE]\n"
       "                  [--slow-log-size K]\n"
       "\n"
@@ -237,10 +237,10 @@ std::string served_tool_help() {
       "\n"
       "With --tick-ms the router actively health-checks its backends\n"
       "(ping probes every tick; --fail-threshold consecutive misses mark\n"
-      "a shard down) and, unless --no-failover, hands a dead shard's\n"
-      "in-flight work to the ring successor, reconnecting after\n"
-      "--down-cooldown-ms and draining the shard back in once\n"
-      "--recover-probes probes answer.\n"
+      "a shard down).  A dead shard's in-flight and new work goes to the\n"
+      "ring successor; only when no shard is serving is a submit\n"
+      "rejected.  The router reconnects after --down-cooldown-ms and\n"
+      "drains the shard back in once --recover-probes probes answer.\n"
       "\n"
       "--cache-dir makes the memo cache survive restarts: entries are\n"
       "journaled as they are solved (checksummed, crash-safe), recovered\n"
@@ -295,7 +295,6 @@ int run_served_tool(const std::vector<std::string>& args, std::ostream& out,
         .describe("max-outstanding", "router cap on in-flight forwards")
         .describe("max-queued", "router fair-queue capacity")
         .describe("tick-ms", "event-loop timer period (enables probing)")
-        .describe("no-failover", "fast-fail dead shards instead of hand-off")
         .describe("fail-threshold", "consecutive probe misses marking down")
         .describe("down-cooldown-ms", "wait before re-dialing a down shard")
         .describe("recover-probes", "probes to pass before rejoining")
@@ -375,7 +374,6 @@ int run_served_tool(const std::vector<std::string>& args, std::ostream& out,
           static_cast<std::size_t>(parser.get_int("max-outstanding", 1024));
       rc.max_queued =
           static_cast<std::size_t>(parser.get_int("max-queued", 4096));
-      rc.failover = !parser.get_bool("no-failover", false);
       rc.health.fail_threshold =
           static_cast<int>(parser.get_int("fail-threshold", 3));
       rc.health.down_cooldown_us =
