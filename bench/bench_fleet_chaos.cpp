@@ -342,14 +342,29 @@ int main(int argc, char** argv) {
   int runs = 1;
   std::uint64_t seed = 0xF1EE7;
   std::string served;
+  // Anything unknown, or a flag without its value, is a usage error
+  // before any child process starts.
+  auto usage = [](int code) {
+    std::fputs("usage: bench_fleet_chaos [--quick] [--runs N] [--seed S] "
+               "[--served PATH]\n",
+               code == 0 ? stdout : stderr);
+    return code;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc)
-      runs = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-      seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
-    if (std::strcmp(argv[i], "--served") == 0 && i + 1 < argc)
-      served = argv[i + 1];
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return usage(0);
+    } else if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--runs") == 0 && has_value) {
+      runs = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--seed") == 0 && has_value) {
+      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--served") == 0 && has_value) {
+      served = argv[++i];
+    } else {
+      return usage(2);
+    }
   }
   if (served.empty()) {
     // Default: ../tools/tgp_served next to this binary.

@@ -12,17 +12,21 @@
 // *asserts* (hard process exit):
 //
 //   * no job ends kInternalError — cache faults cost time, never a job;
-//   * the storm reached the cache: at least one probe faulted;
+//   * the storm reached the cache: at least one probe faulted, in the
+//     paced stream and again after the tail;
 //   * every surviving result, from the stream and from the storm tail,
 //     is bit-identical to a direct no-service solve of the same spec;
 //   * p99 admission latency stays bounded — submit never blocks on the
 //     queue because max_inflight == queue_capacity keeps the queue from
 //     ever filling.
 //
-// --quick shrinks the workload for the TSan smoke test in CI; the
-// assertions are identical.
+// The paced stream lasts at least kMinStreamSeconds whatever the clean
+// rate, cycling the generated specs, so its storm spans time in which the
+// workers probe the cache.  --quick shrinks the workload for the TSan
+// smoke test in CI; the assertions are identical.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,6 +65,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
   const int kJobs = quick ? 240 : 2000;
+  const double kMinStreamSeconds = 0.25;
   const int kThreads = 4;
   const std::size_t kMaxInflight = quick ? 32 : 128;
   std::printf("=== partition service soak (open-loop, %d jobs%s) ===\n\n",
@@ -101,7 +106,19 @@ int main(int argc, char** argv) {
 
   // Phase 2: the soak.  Open-loop at 2x clean throughput, admission
   // control on, a 1% cache-fault drizzle, and a p=1 fault storm across
-  // the middle three tenths of the stream.
+  // the middle three tenths of the stream.  The stream submits the
+  // generated specs in turn, as often as it takes to last at least
+  // kMinStreamSeconds at that pace.
+  const double interval_us = 1e6 / (2.0 * clean_rate);
+  const std::size_t stream_jobs =
+      std::max(specs.size(), static_cast<std::size_t>(std::ceil(
+                                 kMinStreamSeconds * 2.0 * clean_rate)));
+  specs.reserve(stream_jobs);
+  ref.reserve(stream_jobs);
+  for (std::size_t i = specs.size(); i < stream_jobs; ++i) {
+    specs.push_back(specs[i % static_cast<std::size_t>(kJobs)]);
+    ref.push_back(ref[i % static_cast<std::size_t>(kJobs)]);
+  }
   svc::ServiceConfig config;
   config.threads = kThreads;
   config.max_inflight = kMaxInflight;
@@ -110,7 +127,6 @@ int main(int argc, char** argv) {
 
   const std::size_t storm_begin = specs.size() * 4 / 10;
   const std::size_t storm_end = specs.size() * 7 / 10;
-  const double interval_us = 1e6 / (2.0 * clean_rate);
 
   util::FaultScope chaos(0x50A4, 0.0);
   util::faults().set_site_probability("svc.cache.get", 0.01);
@@ -143,6 +159,8 @@ int main(int argc, char** argv) {
     }
     service.wait_idle();
   }
+  if (service.metrics().cache.lookup_faults == 0)
+    fail("the paced fault storm never reached the cache");
 
   // Phase 3: the storm tail.  The paced storm is wall-clock-defined: on a
   // loaded machine the workers may probe the cache only a few times inside
@@ -193,12 +211,14 @@ int main(int argc, char** argv) {
 
   // --- Report ------------------------------------------------------------
   util::Table t({"metric", "value"});
-  t.row().cell("jobs (soak stream)").cell(static_cast<std::int64_t>(kJobs));
+  t.row().cell("jobs (soak stream)").cell(
+      static_cast<std::int64_t>(stream_jobs));
+  t.row().cell("stream (s)").cell(soak_seconds, 3);
   t.row().cell("jobs (storm tail)").cell(
       static_cast<std::int64_t>(storm_tail.size()));
   t.row().cell("offered rate (jobs/s)").cell(2.0 * clean_rate, 0);
   t.row().cell("achieved (jobs/s)").cell(
-      static_cast<double>(kJobs) / std::max(soak_seconds, 1e-9), 0);
+      static_cast<double>(stream_jobs) / std::max(soak_seconds, 1e-9), 0);
   t.row().cell("ok").cell(static_cast<std::int64_t>(ok));
   t.row().cell("overloaded (admission)").cell(
       static_cast<std::int64_t>(overloaded));

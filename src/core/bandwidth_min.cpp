@@ -28,12 +28,11 @@ BandwidthResult bandwidth_min_temps(const graph::Chain& chain,
                                     const util::CancelToken* cancel,
                                     util::Arena* scratch) {
   TGP_SPAN("core", "bandwidth_min");
-  chain.validate();
-  TGP_REQUIRE(K >= chain.max_vertex_weight(),
-              "K must be at least the maximum vertex weight");
   obs::SolveCounters* oc = obs::active_counters();
   util::ScratchFrame frame(scratch);
-  graph::CsrView g = graph::csr_from_chain(chain, frame.arena());
+  const graph::CsrView g = graph::csr_from_chain(chain, frame.arena());
+  TGP_REQUIRE(K >= g.max_vertex_weight,
+              "K must be at least the maximum vertex weight");
 
   PrimeSubpath* primes =
       frame->alloc_array<PrimeSubpath>(static_cast<std::size_t>(g.n));

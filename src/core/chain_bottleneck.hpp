@@ -8,7 +8,8 @@
 //
 //     bottleneck* = max over prime subpaths of (min edge inside it),
 //
-// computable in O(n) with a sliding-window minimum — asymptotically
+// computable in O(n) by one sweep that finds the prime subpaths and takes
+// each one's minimum from a two-stack window minimum — asymptotically
 // better than running the tree algorithm on the path.
 #pragma once
 
@@ -21,11 +22,12 @@ namespace tgp::core {
 /// O(n) bottleneck minimization on a chain.  The returned cut takes the
 /// minimum-weight edge of every prime subpath (deduplicated), so it is
 /// feasible, and its max edge equals the optimal threshold.
-/// Preconditions: chain valid, K ≥ max vertex weight.  Scratch (primes
-/// and the sliding-window deque) comes from `arena` (null = per-thread
-/// fallback); steady state allocates nothing beyond the returned cut.
-/// One sweep over the prime subpaths, polling `cancel` every
-/// util::kPollStride primes.
+/// Preconditions: chain valid, K ≥ max vertex weight (checked while the
+/// prefix is built; std::invalid_argument otherwise).  Scratch (the
+/// prefix sums and one int per vertex) comes from `arena` (null =
+/// per-thread fallback); steady state allocates nothing beyond the
+/// returned cut.  One sweep over the vertices, polling `cancel` every
+/// util::kPollStride vertices.
 BottleneckResult chain_bottleneck_min(const graph::Chain& chain,
                                       graph::Weight K,
                                       util::Arena* arena = nullptr,

@@ -40,6 +40,9 @@ int reduce_edges_into(const graph::CsrView& g, const PrimeSubpath* primes,
   int c = 0;   // first prime with last_edge >= j
   int d = -1;  // last prime with first_edge <= j
   int count = 0;
+  // The open reduced edge stays in registers and is stored once, when the
+  // membership range changes.  first_prime −1 means none is open yet.
+  ReducedEdge open{-1, -1, -1, 0.0};
   for (int j0 = 0; j0 < m; j0 += util::kPollStride) {
     if (cancel) cancel->poll();
     const int j1 = std::min(m, j0 + util::kPollStride);
@@ -47,20 +50,21 @@ int reduce_edges_into(const graph::CsrView& g, const PrimeSubpath* primes,
       c += c < p && primes[c].last_edge() < j;
       d += d + 1 < p && primes[d + 1].first_edge() <= j;
       if (c > d) continue;  // edge belongs to no prime subpath
-      graph::Weight w = g.edge_weight[j];
-      if (count > 0 && out[count - 1].first_prime == c &&
-          out[count - 1].last_prime == d) {
+      const graph::Weight w = g.edge_weight[j];
+      if (c == open.first_prime && d == open.last_prime) {
         // Same membership set: keep only the lightest representative
         // (ties keep the earlier edge).
-        if (w < out[count - 1].weight) {
-          out[count - 1].weight = w;
-          out[count - 1].edge = j;
+        if (w < open.weight) {
+          open.weight = w;
+          open.edge = j;
         }
       } else {
-        out[count++] = {j, c, d, w};
+        if (open.first_prime >= 0) out[count++] = open;
+        open = {j, c, d, w};
       }
     }
   }
+  if (open.first_prime >= 0) out[count++] = open;
   if (p > 0) {
     TGP_ENSURE(count > 0, "primes exist but no covered edges");
     TGP_ENSURE(count <= 2 * p - 1, "more than 2p-1 non-redundant edges");

@@ -42,7 +42,8 @@ std::vector<ReducedEdge> reduce_edges(const graph::Chain& chain,
 /// the chain's edge count) and return the count.  `g` must be a chain
 /// view (csr_from_chain); `primes` has `p` entries from
 /// prime_subpaths_into on the same view and K.  One sweep, polling
-/// `cancel` every util::kPollStride edges.
+/// `cancel` every util::kPollStride edges; the reduced edge being built
+/// stays in registers and is stored once its membership range closes.
 int reduce_edges_into(const graph::CsrView& g, const PrimeSubpath* primes,
                       int p, ReducedEdge* out,
                       const util::CancelToken* cancel = nullptr);

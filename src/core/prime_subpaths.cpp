@@ -36,17 +36,7 @@ int prime_subpaths_into(const graph::CsrView& g, graph::Weight K,
     if (cancel) cancel->poll();
     const int r1 = std::min(n, r0 + util::kPollStride);
     for (int r = r0; r < r1; ++r) {
-      // Advance lo while [lo, r] is critical, testing three left ends side
-      // by side.  lo moves by the leading run of true tests, which is what
-      // one test at a time would do even where the blocked prefix steps
-      // down at a block boundary and a later test holds again.
-      for (;;) {
-        const bool a1 = lo < r && g.window(lo, r) > k_eff;
-        const bool a2 = lo + 1 < r && g.window(lo + 1, r) > k_eff;
-        const bool a3 = lo + 2 < r && g.window(lo + 2, r) > k_eff;
-        lo += a1 + (a1 && a2) + (a1 && a2 && a3);
-        if (!(a1 && a2 && a3)) break;
-      }
+      lo = fitting_left_end(g, k_eff, lo, r);
       if (lo == 0) continue;  // no critical window ends at r
       // [lo-1, r] is critical and left-minimal.  It is prime iff it is
       // also right-minimal, i.e. [lo-1, r-1] is not critical.  out has a
@@ -70,11 +60,10 @@ int prime_subpaths_into(const graph::CsrView& g, graph::Weight K,
 
 std::vector<PrimeSubpath> prime_subpaths(const graph::Chain& chain,
                                          graph::Weight K) {
-  chain.validate();
-  TGP_REQUIRE(K >= chain.max_vertex_weight(),
-              "K must be at least the maximum vertex weight");
   util::ScratchFrame frame(nullptr);
-  graph::CsrView g = graph::csr_from_chain(chain, frame.arena());
+  const graph::CsrView g = graph::csr_from_chain(chain, frame.arena());
+  TGP_REQUIRE(K >= g.max_vertex_weight,
+              "K must be at least the maximum vertex weight");
   PrimeSubpath* buf =
       frame->alloc_array<PrimeSubpath>(static_cast<std::size_t>(chain.n()));
   int count = prime_subpaths_into(g, K, buf);

@@ -42,12 +42,30 @@ std::vector<PrimeSubpath> prime_subpaths(const graph::Chain& chain,
 
 /// Allocation-free core: enumerate into `out` (caller-provided, capacity
 /// ≥ n) and return the count.  `g` must be a chain view (csr_from_chain).
-/// The vector wrapper above validates the chain first; callers of this
-/// variant are expected to have done so.  One sweep, polling `cancel`
-/// every util::kPollStride vertices.
+/// csr_from_chain checks the chain; callers of this variant also check K
+/// against the view's max_vertex_weight, as the vector wrapper does.  One
+/// sweep, polling `cancel` every util::kPollStride vertices.
 int prime_subpaths_into(const graph::CsrView& g, graph::Weight K,
                         PrimeSubpath* out,
                         const util::CancelToken* cancel = nullptr);
+
+/// One step of the prime sweep: the left end of the longest window ending
+/// at r whose weight is at most k_eff, advanced from `lo`, that of r − 1.
+/// [lo − 1, r] is then critical and left-minimal (when lo > 0), and prime
+/// iff [lo − 1, r − 1] is not critical.  Three left ends are tested side
+/// by side, and lo moves by the leading run of true tests, which is what
+/// one test at a time would do even where the blocked prefix steps down
+/// at a block boundary and a later test holds again.
+inline int fitting_left_end(const graph::CsrView& g, graph::Weight k_eff,
+                            int lo, int r) {
+  for (;;) {
+    const bool a1 = lo < r && g.window(lo, r) > k_eff;
+    const bool a2 = lo + 1 < r && g.window(lo + 1, r) > k_eff;
+    const bool a3 = lo + 2 < r && g.window(lo + 2, r) > k_eff;
+    lo += a1 + (a1 && a2) + (a1 && a2 && a3);
+    if (!(a1 && a2 && a3)) return lo;
+  }
+}
 
 /// Sanity predicate used by tests: true iff `sub` is critical and minimal.
 bool is_prime(const graph::ChainPrefix& prefix, int first_vertex,

@@ -7,7 +7,9 @@
 // per solve into a util::Arena — for a Tree this is zero-copy for the
 // adjacency (Tree already stores CSR arrays) plus one pass to lay the
 // edge columns out SoA; for a Chain it is the prefix-sum pass that makes
-// every window sum O(1).  Solvers that walk a tree bottom up use a
+// every window sum O(1), with the chain's weight checks folded into the
+// same pass and one more over the edge weights.  Solvers that walk a
+// tree bottom up use a
 // TreeLayout instead, which puts each vertex's children next to each
 // other.  Nothing here owns memory: the source graph and the arena must
 // outlive the view.
@@ -43,6 +45,8 @@ struct CsrView {
   /// Always built (n+1 entries); for chains this is the O(1) window-sum
   /// table, for trees it still provides total weight in O(1).
   const Weight* prefix = nullptr;
+  /// Largest vertex weight, taken in the prefix pass.
+  Weight max_vertex_weight = 0;
 
   std::span<const std::pair<int, int>> neighbors(int v) const {
     return {adj + offsets[v], adj + offsets[v + 1]};
@@ -61,6 +65,9 @@ CsrView csr_from_tree(const Tree& tree, util::Arena& arena);
 
 /// View of a Chain: vertex/edge weights alias the chain's vectors; prefix
 /// sums are laid out in `arena`.  No adjacency (offsets/adj stay null).
+/// Checks what Chain::validate() checks, in its order, while it folds:
+/// throws std::invalid_argument on an empty chain, a size mismatch, or a
+/// vertex or edge weight that is not positive and finite.
 CsrView csr_from_chain(const Chain& chain, util::Arena& arena);
 
 /// A tree laid out by one BFS from vertex 0, arena-backed.  Every array
@@ -85,7 +92,8 @@ struct TreeLayout {
   Weight total = 0;
 };
 
-/// Lays `tree` out in `arena`, by one BFS from vertex 0.
+/// Lays `tree` out in `arena`, by one BFS from vertex 0 over the
+/// adjacency alone; the weight columns are gathered after it.
 TreeLayout lay_out_tree(const Tree& tree, util::Arena& arena);
 
 }  // namespace tgp::graph

@@ -4,6 +4,12 @@
 // error-handling policy auditable in one place.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "approx/supergraph.hpp"
 #include "arch/mapping.hpp"
 #include "ccp/bokhari_layered.hpp"
@@ -65,6 +71,70 @@ TEST(Contracts, ChainAlgorithmsRejectMalformedChains) {
   EXPECT_THROW(ccp::ccp_hansen_lih(bad, 2), std::invalid_argument);
   EXPECT_THROW(ccp::ccp_bokhari_layered(bad, 2), std::invalid_argument);
   EXPECT_THROW(ccp::ccp_bokhari_comm(bad, 2), std::invalid_argument);
+}
+
+/// The chain kernels check a chain while they build its prefix view.
+/// They must reject what Chain::validate() rejects, with its words and
+/// in its order (sizes, vertex weights, edge weights), and then a K below
+/// the largest vertex weight.
+TEST(Contracts, ChainKernelsRejectEveryMalformedWeight) {
+  using Kernel = std::function<void(const graph::Chain&, graph::Weight)>;
+  const std::pair<const char*, Kernel> kernels[] = {
+      {"chain_bottleneck_min",
+       [](const graph::Chain& c, graph::Weight K) {
+         (void)core::chain_bottleneck_min(c, K);
+       }},
+      {"bandwidth_min_temps", [](const graph::Chain& c, graph::Weight K) {
+         (void)core::bandwidth_min_temps(c, K);
+       }}};
+  const std::string kEmpty = "chain must have at least one vertex";
+  const std::string kSizes = "chain must have exactly n-1 edges";
+  const std::string kVertex = "vertex weights must be positive and finite";
+  const std::string kEdge = "edge weights must be positive and finite";
+  const std::string kBound = "K must be at least the maximum vertex weight";
+  // The message `run` throws, or "" when it throws nothing.
+  auto message = [](const std::function<void()>& run) -> std::string {
+    try {
+      run();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+
+  std::vector<std::pair<graph::Chain, std::string>> cases;
+  cases.push_back({graph::Chain{}, kEmpty});
+  cases.push_back({bad_chain(), kSizes});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double w : {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0.0,
+                   -0.0, -2.0}) {
+    graph::Chain bad_vertex = ok_chain();
+    bad_vertex.vertex_weight[1] = w;
+    cases.push_back({bad_vertex, kVertex});
+    graph::Chain bad_edge = ok_chain();
+    bad_edge.edge_weight[1] = w;
+    cases.push_back({bad_edge, kEdge});
+    graph::Chain bad_both = ok_chain();
+    bad_both.vertex_weight[2] = w;
+    bad_both.edge_weight[0] = w;
+    cases.push_back({bad_both, kVertex});
+  }
+  for (const auto& [chain, want] : cases) {
+    const graph::Chain& c = chain;
+    // The same words as Chain::validate().
+    ASSERT_NE(message([&] { c.validate(); }).find(want), std::string::npos)
+        << want;
+    for (const auto& [name, run] : kernels) {
+      const std::string got = message([&] { run(c, 5); });
+      EXPECT_NE(got.find(want), std::string::npos)
+          << name << ": want \"" << want << "\", got \"" << got << "\"";
+    }
+  }
+  for (const auto& [name, run] : kernels) {
+    const std::string got = message([&] { run(ok_chain(), 2.9); });
+    EXPECT_NE(got.find(kBound), std::string::npos) << name << ": " << got;
+    EXPECT_EQ(message([&] { run(ok_chain(), 3); }), "") << name;
+  }
 }
 
 TEST(Contracts, KBelowMaxWeightRejectedEverywhere) {

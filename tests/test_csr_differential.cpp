@@ -423,6 +423,74 @@ TEST(CsrDifferential, ChainSolversMatchReference) {
   }
 }
 
+/// chain_bottleneck_min takes each window's minimum from two stacks: the
+/// suffix minima of a front part, rebuilt over the whole window when a
+/// window starts past it, and a running minimum of the back part.  The
+/// reference's monotone deque keeps the last edge holding the minimum,
+/// and so must the two stacks.  These chains aim at that tie rule and at
+/// the rebuilds.
+TEST(CsrDifferential, ChainBottleneckTwoStackMatchesReference) {
+  auto integer_edges = [](util::Pcg32& rng, graph::Chain& c, int hi) {
+    for (graph::Weight& w : c.edge_weight)
+      w = static_cast<graph::Weight>(rng.uniform_int(1, hi));
+  };
+  std::vector<std::pair<graph::Chain, std::vector<graph::Weight>>> cases;
+  // Every edge weight equal: each window's minimum is its last edge.
+  for (int n : {2, 9, 500}) {
+    util::Pcg32 rng(0x2571u ^ static_cast<unsigned>(n));
+    graph::Chain c = graph::random_chain(rng, n,
+                                         graph::WeightDist::uniform(1, 100),
+                                         graph::WeightDist::constant(4));
+    std::vector<graph::Weight> ks = chain_bounds(c);
+    cases.push_back({std::move(c), std::move(ks)});
+  }
+  // Unit vertex weights under K = span: every prime holds `span` edges,
+  // and the front is rebuilt at the multiples of span, with the back
+  // starting there.  A weight-1 edge on each side of every such split
+  // puts equal minima in the front and the back of the windows that
+  // straddle it; the other edges weigh 2..9, so ties also fall inside
+  // one side.
+  for (int span : {1, 2, 3, 8, 13}) {
+    util::Pcg32 rng(0x5B17u ^ static_cast<unsigned>(span));
+    graph::Chain c;
+    c.vertex_weight.assign(40 * static_cast<std::size_t>(span) + 5, 1.0);
+    c.edge_weight.resize(c.vertex_weight.size() - 1);
+    integer_edges(rng, c, 9);
+    for (graph::Weight& w : c.edge_weight) w += 1;
+    for (int s = span, t = 0; s < c.n() - 1; s += span, ++t) {
+      c.edge_weight[static_cast<std::size_t>(s - 1 - t % std::min(span, 3))] =
+          1;
+      const int after = s + t % std::min(span, 4);
+      if (after < c.n() - 1) c.edge_weight[static_cast<std::size_t>(after)] = 1;
+    }
+    cases.push_back({std::move(c), {static_cast<graph::Weight>(span)}});
+  }
+  // Past three poll strides: at the mid bound the front is rebuilt many
+  // times within a poll block and some rebuild spans a block boundary; at
+  // the loose one each front is longer than a block.  Integer edge
+  // weights 1..20 keep ties common.
+  {
+    util::Pcg32 rng(0x3B0Cu);
+    graph::Chain c = graph::random_chain(
+        rng, 3 * util::kPollStride + 4099, graph::WeightDist::uniform(1, 100),
+        graph::WeightDist::constant(1));
+    integer_edges(rng, c, 20);
+    const graph::Weight maxw = c.max_vertex_weight();
+    const graph::Weight total = c.total_vertex_weight();
+    cases.push_back(
+        {std::move(c), {k_for(maxw, total, 0.005), k_for(maxw, total, 0.5)}});
+  }
+  for (const auto& [c, ks] : cases) {
+    for (graph::Weight K : ks) {
+      const BottleneckResult got = chain_bottleneck_min(c, K);
+      const BottleneckResult want = ref::chain_bottleneck_min(c, K);
+      ASSERT_FALSE(want.cut.empty()) << "n " << c.n() << " K " << K;
+      expect_same_cut(got.cut, want.cut, "chain bottleneck cut");
+      EXPECT_EQ(got.threshold, want.threshold) << "n " << c.n() << " K " << K;
+    }
+  }
+}
+
 TEST(CsrDifferential, GallopPolicyUnchangedByPort) {
   for (const graph::Chain& c : chain_corpus()) {
     for (graph::Weight K : chain_bounds(c)) {
@@ -674,6 +742,69 @@ TEST(TreeLayout, TotalIsTheBlockedFold) {
       // the two apart.
       EXPECT_NE(total, t.total_vertex_weight()) << "n " << n;
     }
+  }
+}
+
+/// lay_out_tree against a plain vector-queue BFS from vertex 0, array for
+/// array.  The layout's BFS prefetches from its own queue some positions
+/// ahead of the cursor, so it is run on shapes where the queue runs far
+/// ahead (a star: one child block of n − 1) and barely ahead (a path: at
+/// most two positions, numbered from an end and from a random vertex),
+/// over arena memory that holds a wild vertex id where the queue is not
+/// yet written.
+TEST(TreeLayout, MatchesPlainBfs) {
+  util::Pcg32 rng(0x1B75u);
+  const auto vw = graph::WeightDist::uniform(1, 50);
+  const auto ew = graph::WeightDist::uniform(1, 100);
+  const graph::Tree path =
+      graph::path_tree(graph::random_chain(rng, 3000, vw, ew));
+  std::vector<graph::Tree> trees;
+  trees.push_back(
+      graph::relabel_tree(rng, graph::random_tree(rng, 5000, vw, ew)));
+  trees.push_back(
+      graph::relabel_tree(rng, graph::random_binary_tree(rng, 5000, vw, ew)));
+  trees.push_back(graph::star_tree(rng, 3000, vw, ew));
+  trees.push_back(path);
+  trees.push_back(graph::relabel_tree(rng, path));
+  trees.push_back(graph::Tree::from_edges({7}, {}));
+  for (const graph::Tree& t : trees) {
+    const int n = t.n();
+    std::vector<int> vertex{0}, parent{-1}, edge{-1}, first;
+    for (std::size_t p = 0; p < vertex.size(); ++p) {
+      first.push_back(static_cast<int>(vertex.size()));
+      for (const auto& [u, e] : t.neighbors(vertex[p])) {
+        if (e == edge[p]) continue;
+        vertex.push_back(u);
+        parent.push_back(static_cast<int>(p));
+        edge.push_back(e);
+      }
+    }
+    first.push_back(static_cast<int>(vertex.size()));
+    ASSERT_EQ(static_cast<int>(vertex.size()), n);
+    util::Arena arena;
+    {
+      // Fill the memory the layout reuses with a wild vertex id, so that
+      // reading a queue slot the BFS has not written yet faults.
+      util::ScratchFrame poison(&arena);
+      const std::size_t count = 8 * static_cast<std::size_t>(n) + 64;
+      std::fill_n(poison->alloc_array<int>(count), count,
+                  std::numeric_limits<int>::max());
+    }
+    const graph::TreeLayout L = graph::lay_out_tree(t, arena);
+    ASSERT_EQ(L.n, n);
+    for (int p = 0; p < n; ++p) {
+      const std::size_t up = static_cast<std::size_t>(p);
+      ASSERT_EQ(L.vertex[p], vertex[up]) << "n " << n << " position " << p;
+      ASSERT_EQ(L.parent[p], parent[up]) << "n " << n << " position " << p;
+      ASSERT_EQ(L.edge[p], edge[up]) << "n " << n << " position " << p;
+      ASSERT_EQ(L.vertex_weight[p], t.vertex_weight(vertex[up]))
+          << "n " << n << " position " << p;
+      ASSERT_EQ(L.edge_weight[p], p == 0 ? 0.0 : t.edge(edge[up]).weight)
+          << "n " << n << " position " << p;
+    }
+    for (int p = 0; p <= n; ++p)
+      ASSERT_EQ(L.first[p], first[static_cast<std::size_t>(p)])
+          << "n " << n << " position " << p;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/bandwidth_min.hpp"
+#include "core/prime_subpaths.hpp"
 #include "graph/generators.hpp"
 #include "obs/counters.hpp"
 #include "svc/job.hpp"
@@ -58,6 +59,22 @@ TEST(SolveCountersJob, BandwidthChainMatchesInstrumentation) {
   EXPECT_GT(r.counters.bsearch_probes, 0u);
   EXPECT_EQ(r.counters.gallop_probes, 0u);
   EXPECT_GT(r.counters.temps_peak_rows, 0u);
+}
+
+TEST(SolveCountersJob, ChainBottleneckCountsEveryPrime) {
+  // Tight, mid and loose bounds: one window minimum per prime subpath.
+  for (double slack : {0.0002, 0.05, 0.5}) {
+    double K = 0;
+    graph::Chain c = test_chain(3000, 17, slack, &K);
+    const auto primes =
+        static_cast<std::uint64_t>(core::prime_subpaths(c, K).size());
+    ASSERT_GT(primes, 0u) << "slack " << slack;
+    svc::JobResult r = svc::execute_job(
+        svc::JobSpec::for_chain(svc::Problem::kBottleneck, K, c));
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.counters.prime_subpaths, primes) << "slack " << slack;
+    EXPECT_EQ(r.counters.oracle_calls, primes) << "slack " << slack;
+  }
 }
 
 TEST(SolveCountersJob, ProcMinCountsOneOracleCallPerVertex) {
