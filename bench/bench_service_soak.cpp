@@ -86,21 +86,32 @@ int main(int argc, char** argv) {
   for (const svc::JobResult& r : ref)
     if (!r.ok) fail("reference solve failed — workload is broken");
 
-  // Phase 1: closed-loop clean run to calibrate the open-loop rate.
+  // Phase 1: closed-loop clean run to calibrate the open-loop rate, on
+  // the stream the soak replays: the generated specs in turn, for at
+  // least kMinStreamSeconds, through one service whose cache warms as the
+  // soak's does.  One cold pass alone would price every first sight of a
+  // spec as a solve, and pace the soak below what the service keeps up
+  // with.
   double clean_rate;  // jobs per second
   {
     svc::ServiceConfig config;
     config.threads = kThreads;
     svc::PartitionService service(config);
     double seconds = 0;
-    {
-      util::ScopedTimer t(seconds, util::ScopedTimer::Unit::kSeconds);
-      std::vector<svc::JobResult> clean = service.run_batch(specs);
-      for (std::size_t i = 0; i < clean.size(); ++i)
-        if (specs[i].deadline_micros == 0 && !clean[i].ok)
-          fail("clean run has a failed job");
+    std::size_t jobs = 0;
+    while (seconds < kMinStreamSeconds) {
+      double pass_seconds = 0;
+      {
+        util::ScopedTimer t(pass_seconds, util::ScopedTimer::Unit::kSeconds);
+        std::vector<svc::JobResult> clean = service.run_batch(specs);
+        for (std::size_t i = 0; i < clean.size(); ++i)
+          if (specs[i].deadline_micros == 0 && !clean[i].ok)
+            fail("clean run has a failed job");
+      }
+      seconds += pass_seconds;
+      jobs += specs.size();
     }
-    clean_rate = static_cast<double>(kJobs) / std::max(seconds, 1e-9);
+    clean_rate = static_cast<double>(jobs) / seconds;
   }
   std::printf("clean throughput: %.0f jobs/s -> pacing at 2x\n", clean_rate);
 
@@ -222,6 +233,10 @@ int main(int argc, char** argv) {
   t.row().cell("ok").cell(static_cast<std::int64_t>(ok));
   t.row().cell("overloaded (admission)").cell(
       static_cast<std::int64_t>(overloaded));
+  t.row().cell("overloaded share of stream (%)").cell(
+      100.0 * static_cast<double>(overloaded) /
+          static_cast<double>(stream_jobs),
+      1);
   t.row().cell("timeout").cell(static_cast<std::int64_t>(timeout));
   t.row().cell("shed at dequeue").cell(
       static_cast<std::int64_t>(m.resilience.jobs_shed));

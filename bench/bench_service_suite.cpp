@@ -126,6 +126,17 @@ int main(int argc, char** argv) {
       auto fp = graph::tree_fingerprint(relabelled, &arena);
       (void)fp.lo;
     });
+    // All a tree job's cache hit pays around the probe: the labelling,
+    // then the cached bottleneck cut mapped back through it.
+    const svc::CanonicalOutcome cached = svc::solve_canonical_tree(
+        svc::Problem::kBottleneck, graph::canonical_tree(t).tree, K);
+    std::snprintf(name, sizeof name, "tree_job_hit/n=%d/relabelled", tree_n);
+    h.run(name, tree_n, [&] {
+      auto labelling = graph::canonical_labelling(relabelled, &arena);
+      svc::JobResult r;
+      svc::apply_outcome(r, cached, labelling);
+      (void)r.cut.edges.size();
+    });
   }
   {
     double K = 0;
@@ -134,6 +145,18 @@ int main(int argc, char** argv) {
     h.run(name, chain_n, [&] {
       auto fp = graph::chain_fingerprint(c);
       (void)fp.lo;
+    });
+    // A chain job's key and the orientation its hit maps back by, for
+    // the presentation that is not canonical.
+    const graph::Chain reversed = graph::chain_orientation(c).reversed
+                                      ? c
+                                      : graph::reversed_chain(c);
+    std::snprintf(name, sizeof name, "chain_job_key/n=%d/reversed", chain_n);
+    h.run(name, chain_n, [&] {
+      auto fp = graph::chain_fingerprint(reversed);
+      auto orientation = graph::chain_orientation(reversed);
+      (void)fp.lo;
+      (void)orientation.reversed;
     });
   }
 

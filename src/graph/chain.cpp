@@ -22,16 +22,20 @@ Weight Chain::total_edge_weight() const {
   return std::accumulate(edge_weight.begin(), edge_weight.end(), Weight{0});
 }
 
-void Chain::validate() const {
+Weight Chain::validate() const {
   TGP_REQUIRE(!vertex_weight.empty(), "chain must have at least one vertex");
   TGP_REQUIRE(edge_weight.size() + 1 == vertex_weight.size(),
               "chain must have exactly n-1 edges");
-  for (Weight w : vertex_weight)
+  Weight max = 0;
+  for (Weight w : vertex_weight) {
     TGP_REQUIRE(w > 0 && std::isfinite(w),
                 "vertex weights must be positive and finite");
+    max = std::max(max, w);
+  }
   for (Weight w : edge_weight)
     TGP_REQUIRE(w > 0 && std::isfinite(w),
                 "edge weights must be positive and finite");
+  return max;
 }
 
 Chain Chain::slice(int first, int last) const {

@@ -29,7 +29,8 @@ struct Chain {
 
   /// Throws std::invalid_argument unless sizes are consistent (n ≥ 1,
   /// |E| = n−1) and all weights are strictly positive and finite.
-  void validate() const;
+  /// Returns the largest vertex weight, taken in the same pass.
+  Weight validate() const;
 
   /// Sub-chain over vertices [first, last] inclusive (edges inside it).
   Chain slice(int first, int last) const;

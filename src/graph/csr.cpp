@@ -113,9 +113,9 @@ TreeLayout lay_out_tree(const Tree& tree, util::Arena& arena) {
   const std::size_t un = static_cast<std::size_t>(n);
   TreeLayout L;
   L.n = n;
-  L.vertex = arena.alloc_array<int>(un);
-  L.parent = arena.alloc_array<int>(un);
-  L.edge = arena.alloc_array<int>(un);
+  L.vertex = arena.alloc_array<int>(un + 1);
+  L.parent = arena.alloc_array<int>(un + 1);
+  L.edge = arena.alloc_array<int>(un + 1);
   L.vertex_weight = arena.alloc_array<Weight>(un);
   L.edge_weight = arena.alloc_array<Weight>(un);
   L.first = arena.alloc_array<int>(un + 1);
@@ -128,6 +128,10 @@ TreeLayout lay_out_tree(const Tree& tree, util::Arena& arena) {
   L.edge[0] = -1;
   // The vertex array doubles as the BFS queue.  Skipping the half-edge
   // back to the parent is the whole visited test: a Tree has no cycles.
+  // Every half-edge is written at the tail, and the tail moves on past
+  // all but the one to the parent, which the next write overwrites; so
+  // the loop has no branch on it, and the last vertex's parent half-edge
+  // may land in the spare slot at position n.
   // The BFS reads only the offsets and the adjacency, and prefetches
   // both for vertices already queued a few positions on: their offsets
   // kAhead positions on, their half-edges half as far, by which time the
@@ -143,11 +147,10 @@ TreeLayout lay_out_tree(const Tree& tree, util::Arena& arena) {
     L.first[p] = tail;
     for (int h = off[v]; h < off[v + 1]; ++h) {
       const auto [u, e] = adj[h];
-      if (e == up) continue;
       L.vertex[tail] = u;
       L.parent[tail] = p;
       L.edge[tail] = e;
-      ++tail;
+      tail += e != up;
     }
   }
   L.first[n] = tail;

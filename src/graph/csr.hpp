@@ -9,10 +9,11 @@
 // edge columns out SoA; for a Chain it is the prefix-sum pass that makes
 // every window sum O(1), with the chain's weight checks folded into the
 // same pass and one more over the edge weights.  Solvers that walk a
-// tree bottom up use a
-// TreeLayout instead, which puts each vertex's children next to each
-// other.  Nothing here owns memory: the source graph and the arena must
-// outlive the view.
+// tree bottom up use a TreeLayout instead, which puts each vertex's
+// children next to each other; its BFS writes every half-edge at the
+// queue's tail without a branch on the parent edge, into arrays with one
+// spare slot.  Nothing here owns memory: the source graph and the arena
+// must outlive the view.
 #pragma once
 
 #include <span>
@@ -77,12 +78,14 @@ CsrView csr_from_chain(const Chain& chain, util::Arena& arena);
 /// position is larger than its parent's, so a reverse sweep over
 /// positions visits children before parents, and parent[] never
 /// decreases.  The arrays are writable so that a caller can re-root the
-/// layout in place (graph/fingerprint.cpp does).
+/// layout in place (graph/fingerprint.cpp does).  vertex, parent and edge
+/// hold one spare slot past position n−1, which the BFS may write (its
+/// contents are undefined).
 struct TreeLayout {
   int n = 0;
-  int* vertex = nullptr;            ///< n
-  int* parent = nullptr;            ///< n, parent position, −1 at 0
-  int* edge = nullptr;              ///< n, edge to the parent, −1 at 0
+  int* vertex = nullptr;            ///< n + spare
+  int* parent = nullptr;            ///< n + spare, parent position, −1 at 0
+  int* edge = nullptr;              ///< n + spare, edge to parent, −1 at 0
   Weight* vertex_weight = nullptr;  ///< n, weight of vertex[p]
   Weight* edge_weight = nullptr;    ///< n, weight of edge[p], 0 at 0
   int* first = nullptr;             ///< n+1 child-block offsets

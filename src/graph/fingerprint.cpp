@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <numeric>
-#include <tuple>
 
 #include "graph/csr.hpp"
 #include "util/arena.hpp"
@@ -105,17 +104,39 @@ int* neighbour_positions(const Tree& tree, const Layout& L, int p, int drop,
   return out;
 }
 
-// Sorts p's children [kb, ke) into canonical order — subtree hash, then
-// the weight of the edge up to p — and returns p's subtree hash over
-// them.  Two children tying on both are (up to hash collision)
-// interchangeable isomorphic subtrees.
+// Whether child a sorts strictly before child b in canonical order:
+// subtree hash, then the weight of the edge up to the parent.  Computed
+// without branches.
+bool key_less(const Layout& L, const Fingerprint* lifted, int a, int b) {
+  const Fingerprint& x = lifted[a];
+  const Fingerprint& y = lifted[b];
+  const std::uint64_t wx = weight_bits(L.edge_weight[a]);
+  const std::uint64_t wy = weight_bits(L.edge_weight[b]);
+  return (x.hi < y.hi) |
+         ((x.hi == y.hi) & ((x.lo < y.lo) | ((x.lo == y.lo) & (wx < wy))));
+}
+
+// Sorts the children [kb, ke) into canonical order.  Two children tying
+// on the key are (up to hash collision) interchangeable isomorphic
+// subtrees.  A block of two takes one compare and swaps only on a
+// strictly smaller key, as std::sort's insertion step does.
+void sort_children(const Layout& L, const Fingerprint* lifted, int* kb,
+                   int* ke) {
+  if (ke - kb == 2) {
+    const int a = kb[0];
+    const int b = kb[1];
+    const bool swap = key_less(L, lifted, b, a);
+    kb[0] = swap ? b : a;
+    kb[1] = swap ? a : b;
+  } else if (ke - kb > 2) {
+    std::sort(kb, ke, [&](int a, int b) { return key_less(L, lifted, a, b); });
+  }
+}
+
+// Sorts p's children [kb, ke) and returns p's subtree hash over them.
 Fingerprint hash_subtree(const Layout& L, const Fingerprint* lifted,
                          const Fingerprint& seed, int p, int* kb, int* ke) {
-  auto key = [&](int c) {
-    return std::make_tuple(lifted[c].hi, lifted[c].lo,
-                           weight_bits(L.edge_weight[c]));
-  };
-  std::sort(kb, ke, [&](int a, int b) { return key(a) < key(b); });
+  sort_children(L, lifted, kb, ke);
   Fingerprint h = seed;
   absorb(h, weight_bits(L.vertex_weight[p]));
   absorb(h, static_cast<std::uint64_t>(ke - kb));
@@ -124,6 +145,45 @@ Fingerprint hash_subtree(const Layout& L, const Fingerprint* lifted,
     absorb(h, lifted[*c].lo);
   }
   return h;
+}
+
+// The lifted hashes of two block-keeping vertices p and q, neither the
+// other's parent, so that neither reads the other's hash.  Their absorb
+// calls interleave over the common prefix of their child blocks, which
+// lets the two dependency chains of the hash overlap; each vertex
+// absorbs exactly the sequence hash_subtree and the edge weight give it.
+void lift_pair(const Layout& L, Fingerprint* lifted, const Fingerprint& seed,
+               int p, int q) {
+  int* pb = L.kids + L.first[p];
+  int* const pe = L.kids + L.first[p + 1];
+  int* qb = L.kids + L.first[q];
+  int* const qe = L.kids + L.first[q + 1];
+  sort_children(L, lifted, pb, pe);
+  sort_children(L, lifted, qb, qe);
+  Fingerprint a = seed;
+  Fingerprint b = seed;
+  absorb(a, weight_bits(L.vertex_weight[p]));
+  absorb(b, weight_bits(L.vertex_weight[q]));
+  absorb(a, static_cast<std::uint64_t>(pe - pb));
+  absorb(b, static_cast<std::uint64_t>(qe - qb));
+  for (; pb != pe && qb != qe; ++pb, ++qb) {
+    absorb(a, lifted[*pb].hi);
+    absorb(b, lifted[*qb].hi);
+    absorb(a, lifted[*pb].lo);
+    absorb(b, lifted[*qb].lo);
+  }
+  for (; pb != pe; ++pb) {
+    absorb(a, lifted[*pb].hi);
+    absorb(a, lifted[*pb].lo);
+  }
+  for (; qb != qe; ++qb) {
+    absorb(b, lifted[*qb].hi);
+    absorb(b, lifted[*qb].lo);
+  }
+  absorb(a, weight_bits(L.edge_weight[p]));
+  absorb(b, weight_bits(L.edge_weight[q]));
+  lifted[p] = a;
+  lifted[q] = b;
 }
 
 // A vertex whose children under the canonical rooting are not its layout
@@ -207,7 +267,11 @@ CanonicalRoot canonical_root(const Tree& tree, util::Arena& arena) {
 
   // Children before parents: the vertices that keep their blocks in
   // reverse position order (none has a path vertex below it), then the
-  // path from position 0 up to c.
+  // path from position 0 up to c.  Position 0 never keeps its block.  A
+  // block-keeping vertex's children keep theirs and sit at higher
+  // positions, so the blocks are hashed two at a time: a vertex together
+  // with the next block-keeping one below it, unless that one is its
+  // parent.
   Fingerprint* lifted = arena.alloc_array<Fingerprint>(un);
   const Fingerprint seed = seed_fp(kTreeTag);
   auto hash_up = [&](int p, int* kb, int* ke) {
@@ -215,9 +279,20 @@ CanonicalRoot canonical_root(const Tree& tree, util::Arena& arena) {
     absorb(h, weight_bits(L.edge_weight[p]));
     lifted[p] = h;
   };
-  for (int p = n - 1; p > 0; --p)
-    if (L.keeps_block(p))
+  auto block_at_or_below = [&](int p) {
+    while (p > 0 && !L.keeps_block(p)) --p;
+    return p;
+  };
+  for (int p = block_at_or_below(n - 1); p > 0;) {
+    const int next = block_at_or_below(p - 1);
+    if (next > 0 && L.parent[p] != next) {
+      lift_pair(L, lifted, seed, p, next);
+      p = block_at_or_below(next - 1);
+    } else {
       hash_up(p, L.kids + L.first[p], L.kids + L.first[p + 1]);
+      p = next;
+    }
+  }
   for (int j = 0; j < k; ++j)
     hash_up(path[j].pos, path[j].kids_begin, path[j].kids_end);
   Fingerprint root_hash =
@@ -300,10 +375,14 @@ Fingerprint Fingerprint::load_le(const unsigned char in[kWireBytes]) {
   return f;
 }
 
+ChainOrientation chain_orientation(const Chain& chain) {
+  return ChainOrientation{reversal_is_smaller(chain), chain.edge_count()};
+}
+
 CanonicalChain canonical_chain(const Chain& chain) {
   chain.validate();
   CanonicalChain out;
-  out.reversed = reversal_is_smaller(chain);
+  static_cast<ChainOrientation&>(out) = chain_orientation(chain);
   if (!out.reversed) {
     out.chain = chain;
   } else {

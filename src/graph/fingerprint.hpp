@@ -5,9 +5,11 @@
 // the same linear task graph, and a tree whose children were listed in a
 // different order is still the same tree.  This module provides
 //
-//   * canonical_chain — the lexicographically smaller of the chain and its
-//     reversal (weights compared by exact bit pattern), plus the flag
-//     needed to map edge indices back to the submitted orientation;
+//   * chain_orientation — which of the chain and its reversal is the
+//     lexicographically smaller (weights compared by exact bit pattern):
+//     all that is needed to map edge indices back to the submitted
+//     orientation;
+//   * canonical_chain — the chain copied into that orientation;
 //   * canonical_labelling — the tree re-rooted at its (hash-disambiguated)
 //     centroid and relabeled in preorder with children sorted by subtree
 //     hash: vertex/edge maps back to the submitted labeling, the
@@ -66,23 +68,33 @@ struct Fingerprint {
 
 // ---- Chains ---------------------------------------------------------------
 
-/// A chain in canonical orientation.  `reversed` records whether the
-/// submitted chain had to be flipped; map_edge_back translates a canonical
-/// edge index to the submitted chain's numbering.
-struct CanonicalChain {
-  Chain chain;
+/// How a submitted chain sits against its canonical orientation:
+/// `reversed` records whether it has to be flipped, and map_edge_back
+/// translates a canonical edge index to the submitted chain's numbering.
+/// That is all a cut needs to map back; the canonical copy is not.
+struct ChainOrientation {
   bool reversed = false;
+  int edge_count = 0;
 
   int map_edge_back(int canonical_edge) const {
-    return reversed ? chain.edge_count() - 1 - canonical_edge
-                    : canonical_edge;
+    return reversed ? edge_count - 1 - canonical_edge : canonical_edge;
   }
 };
 
-/// Canonicalize: of the chain and its reversal, keep the one whose
-/// (vertex weights, edge weights) sequence is lexicographically smaller
-/// under bit-pattern comparison.  Palindromic chains are their own
-/// canonical form.  O(n).
+/// A chain in canonical orientation, with the orientation it came from.
+struct CanonicalChain : ChainOrientation {
+  Chain chain;
+};
+
+/// The orientation canonical_chain picks: of the chain and its reversal,
+/// the one whose (vertex weights, edge weights) sequence is
+/// lexicographically smaller under bit-pattern comparison; a palindrome
+/// keeps its own.  Reads the weights only up to the first pair that
+/// differs, and checks nothing.
+ChainOrientation chain_orientation(const Chain& chain);
+
+/// Canonicalize: validate, then copy the chain in chain_orientation's
+/// direction.  Palindromic chains are their own canonical form.  O(n).
 CanonicalChain canonical_chain(const Chain& chain);
 
 // ---- Trees ----------------------------------------------------------------
@@ -126,7 +138,10 @@ struct CanonicalTree : TreeLabelling {
 /// parent, placed at that parent's rank in the adjacency.  Every child
 /// list thus reaches the sort in adjacency order minus the parent, and
 /// the hashing and relabeling read position-ordered arrays.  The maps and
-/// the fingerprint come from this one hashing pass.  O(n log n).
+/// the fingerprint come from this one hashing pass, which hashes two
+/// vertices at a time, neither the other's parent, with their absorb
+/// calls interleaved; each vertex's absorb sequence, and with it the
+/// fingerprint, is what hashing it alone gives.  O(n log n).
 /// All scratch comes from `arena` (null = per-thread fallback); only the
 /// returned arrays are heap-allocated.
 TreeLabelling canonical_labelling(const Tree& tree,
@@ -143,6 +158,9 @@ CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena = nullptr);
 // ---- Fingerprints ---------------------------------------------------------
 
 /// Fingerprint of the canonical orientation of `chain` (reversal-stable).
+/// Validates the chain, then absorbs its weights in chain_orientation's
+/// direction without copying them, so the service keys a chain job with
+/// it and maps a hit back through chain_orientation alone.
 Fingerprint chain_fingerprint(const Chain& chain);
 
 /// Fingerprint of the canonical form of `tree` (relabeling- and

@@ -14,9 +14,12 @@ Tree Tree::from_edges(std::vector<Weight> vertex_weights,
   TGP_REQUIRE(n >= 1, "tree must have at least one vertex");
   TGP_REQUIRE(static_cast<int>(edges.size()) == n - 1,
               "tree must have exactly n-1 edges");
-  for (Weight w : vertex_weights)
+  Weight max_w = 0;
+  for (Weight w : vertex_weights) {
     TGP_REQUIRE(w > 0 && std::isfinite(w),
                 "vertex weights must be positive and finite");
+    max_w = std::max(max_w, w);
+  }
   for (const TreeEdge& e : edges) {
     TGP_REQUIRE(0 <= e.u && e.u < n && 0 <= e.v && e.v < n && e.u != e.v,
                 "edge endpoints out of range");
@@ -25,6 +28,7 @@ Tree Tree::from_edges(std::vector<Weight> vertex_weights,
   }
   Tree t;
   t.vertex_weight_ = std::move(vertex_weights);
+  t.max_vertex_weight_ = max_w;
   t.edges_ = std::move(edges);
   t.build_adjacency();
   // Connectivity (and, with n-1 edges, acyclicity) via BFS from 0.  A
@@ -125,10 +129,6 @@ std::vector<int> Tree::leaves() const {
 Weight Tree::total_vertex_weight() const {
   return std::accumulate(vertex_weight_.begin(), vertex_weight_.end(),
                          Weight{0});
-}
-
-Weight Tree::max_vertex_weight() const {
-  return *std::max_element(vertex_weight_.begin(), vertex_weight_.end());
 }
 
 std::vector<int> Tree::bfs_order(int root) const {

@@ -19,7 +19,9 @@ struct TreeEdge {
 
 /// A weighted free (unrooted) tree over vertices 0..n−1 with n−1 edges.
 /// Construction validates connectivity and acyclicity; the adjacency index
-/// is built once and shared by all algorithms.
+/// is built once and shared by all algorithms, and the largest vertex
+/// weight is recorded while the weights are checked, so the K ≥ max w
+/// checks of the service and the tree kernels cost O(1).
 class Tree {
  public:
   /// Build from an explicit edge list.  Throws std::invalid_argument unless
@@ -58,7 +60,8 @@ class Tree {
   std::vector<int> leaves() const;
 
   Weight total_vertex_weight() const;
-  Weight max_vertex_weight() const;
+  /// Recorded by from_edges.
+  Weight max_vertex_weight() const { return max_vertex_weight_; }
 
   /// Vertices in BFS order from `root` (parent-before-child).
   std::vector<int> bfs_order(int root) const;
@@ -72,6 +75,7 @@ class Tree {
   void build_adjacency();
 
   std::vector<Weight> vertex_weight_;
+  Weight max_vertex_weight_ = 0;
   std::vector<TreeEdge> edges_;
   // CSR adjacency: adj_ holds the 2(n-1) half-edges grouped by vertex
   // (edge-index order within a vertex), adj_off_ the n+1 group boundaries.

@@ -184,10 +184,13 @@ CanonicalOutcome solve_canonical_tree(Problem problem,
 /// Translate a canonical-coordinates outcome onto the submitted
 /// presentation (sorted edge indices), marking the result ok.  Shared by
 /// the direct path and the service's cache-hit path so both produce
-/// bit-identical results.  A tree needs only its labelling (a
-/// graph::CanonicalTree is one), not the built canonical tree.
+/// bit-identical results.  A chain needs only its orientation and a tree
+/// only its labelling (a graph::CanonicalChain and a graph::CanonicalTree
+/// are ones), not the canonical graph.  A tree cut is mapped by marking
+/// its edges and sweeping all of them; a cut that lists an edge twice or
+/// one out of range throws std::logic_error.
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
-                   const graph::CanonicalChain& cc);
+                   const graph::ChainOrientation& orientation);
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
                    const graph::TreeLabelling& labelling);
 

@@ -47,6 +47,20 @@ core::CutCheck verify_canonical(Problem problem, const graph::Tree& tree,
                                o.objective, o.components);
 }
 
+CanonicalOutcome solve_canonical(Problem problem, const graph::Chain& chain,
+                                 graph::Weight K,
+                                 const util::CancelToken* cancel,
+                                 util::Arena* arena) {
+  return solve_canonical_chain(problem, chain, K, cancel, arena);
+}
+
+CanonicalOutcome solve_canonical(Problem problem, const graph::Tree& tree,
+                                 graph::Weight K,
+                                 const util::CancelToken* cancel,
+                                 util::Arena* arena) {
+  return solve_canonical_tree(problem, tree, K, cancel, arena);
+}
+
 }  // namespace
 
 PartitionService::PartitionService(ServiceConfig config)
@@ -539,112 +553,84 @@ void PartitionService::cache_store(const CacheKey& key,
 JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
                                     const util::CancelToken* cancel) {
   JobResult r;
+  // The rest of a job once its cache key and its map back are known.  A
+  // plain hit maps the cached cut back through `back` alone; `canonical`
+  // builds the canonical graph the first time a verify or solve step
+  // reads it.
+  auto serve = [&](const CacheKey& key, const auto& back, auto&& canonical) {
+    CacheHitInfo hit_info;
+    bool hit = cache_probe(key, state.hit_scratch, &hit_info);
+    if (hit && (hit_info.needs_verify || config_.verify_results)) {
+      // A recovery-loaded entry crossed a process boundary; re-check
+      // it with the independent verifier before serving.  A failure
+      // quarantines the entry and falls through to a fresh solve.
+      TGP_SPAN("svc", "verify");
+      core::CutCheck check = verify_canonical(spec.problem, canonical(),
+                                              spec.K, state.hit_scratch);
+      if (check.ok) {
+        if (hit_info.needs_verify) cache_.mark_verified(key);
+        verified_ok_.fetch_add(1);
+      } else {
+        verify_failed_.fetch_add(1);
+        // quarantine_erase routes the entry through the quarantine
+        // hook, which lands the bytes in the store's sidecar.
+        cache_.quarantine_erase(key);
+        hit = false;
+      }
+    }
+    if (hit) {
+      apply_outcome(r, state.hit_scratch, back);
+      r.cache_hit = true;
+      return;
+    }
+    CanonicalOutcome o = [&] {
+      TGP_SPAN("svc", "solve");
+      return solve_canonical(spec.problem, canonical(), spec.K, cancel,
+                             &state.arena);
+    }();
+    if (config_.verify_results) {
+      TGP_SPAN("svc", "verify");
+      core::CutCheck check =
+          verify_canonical(spec.problem, canonical(), spec.K, o);
+      TGP_ENSURE(check.ok, "result verification failed: " + check.detail);
+      verified_ok_.fetch_add(1);
+    }
+    apply_outcome(r, o, back);
+    cache_store(key, o);
+    journal_store(state, key, o);
+  };
   try {
     if (util::faults().fire("svc.worker.solve"))
       throw util::InjectedFault("svc.worker.solve");
     if (spec.is_chain()) {
-      graph::CanonicalChain cc = [&] {
+      // The fingerprint absorbs the chain in its canonical orientation,
+      // so the key and that orientation are all a hit needs.
+      const graph::Chain& chain = *spec.chain;
+      const graph::ChainOrientation orientation = [&] {
         TGP_SPAN("svc", "canonicalize");
-        return graph::canonical_chain(*spec.chain);
+        return graph::chain_orientation(chain);
       }();
-      CacheKey key = CacheKey::make(graph::chain_fingerprint(cc.chain),
-                                    spec.problem, spec.K);
-      CacheHitInfo hit_info;
-      bool hit = cache_probe(key, state.hit_scratch, &hit_info);
-      if (hit && (hit_info.needs_verify || config_.verify_results)) {
-        // A recovery-loaded entry crossed a process boundary; re-check
-        // it with the independent verifier before serving.  A failure
-        // quarantines the entry and falls through to a fresh solve.
-        TGP_SPAN("svc", "verify");
-        core::CutCheck check =
-            verify_canonical(spec.problem, cc.chain, spec.K,
-                             state.hit_scratch);
-        if (check.ok) {
-          if (hit_info.needs_verify) cache_.mark_verified(key);
-          verified_ok_.fetch_add(1);
-        } else {
-          verify_failed_.fetch_add(1);
-          // quarantine_erase routes the entry through the quarantine
-          // hook, which lands the bytes in the store's sidecar.
-          cache_.quarantine_erase(key);
-          hit = false;
-        }
-      }
-      if (hit) {
-        apply_outcome(r, state.hit_scratch, cc);
-        r.cache_hit = true;
-        return r;
-      }
-      CanonicalOutcome o = [&] {
-        TGP_SPAN("svc", "solve");
-        return solve_canonical_chain(spec.problem, cc.chain, spec.K, cancel,
-                                     &state.arena);
-      }();
-      if (config_.verify_results) {
-        TGP_SPAN("svc", "verify");
-        core::CutCheck check =
-            verify_canonical(spec.problem, cc.chain, spec.K, o);
-        TGP_ENSURE(check.ok,
-                   "result verification failed: " + check.detail);
-        verified_ok_.fetch_add(1);
-      }
-      apply_outcome(r, o, cc);
-      cache_store(key, o);
-      journal_store(state, key, o);
+      std::optional<graph::CanonicalChain> canon;
+      serve(CacheKey::make(graph::chain_fingerprint(chain), spec.problem,
+                           spec.K),
+            orientation, [&]() -> const graph::Chain& {
+              if (!canon) canon.emplace(graph::canonical_chain(chain));
+              return canon->chain;
+            });
     } else {
       // One hashing pass yields both the cache key and the maps back.
-      graph::TreeLabelling labelling = [&] {
+      const graph::TreeLabelling labelling = [&] {
         TGP_SPAN("svc", "canonicalize");
         return graph::canonical_labelling(*spec.tree, &state.arena);
       }();
-      CacheKey key =
-          CacheKey::make(labelling.fingerprint, spec.problem, spec.K);
-      // A plain hit maps its cut back through the labelling alone; the
-      // canonical tree is built at most once, by the first verify or solve
-      // step that reads it.
       std::optional<graph::Tree> canon;
-      auto canonical = [&]() -> const graph::Tree& {
-        if (!canon)
-          canon.emplace(graph::build_canonical_tree(*spec.tree, labelling));
-        return *canon;
-      };
-      CacheHitInfo hit_info;
-      bool hit = cache_probe(key, state.hit_scratch, &hit_info);
-      if (hit && (hit_info.needs_verify || config_.verify_results)) {
-        TGP_SPAN("svc", "verify");
-        core::CutCheck check =
-            verify_canonical(spec.problem, canonical(), spec.K,
-                             state.hit_scratch);
-        if (check.ok) {
-          if (hit_info.needs_verify) cache_.mark_verified(key);
-          verified_ok_.fetch_add(1);
-        } else {
-          verify_failed_.fetch_add(1);
-          cache_.quarantine_erase(key);
-          hit = false;
-        }
-      }
-      if (hit) {
-        apply_outcome(r, state.hit_scratch, labelling);
-        r.cache_hit = true;
-        return r;
-      }
-      CanonicalOutcome o = [&] {
-        TGP_SPAN("svc", "solve");
-        return solve_canonical_tree(spec.problem, canonical(), spec.K, cancel,
-                                    &state.arena);
-      }();
-      if (config_.verify_results) {
-        TGP_SPAN("svc", "verify");
-        core::CutCheck check =
-            verify_canonical(spec.problem, canonical(), spec.K, o);
-        TGP_ENSURE(check.ok,
-                   "result verification failed: " + check.detail);
-        verified_ok_.fetch_add(1);
-      }
-      apply_outcome(r, o, labelling);
-      cache_store(key, o);
-      journal_store(state, key, o);
+      serve(CacheKey::make(labelling.fingerprint, spec.problem, spec.K),
+            labelling, [&]() -> const graph::Tree& {
+              if (!canon)
+                canon.emplace(graph::build_canonical_tree(*spec.tree,
+                                                          labelling));
+              return *canon;
+            });
     }
   } catch (...) {
     // The worker's catch-all boundary: any escape — solver contract

@@ -11,6 +11,12 @@
 //
 // Memory handed out is uninitialized and no destructors ever run, so only
 // trivially destructible element types are allowed (enforced below).
+//
+// Under AddressSanitizer the arena keeps everything past its frontier
+// poisoned: each block when it is acquired, and whatever a release or
+// reset hands back.  Each allocation is unpoisoned as it is handed out and
+// followed by a poisoned redzone, so a read or write past the end of an
+// arena array faults as it would past a heap array.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +27,18 @@
 #include <vector>
 
 #include "util/assert.hpp"
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TGP_ARENA_ASAN 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define TGP_ARENA_ASAN 1
+#endif
+#if defined(TGP_ARENA_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace tgp::util {
 
@@ -50,6 +68,7 @@ class Arena {
   void release(const Marker& m) {
     TGP_REQUIRE(m.block < blocks_.size() || (m.block == 0 && blocks_.empty()),
                 "marker from another arena");
+    poison_back_to(m.block, m.used);
     cur_ = m.block;
     used_ = m.used;
     prefix_bytes_ = m.prefix;
@@ -57,6 +76,7 @@ class Arena {
 
   /// Release everything (capacity retained).
   void reset() {
+    poison_back_to(0, 0);
     cur_ = 0;
     used_ = 0;
     prefix_bytes_ = 0;
@@ -69,22 +89,16 @@ class Arena {
     if (bytes == 0) bytes = 1;
     while (cur_ < blocks_.size()) {
       std::size_t off = (used_ + align - 1) & ~(align - 1);
-      if (off + bytes <= blocks_[cur_].size) {
-        used_ = off + bytes;
-        bump_high_water();
-        return blocks_[cur_].data.get() + off;
-      }
+      if (off + bytes + kRedzone <= blocks_[cur_].size)
+        return hand_out(off, bytes);
       // Current block exhausted: move to the next retained block (or fall
       // through to grow).  Skipped tail space is reclaimed on release().
       prefix_bytes_ += blocks_[cur_].size;
       ++cur_;
       used_ = 0;
     }
-    add_block(bytes + align);
-    std::size_t off = (used_ + align - 1) & ~(align - 1);
-    used_ = off + bytes;
-    bump_high_water();
-    return blocks_[cur_].data.get() + off;
+    add_block(bytes + align + kRedzone);
+    return hand_out((used_ + align - 1) & ~(align - 1), bytes);
   }
 
   /// Uninitialized array of `count` Ts.  T must be trivially destructible:
@@ -146,9 +160,41 @@ class Arena {
     std::size_t size = blocks_.empty() ? kMinBlock : blocks_.back().size * 2;
     if (size < min_bytes) size = min_bytes;
     blocks_.push_back({std::make_unique<std::byte[]>(size), size});
+#if defined(TGP_ARENA_ASAN)
+    ASAN_POISON_MEMORY_REGION(blocks_.back().data.get(), size);
+#endif
     ++heap_block_allocs_;
     cur_ = blocks_.size() - 1;
     used_ = 0;
+  }
+
+  // Hands out `bytes` at offset `off` of the current block; under ASan the
+  // kRedzone bytes after them stay poisoned.
+  void* hand_out(std::size_t off, std::size_t bytes) {
+    std::byte* p = blocks_[cur_].data.get() + off;
+#if defined(TGP_ARENA_ASAN)
+    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#endif
+    used_ = off + bytes + kRedzone;
+    bump_high_water();
+    return p;
+  }
+
+  // Poisons everything from (block, used) up to the frontier, which is
+  // about to move back there: what lies past the frontier is already
+  // poisoned.
+  void poison_back_to(std::size_t block, std::size_t used) {
+#if defined(TGP_ARENA_ASAN)
+    for (std::size_t b = block; b <= cur_ && b < blocks_.size(); ++b) {
+      const std::size_t from = b == block ? used : 0;
+      const std::size_t to = b == cur_ ? used_ : blocks_[b].size;
+      if (to > from) ASAN_POISON_MEMORY_REGION(blocks_[b].data.get() + from,
+                                               to - from);
+    }
+#else
+    (void)block;
+    (void)used;
+#endif
   }
 
   void bump_high_water() {
@@ -157,6 +203,11 @@ class Arena {
   }
 
   static constexpr std::size_t kMinBlock = std::size_t{1} << 16;  // 64 KiB
+#if defined(TGP_ARENA_ASAN)
+  static constexpr std::size_t kRedzone = 32;
+#else
+  static constexpr std::size_t kRedzone = 0;
+#endif
 
   std::vector<Block> blocks_;
   std::size_t cur_ = 0;   // block currently bumped into

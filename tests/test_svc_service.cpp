@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <latch>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -122,6 +124,47 @@ TEST(PartitionService, CacheHitIsBitIdenticalToRecomputation) {
   MetricsSnapshot m = service.metrics();
   EXPECT_EQ(m.cache.hits, 1u);
   EXPECT_EQ(m.cache.misses, 1u);
+}
+
+// apply_outcome maps a tree cut back by marking its edges and sweeping
+// them in index order.  On relabelled trees it must agree with mapping
+// each edge and sorting, for cuts of 0, 1, m/2 and m edges listed in any
+// order, and a cut that lists an edge twice must throw.
+TEST(ApplyOutcome, TreeSweepMatchesSortedMapAndRejectsRepeats) {
+  util::Pcg32 rng(0x5EE9u, 7);
+  const auto w = graph::WeightDist::uniform(1, 20);
+  for (int n : {1, 2, 37, 1000}) {
+    const graph::Tree t =
+        graph::relabel_tree(rng, graph::random_tree(rng, n, w, w));
+    const graph::TreeLabelling l = graph::canonical_labelling(t);
+    const int m = t.edge_count();
+    std::vector<int> all(static_cast<std::size_t>(m));
+    std::iota(all.begin(), all.end(), 0);
+    std::shuffle(all.begin(), all.end(), rng);
+    for (int size : {0, 1, m / 2, m}) {
+      if (size > m) continue;
+      CanonicalOutcome o;
+      o.cut.edges.assign(all.begin(), all.begin() + size);
+      o.objective = 3.5;
+      o.components = size + 1;
+      std::vector<int> want;
+      for (int e : o.cut.edges) want.push_back(l.map_edge_back(e));
+      std::sort(want.begin(), want.end());
+      JobResult r;
+      r.cut.edges = {7, 7, 7};  // stale contents are replaced
+      apply_outcome(r, o, l);
+      EXPECT_TRUE(r.ok);
+      EXPECT_EQ(r.status, JobStatus::kOk);
+      EXPECT_EQ(r.cut.edges, want) << "n " << n << " cut of " << size;
+      EXPECT_EQ(r.objective, 3.5);
+      EXPECT_EQ(r.components, size + 1);
+    }
+    if (m < 2) continue;
+    CanonicalOutcome twice;
+    twice.cut.edges = {all[0], all[1], all[0]};
+    JobResult r;
+    EXPECT_THROW(apply_outcome(r, twice, l), std::logic_error) << "n " << n;
+  }
 }
 
 TEST(PartitionService, DisabledCacheNeverHits) {

@@ -5,11 +5,13 @@
 // rejects.  Also covers the persist codec (svc/persist.hpp) directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "dur/journal.hpp"
+#include "graph/cutset.hpp"
 #include "graph/generators.hpp"
 #include "svc/persist.hpp"
 #include "svc/service.hpp"
@@ -172,6 +174,78 @@ TEST(WarmStart, SecondServiceRecoversAndServesWarmHits) {
       << "every recovery-loaded hit is independently verified";
   EXPECT_EQ(m.durability.verify_failed, 0u);
   for (const JobResult& r : warm) EXPECT_EQ(r.status, JobStatus::kOk);
+}
+
+// A chain hit maps back from the chain's orientation alone.  A chain,
+// its reversal and a palindrome, under all four problems, hit the cache
+// (one serial worker: the second presentation of each graph hits the
+// first's entry) and, after a restart, hit recovered entries that the
+// verifier checks before serving.  Every payload equals the direct
+// path's, the reversal's cut mirrors the chain's, and every cut is
+// feasible on the chain as submitted.
+TEST(WarmStart, ChainHitsInEitherOrientationMatchTheDirectPath) {
+  const std::string dir = fresh_dir("warmstart_chain_orientation");
+  util::Pcg32 rng(0xC4A1u, 43);
+  const auto w = graph::WeightDist::uniform(1, 20);
+  const graph::Chain chain = graph::random_chain(rng, 80, w, w);
+  const graph::Chain reversal = graph::reversed_chain(chain);
+  ASSERT_NE(graph::chain_orientation(chain).reversed,
+            graph::chain_orientation(reversal).reversed);
+  graph::Chain palindrome = graph::random_chain(rng, 41, w, w);
+  for (std::size_t i = 0; i < 20; ++i) {
+    palindrome.vertex_weight[40 - i] = palindrome.vertex_weight[i];
+    palindrome.edge_weight[39 - i] = palindrome.edge_weight[i];
+  }
+  ASSERT_EQ(graph::reversed_chain(palindrome).vertex_weight,
+            palindrome.vertex_weight);
+  auto bound = [](const graph::Chain& c) {
+    return c.max_vertex_weight() +
+           0.2 * (c.total_vertex_weight() - c.max_vertex_weight());
+  };
+  std::vector<JobSpec> specs;
+  for (int p = 0; p < kProblemCount; ++p) {
+    const auto problem = static_cast<Problem>(p);
+    specs.push_back(JobSpec::for_chain(problem, bound(chain), chain));
+    specs.push_back(JobSpec::for_chain(problem, bound(chain), reversal));
+    specs.push_back(JobSpec::for_chain(problem, bound(palindrome), palindrome));
+    specs.push_back(JobSpec::for_chain(problem, bound(palindrome), palindrome));
+  }
+  auto check = [&](const std::vector<JobResult>& got) {
+    ASSERT_EQ(got.size(), specs.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("job " + std::to_string(i));
+      expect_direct_payload(got[i], specs[i]);
+      EXPECT_TRUE(graph::chain_cut_feasible(*specs[i].chain, got[i].cut,
+                                            specs[i].K));
+      if (i % 4 != 1) continue;
+      std::vector<int> mirrored;
+      for (int e : got[i - 1].cut.edges)
+        mirrored.push_back(chain.edge_count() - 1 - e);
+      std::sort(mirrored.begin(), mirrored.end());
+      EXPECT_EQ(got[i].cut.edges, mirrored);
+      EXPECT_FALSE(got[i].cut.edges.empty());
+    }
+  };
+  ServiceConfig config = durable_config(dir);
+  config.threads = 1;
+  {
+    PartitionService service(config);
+    const std::vector<JobResult> cold = service.run_batch(specs);
+    check(cold);
+    for (std::size_t i = 0; i < cold.size(); ++i)
+      EXPECT_EQ(cold[i].cache_hit, i % 2 == 1) << "job " << i;
+    service.shutdown();
+    EXPECT_EQ(service.flush_durable(), 2u * kProblemCount);
+  }
+  PartitionService warm_service(config);
+  const std::vector<JobResult> warm = warm_service.run_batch(specs);
+  check(warm);
+  for (const JobResult& r : warm) EXPECT_TRUE(r.cache_hit);
+  const MetricsSnapshot m = warm_service.metrics();
+  EXPECT_EQ(m.durability.recovered_entries, 2u * kProblemCount);
+  EXPECT_EQ(m.durability.verified_ok, 2u * kProblemCount)
+      << "each recovered entry is verified once, before its first hit";
+  EXPECT_EQ(m.durability.verify_failed, 0u);
 }
 
 TEST(WarmStart, CrashWithoutFlushStillRecoversFromTheJournal) {

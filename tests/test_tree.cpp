@@ -5,6 +5,10 @@
 
 #include <algorithm>
 
+#include "graph/fingerprint.hpp"
+#include "graph/generators.hpp"
+#include "util/rng.hpp"
+
 namespace tgp::graph {
 namespace {
 
@@ -118,6 +122,43 @@ TEST(Tree, NeighborsListsEdgeIndices) {
       const TreeEdge& edge = t.edge(e);
       EXPECT_TRUE((edge.u == v && edge.v == u) ||
                   (edge.v == v && edge.u == u));
+    }
+  }
+}
+
+// Every way of building a tree records its largest vertex weight, with
+// the heaviest vertex first, inside and last in the submitted numbering.
+TEST(Tree, MaxVertexWeightRecordedAtBuild) {
+  util::Pcg32 rng(0x3A7u);
+  constexpr int n = 9;
+  constexpr Weight kHeavy = 100.5;
+  for (int heavy : {0, 4, n - 1}) {
+    std::vector<Weight> vw;
+    for (int v = 0; v < n; ++v) vw.push_back(1.0 + 0.5 * ((5 * v) % n));
+    vw[static_cast<std::size_t>(heavy)] = kHeavy;
+    std::vector<TreeEdge> path_edges;
+    std::vector<int> parent{-1};
+    std::vector<Weight> parent_weight{0};
+    for (int v = 1; v < n; ++v) {
+      path_edges.push_back({v - 1, v, 2.0 + v});
+      parent.push_back((v - 1) / 2);
+      parent_weight.push_back(3.0 + v);
+    }
+    Chain chain;
+    chain.vertex_weight = vw;
+    chain.edge_weight.assign(n - 1, 1.0);
+    const Tree built = Tree::from_edges(vw, path_edges);
+    const Tree heap = Tree::from_parents(vw, parent, parent_weight);
+    const Tree trees[] = {built,
+                          heap,
+                          relabel_tree(rng, heap),
+                          path_tree(chain),
+                          build_canonical_tree(heap, canonical_labelling(heap))};
+    for (const Tree& t : trees) {
+      EXPECT_EQ(t.max_vertex_weight(), kHeavy) << "heaviest vertex " << heavy;
+      EXPECT_EQ(t.max_vertex_weight(),
+                *std::max_element(t.vertex_weights().begin(),
+                                  t.vertex_weights().end()));
     }
   }
 }
