@@ -139,6 +139,30 @@ int main(int argc, char** argv) {
     });
   }
   {
+    // The cache's own share of a hit on its densest kind of outcome: a
+    // tree bottleneck cut keeping about half the edges (service_churn's
+    // tree shape and weights, K 1% of the way from the heaviest vertex to
+    // the whole tree; MemoCache.DenseTreeBottleneckCutFitsOneShard's first
+    // tree), CRC check and unpack into a reused scratch.
+    util::Pcg32 rng(1, 0xDE45E);
+    const graph::Tree t = graph::random_tree(
+        rng, tree_n, graph::WeightDist::uniform(1, 50),
+        graph::WeightDist::uniform(1, 100));
+    const double K = t.max_vertex_weight() +
+                     0.01 * (t.total_vertex_weight() - t.max_vertex_weight());
+    svc::MemoCache cache(std::size_t{64} << 20, 16);
+    const svc::CacheKey key = svc::CacheKey::make(
+        graph::tree_fingerprint(t), svc::Problem::kBottleneck, K);
+    cache.put(key, svc::solve_canonical_tree(svc::Problem::kBottleneck,
+                                             graph::canonical_tree(t).tree, K));
+    svc::CanonicalOutcome out;
+    std::snprintf(name, sizeof name, "cache_get/n=%d/dense", tree_n);
+    h.run(name, tree_n, [&] {
+      const bool hit = cache.get_into(key, out);
+      (void)hit;
+    });
+  }
+  {
     double K = 0;
     graph::Chain c = make_chain(chain_n, 0, &K);
     std::snprintf(name, sizeof name, "chain_fingerprint/n=%d", chain_n);

@@ -455,7 +455,6 @@ CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena) {
 }
 
 Fingerprint chain_fingerprint(const Chain& chain) {
-  chain.validate();
   // Absorb the weight streams in the canonical direction directly,
   // without materializing the reversed copy.
   const bool reversed = reversal_is_smaller(chain);

@@ -158,9 +158,13 @@ CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena = nullptr);
 // ---- Fingerprints ---------------------------------------------------------
 
 /// Fingerprint of the canonical orientation of `chain` (reversal-stable).
-/// Validates the chain, then absorbs its weights in chain_orientation's
-/// direction without copying them, so the service keys a chain job with
-/// it and maps a hit back through chain_orientation alone.
+/// Absorbs its weights in chain_orientation's direction without copying
+/// them, so the service keys a chain job with it and maps a hit back
+/// through chain_orientation alone.  Precondition: `chain` passed
+/// Chain::validate() (the service checks every spec at submit, and
+/// net::decode_submit every chain it decodes); nothing is checked here.
+/// Each weight array is read by its own size, so a malformed chain gets
+/// a meaningless fingerprint, never an out-of-bounds read.
 Fingerprint chain_fingerprint(const Chain& chain);
 
 /// Fingerprint of the canonical form of `tree` (relabeling- and

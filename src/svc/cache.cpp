@@ -1,31 +1,105 @@
 #include "svc/cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "dur/crc32c.hpp"
+#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/fault.hpp"
 
 namespace tgp::svc {
 namespace {
 
-/// Integrity word over everything a hit serves: the key (a hit on the
-/// wrong key is as bad as a corrupt value) and the outcome's content.
-/// Computed field-by-field so no serialization buffer is allocated on
-/// the put path.
-std::uint32_t entry_crc(const CacheKey& key, const CanonicalOutcome& o) {
-  dur::Crc32c crc;
-  crc.update_value(key.graph.hi);
-  crc.update_value(key.graph.lo);
-  crc.update_value(static_cast<std::uint32_t>(key.problem));
-  crc.update_value(key.k_bits);
-  crc.update_value(std::bit_cast<std::uint64_t>(o.objective));
-  crc.update_value(static_cast<std::int32_t>(o.components));
-  if (!o.cut.edges.empty())
-    crc.update(o.cut.edges.data(), o.cut.edges.size() * sizeof(int));
-  crc.update_value(o.counters);
-  return crc.value();
+std::uint32_t as_index(int edge) { return static_cast<std::uint32_t>(edge); }
+
+/// `high` (an index's high part, as the unpack's first pass left it) with
+/// the L-bit field `low` under it.
+int join(int high, std::uint64_t low, unsigned L) {
+  return static_cast<int>(static_cast<std::uint32_t>(
+      (std::uint64_t{as_index(high)} << L) | low));
+}
+
+/// ORs the first `n` low fields, packed from bit 0 of `w`, under the high
+/// parts in `cut`.  L divides 64, so no field straddles two words and a
+/// word's fields come out with constant shifts.
+template <unsigned L>
+void join_lows(const std::uint64_t* w, int* cut, std::uint64_t n) {
+  static_assert(64 % L == 0, "a field must not straddle two words");
+  constexpr unsigned kPerWord = 64 / L;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << L) - 1;
+  std::uint64_t j = 0;
+  for (; j + kPerWord <= n; j += kPerWord, ++w)
+    for (unsigned f = 0; f < kPerWord; ++f)
+      cut[j + f] = join(cut[j + f], (*w >> (f * L)) & kMask, L);
+  for (unsigned f = 0; j < n; ++j, ++f)
+    cut[j] = join(cut[j], (*w >> (f * L)) & kMask, L);
+}
+
+/// Decodes a packed cut of `cut_size` edges with `low_bits`-bit low
+/// fields into `cut`, reusing its capacity.  Reads only within `words`,
+/// whatever their bits or the sizes hold, so a corrupt entry unpacks
+/// safely for the quarantine hook.
+void unpack_cut(std::span<const std::uint64_t> words, std::uint32_t cut_size,
+                std::uint8_t low_bits, std::vector<int>& cut) {
+  const std::uint64_t* w = words.data();
+  const std::uint64_t n_words = words.size();
+  // Every index takes L low bits and one high bit; bounding the count by
+  // that keeps a corrupt count or width from reading past the words.
+  const unsigned L = std::min<unsigned>(low_bits, 32);
+  const std::uint64_t n =
+      std::min<std::uint64_t>(cut_size, n_words * 64 / (L + 1));
+  // resize() keeps the cut's capacity — no heap traffic once the caller's
+  // scratch outcome has grown to the largest cut it has seen.
+  cut.resize(n);
+  // High parts first: index i's is the position of the i-th set bit past
+  // the low fields, less i.  A corrupt entry may hold fewer set bits than
+  // its count; its cut then ends early.
+  const std::uint64_t high_start = n * L;
+  std::uint64_t word = high_start >> 6;
+  std::uint64_t bits =
+      n == 0 ? 0 : w[word] & (~std::uint64_t{0} << (high_start & 63));
+  std::uint64_t i = 0;
+  while (i < n) {
+    if (bits == 0) {
+      if (++word == n_words) break;
+      bits = w[word];
+      continue;
+    }
+    // Unsigned: wraps below zero in the first word; base + position
+    // does not.
+    const std::uint64_t base = word * 64 - high_start;
+    do {
+      cut[i] = static_cast<int>(static_cast<std::uint32_t>(
+          base + static_cast<unsigned>(std::countr_zero(bits)) - i));
+      bits &= bits - 1;
+      ++i;
+    } while (bits != 0 && i < n);
+  }
+  cut.resize(i);
+  // Then the low fields under them.  A cut keeping more than an eighth of
+  // its edges has L of 1 or 2, and takes them a word at a time; a sparser
+  // one, one field at a time.
+  switch (L) {
+    case 0:
+      return;
+    case 1:
+      return join_lows<1>(w, cut.data(), i);
+    case 2:
+      return join_lows<2>(w, cut.data(), i);
+    default:
+      break;
+  }
+  const std::uint64_t mask = (std::uint64_t{1} << L) - 1;
+  for (std::uint64_t j = 0; j < i; ++j) {
+    const std::uint64_t at = j * L;
+    const unsigned shift = static_cast<unsigned>(at & 63);
+    std::uint64_t low = w[at >> 6] >> shift;
+    if (shift + L > 64) low |= w[(at >> 6) + 1] << (64 - shift);
+    cut[j] = join(cut[j], low & mask, L);
+  }
 }
 
 }  // namespace
@@ -77,6 +151,80 @@ std::optional<CanonicalOutcome> MemoCache::get(const CacheKey& key) {
   return out;
 }
 
+MemoCache::Entry MemoCache::pack(const CacheKey& key,
+                                 const CanonicalOutcome& outcome) {
+  Entry e;
+  e.key = key;
+  e.objective = outcome.objective;
+  e.components = outcome.components;
+  e.counters = outcome.counters;
+  std::span<const int> cut = outcome.cut.edges;
+  const auto ascending = [](int a, int b) {
+    return as_index(a) < as_index(b);
+  };
+  std::vector<int> sorted;
+  if (!std::is_sorted(cut.begin(), cut.end(), ascending)) {
+    sorted.assign(cut.begin(), cut.end());
+    std::sort(sorted.begin(), sorted.end(), ascending);
+    cut = sorted;
+  }
+  const std::uint64_t n = cut.size();
+  e.cut_size = static_cast<std::uint32_t>(n);
+  if (n > 0) {
+    // L = ⌊log2(u / n)⌋ for u one past the largest index: 0 when u ≤ n,
+    // at most 32.  The high parts then take n ones and fewer than 2n zeros.
+    const std::uint64_t last = as_index(cut.back());
+    const std::uint64_t u = last + 1;
+    const unsigned L =
+        u <= n ? 0u : static_cast<unsigned>(std::bit_width(u / n)) - 1;
+    const std::uint64_t high_start = n * L;
+    e.cut_low_bits = static_cast<std::uint8_t>(L);
+    e.cut_words.assign((high_start + n + (last >> L) + 63) / 64, 0);
+    std::uint64_t* w = e.cut_words.data();
+    const std::uint64_t mask = (std::uint64_t{1} << L) - 1;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t v = as_index(cut[i]);
+      const std::uint64_t at = i * L;
+      const unsigned shift = static_cast<unsigned>(at & 63);
+      w[at >> 6] |= (v & mask) << shift;
+      if (shift + L > 64) w[(at >> 6) + 1] |= (v & mask) >> (64 - shift);
+      const std::uint64_t high = high_start + (v >> L) + i;
+      w[high >> 6] |= std::uint64_t{1} << (high & 63);
+    }
+  }
+  e.bytes = sizeof(Entry) + e.cut_words.capacity() * sizeof(std::uint64_t);
+  e.crc = entry_crc(e);
+  return e;
+}
+
+void MemoCache::unpack(const Entry& e, CanonicalOutcome& out) {
+  out.objective = e.objective;
+  out.components = e.components;
+  // A hit hands back the original solve's counters — keeps per-job
+  // counters independent of cache state (CanonicalOutcome::counters).
+  out.counters = e.counters;
+  unpack_cut(e.cut_words, e.cut_size, e.cut_low_bits, out.cut.edges);
+}
+
+std::uint32_t MemoCache::entry_crc(const Entry& e) {
+  // Computed field-by-field so no serialization buffer is allocated on
+  // the put path.  A hit on the wrong key is as bad as a corrupt value.
+  dur::Crc32c crc;
+  crc.update_value(e.key.graph.hi);
+  crc.update_value(e.key.graph.lo);
+  crc.update_value(static_cast<std::uint32_t>(e.key.problem));
+  crc.update_value(e.key.k_bits);
+  crc.update_value(std::bit_cast<std::uint64_t>(e.objective));
+  crc.update_value(static_cast<std::int32_t>(e.components));
+  crc.update_value(e.cut_size);
+  crc.update_value(e.cut_low_bits);
+  if (!e.cut_words.empty())
+    crc.update(e.cut_words.data(),
+               e.cut_words.size() * sizeof(std::uint64_t));
+  crc.update_value(e.counters);
+  return crc.value();
+}
+
 bool MemoCache::get_into(const CacheKey& key, CanonicalOutcome& out,
                          CacheHitInfo* info) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(key))];
@@ -88,10 +236,16 @@ bool MemoCache::get_into(const CacheKey& key, CanonicalOutcome& out,
     ++s.lookup_faults;
     return false;
   }
-  // A corrupt entry is copied out and quarantined *after* the lock is
-  // released — the hook does file I/O.
-  CanonicalOutcome corrupt_copy;
-  bool found_corrupt = false;
+  // A hit copies the scalars and the packed words out under the lock and
+  // decodes the cut after releasing it, so other probers of the shard
+  // wait for the CRC and a copy of a few bits an edge, not the decode.
+  // A corrupt entry is moved out and quarantined after the lock is
+  // released too — the hook does file I/O.
+  util::ScratchFrame frame(nullptr);
+  std::span<const std::uint64_t> words;
+  std::uint32_t cut_size = 0;
+  std::uint8_t low_bits = 0;
+  std::optional<Entry> corrupt;
   {
     std::lock_guard lk(s.mu);
     auto it = s.index.find(key);
@@ -100,19 +254,7 @@ bool MemoCache::get_into(const CacheKey& key, CanonicalOutcome& out,
       return false;
     }
     Entry& e = *it->second;
-    if (entry_crc(e.key, e.outcome) != e.crc) {
-      // The bytes rotted while cached.  Serving them would hand out a
-      // partition nobody computed; drop the entry and recompute.
-      ++s.misses;
-      ++s.corrupt;
-      if (quarantine_) {
-        corrupt_copy = e.outcome;
-        found_corrupt = true;
-      }
-      s.bytes -= e.bytes;
-      s.lru.erase(it->second);
-      s.index.erase(it);
-    } else {
+    if (entry_crc(e) == e.crc) {
       ++s.hits;
       if (e.recovered) ++s.warm_hits;
       if (info) {
@@ -120,52 +262,62 @@ bool MemoCache::get_into(const CacheKey& key, CanonicalOutcome& out,
         info->needs_verify = e.needs_verify;
       }
       s.lru.splice(s.lru.begin(), s.lru, it->second);  // move to MRU
-      const CanonicalOutcome& o = e.outcome;
-      // assign() reuses out's existing capacity — no heap traffic once
-      // the caller's scratch outcome has grown to the largest cut it
-      // has seen.
-      out.cut.edges.assign(o.cut.edges.begin(), o.cut.edges.end());
-      out.objective = o.objective;
-      out.components = o.components;
-      // A hit hands back the original solve's counters — keeps per-job
-      // counters independent of cache state (CanonicalOutcome::counters).
-      out.counters = o.counters;
-      return true;
+      out.objective = e.objective;
+      out.components = e.components;
+      out.counters = e.counters;
+      std::uint64_t* copy =
+          frame->alloc_array<std::uint64_t>(e.cut_words.size());
+      std::copy(e.cut_words.begin(), e.cut_words.end(), copy);
+      words = {copy, e.cut_words.size()};
+      cut_size = e.cut_size;
+      low_bits = e.cut_low_bits;
+    } else {
+      // The bytes rotted while cached.  Serving them would hand out a
+      // partition nobody computed; drop the entry and recompute.
+      ++s.misses;
+      ++s.corrupt;
+      s.bytes -= e.bytes;
+      if (quarantine_) corrupt.emplace(std::move(e));
+      s.lru.erase(it->second);
+      s.index.erase(it);
+      if (!corrupt) return false;
     }
   }
-  if (found_corrupt) quarantine_(key, corrupt_copy);
+  if (!corrupt) {
+    unpack_cut(words, cut_size, low_bits, out.cut.edges);
+    return true;
+  }
+  CanonicalOutcome copy;
+  unpack(*corrupt, copy);
+  quarantine_(key, copy);
   return false;
 }
 
-void MemoCache::put_impl(Shard& s, const CacheKey& key,
-                         CanonicalOutcome&& outcome, std::size_t cost,
-                         bool recovered, bool needs_verify) {
-  const std::uint32_t crc = entry_crc(key, outcome);
+void MemoCache::put_impl(Shard& s, Entry&& e) {
   std::lock_guard lk(s.mu);
-  auto it = s.index.find(key);
+  auto it = s.index.find(e.key);
   if (it != s.index.end()) {
     // Deterministic solvers make refreshes value-identical; just bump LRU.
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     return;
   }
-  while (s.bytes + cost > shard_budget_ && !s.lru.empty()) {
+  while (s.bytes + e.bytes > shard_budget_ && !s.lru.empty()) {
     s.bytes -= s.lru.back().bytes;
     s.index.erase(s.lru.back().key);
     s.lru.pop_back();
     ++s.evictions;
   }
-  s.lru.push_front(Entry{key, std::move(outcome), cost, crc, recovered,
-                         needs_verify});
-  s.index.emplace(key, s.lru.begin());
-  s.bytes += cost;
+  s.bytes += e.bytes;
   ++s.insertions;
-  if (recovered) ++s.recovered_entries;
+  if (e.recovered) ++s.recovered_entries;
+  s.lru.push_front(std::move(e));
+  s.index.emplace(s.lru.front().key, s.lru.begin());
 }
 
-void MemoCache::put(const CacheKey& key, CanonicalOutcome outcome) {
-  std::size_t cost = sizeof(Entry) + outcome.memory_bytes();
+void MemoCache::put(const CacheKey& key, const CanonicalOutcome& outcome) {
+  Entry e = pack(key, outcome);
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(key))];
-  if (cost > entry_cap()) {
+  if (e.bytes > entry_cap()) {
     std::lock_guard lk(s.mu);
     ++s.put_rejected;
     return;
@@ -177,20 +329,21 @@ void MemoCache::put(const CacheKey& key, CanonicalOutcome outcome) {
     ++s.store_faults;
     return;
   }
-  put_impl(s, key, std::move(outcome), cost, /*recovered=*/false,
-           /*needs_verify=*/false);
+  put_impl(s, std::move(e));
 }
 
-bool MemoCache::load_recovered(const CacheKey& key, CanonicalOutcome outcome) {
-  std::size_t cost = sizeof(Entry) + outcome.memory_bytes();
+bool MemoCache::load_recovered(const CacheKey& key,
+                               const CanonicalOutcome& outcome) {
+  Entry e = pack(key, outcome);
+  e.recovered = true;
+  e.needs_verify = true;
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(key))];
-  if (cost > entry_cap()) {
+  if (e.bytes > entry_cap()) {
     std::lock_guard lk(s.mu);
     ++s.put_rejected;
     return false;
   }
-  put_impl(s, key, std::move(outcome), cost, /*recovered=*/true,
-           /*needs_verify=*/true);
+  put_impl(s, std::move(e));
   return true;
 }
 
@@ -203,44 +356,52 @@ void MemoCache::mark_verified(const CacheKey& key) {
 
 bool MemoCache::quarantine_erase(const CacheKey& key) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(key))];
-  CanonicalOutcome copy;
-  bool found = false;
+  std::optional<Entry> erased;
   {
     std::lock_guard lk(s.mu);
     auto it = s.index.find(key);
     if (it == s.index.end()) return false;
-    if (quarantine_) {
-      copy = it->second->outcome;
-      found = true;
-    }
     s.bytes -= it->second->bytes;
+    if (quarantine_) erased.emplace(std::move(*it->second));
     s.lru.erase(it->second);
     s.index.erase(it);
   }
-  if (found) quarantine_(key, copy);
+  if (erased) {
+    CanonicalOutcome copy;
+    unpack(*erased, copy);
+    quarantine_(key, copy);
+  }
   return true;
 }
 
 void MemoCache::for_each(
     const std::function<void(const CacheKey&, const CanonicalOutcome&)>& fn)
     const {
+  CanonicalOutcome outcome;
   for (const auto& sp : shards_) {
     std::lock_guard lk(sp->mu);
-    for (const Entry& e : sp->lru) fn(e.key, e.outcome);
+    for (const Entry& e : sp->lru) {
+      unpack(e, outcome);
+      fn(e.key, outcome);
+    }
   }
 }
 
-bool MemoCache::corrupt_for_test(const CacheKey& key) {
+bool MemoCache::corrupt_for_test(const CacheKey& key, std::uint64_t bit) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(key))];
   std::lock_guard lk(s.mu);
   auto it = s.index.find(key);
   if (it == s.index.end()) return false;
-  CanonicalOutcome& o = it->second->outcome;
-  if (!o.cut.edges.empty())
-    o.cut.edges[0] ^= 1;  // bit flip; CRC word left stale on purpose
-  else
-    o.objective = std::bit_cast<graph::Weight>(
-        std::bit_cast<std::uint64_t>(o.objective) ^ 1ull);
+  Entry& e = *it->second;
+  // Bit flip; the CRC word is left stale on purpose.
+  if (!e.cut_words.empty()) {
+    bit %= e.cut_words.size() * 64;
+    e.cut_words[bit / 64] ^= std::uint64_t{1} << (bit % 64);
+  } else {
+    e.objective = std::bit_cast<graph::Weight>(
+        std::bit_cast<std::uint64_t>(e.objective) ^
+        (std::uint64_t{1} << (bit % 64)));
+  }
   return true;
 }
 

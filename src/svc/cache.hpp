@@ -12,6 +12,25 @@
 // unlikely, and the canonical-coordinates design means even a *true* hit
 // from an equivalent-but-differently-presented graph maps back to a
 // correct, deterministic cut for the submitted presentation.
+//
+// An entry is stored packed.  The objective, component count and
+// counters are kept as they are; the cut is an Elias–Fano code (Elias
+// 1974; Vigna, "Quasi-succinct indices", 2013) of its e edge indices read
+// as std::uint32_t in ascending order.  With u one past the largest index
+// and L = ⌊log2(u/e)⌋ (0 when u ≤ e), the e low fields of L bits come
+// first, packed from bit 0 of one std::vector<std::uint64_t>; the i-th
+// index's high part v >> L is then the set bit at (v >> L) + i past them.
+// That is at most 2 + ⌈log2(u/e)⌉ bits per edge at any density: about 3
+// for a bottleneck cut keeping half a tree's edges, where a raw index
+// costs 32.  put() and load_recovered() pack (a cut that does not ascend
+// is sorted first, so it is served back ascending); a hit, for_each()
+// and the quarantine hook unpack into a CanonicalOutcome.  A hit holds
+// the shard lock only to check the CRC and copy the packed words out,
+// and decodes them after releasing it.  Each entry's CRC32C covers the
+// key, the scalars and the packed words, and an entry's cost against the
+// byte budget is sizeof(Entry) plus the words it owns.  Only this file
+// and cache.cpp know the format: the durable record (svc/persist.hpp)
+// keeps the raw cut.
 #pragma once
 
 #include <cstddef>
@@ -85,9 +104,9 @@ struct CacheHitInfo {
 
 class MemoCache {
  public:
-  /// Called (outside any shard lock) with the bytes-corrupt entry when
-  /// an integrity check fails on read, so the bad payload can be
-  /// quarantined for postmortem before the entry is dropped.
+  /// Called (outside any shard lock) with the bytes-corrupt entry,
+  /// unpacked, when an integrity check fails on read, so the bad payload
+  /// can be quarantined for postmortem before the entry is dropped.
   using QuarantineFn =
       std::function<void(const CacheKey&, const CanonicalOutcome&)>;
 
@@ -103,24 +122,25 @@ class MemoCache {
   /// Look up; moves the entry to the shard's MRU position on hit.
   std::optional<CanonicalOutcome> get(const CacheKey& key);
 
-  /// Allocation-friendly lookup: on hit, copies the entry into `out`
+  /// Allocation-friendly lookup: on hit, unpacks the entry into `out`
   /// reusing out's cut-vector capacity (workers keep one scratch outcome
-  /// per thread, so steady-state hits never touch the heap).  Returns
-  /// whether the key was found; `out` is untouched on a miss.  An
-  /// injected lookup fault (site "svc.cache.get") reads as a miss and is
-  /// counted in lookup_faults.  Every hit re-checks the entry's CRC32C
-  /// integrity word; a mismatch quarantines and erases the entry and
-  /// reads as a miss.  `info` (optional) reports hit provenance.
+  /// per thread, so steady-state hits never touch the heap); the packed
+  /// words are copied to the thread's scratch arena under the shard lock
+  /// and decoded after it is released.  Returns whether the key was
+  /// found; `out` is untouched on a miss.  An injected lookup fault
+  /// (site "svc.cache.get") reads as a miss and is counted in
+  /// lookup_faults.  Every hit re-checks the entry's CRC32C integrity
+  /// word; a mismatch quarantines and erases the entry and reads as a
+  /// miss.  `info` (optional) reports hit provenance.
   bool get_into(const CacheKey& key, CanonicalOutcome& out,
                 CacheHitInfo* info = nullptr);
 
   /// Insert (or refresh) an entry, evicting LRU entries of the same shard
-  /// until the shard fits its budget.  Takes the outcome by value so
-  /// callers done with theirs can move it in instead of copying the cut.
-  /// Outcomes larger than a whole shard are not cached.  An injected
-  /// store fault (site "svc.cache.put") drops the insert and is counted
-  /// in store_faults.
-  void put(const CacheKey& key, CanonicalOutcome outcome);
+  /// until the shard fits its budget.  Packs the outcome, so the caller
+  /// keeps it.  Entries larger than a whole shard are not cached.  An
+  /// injected store fault (site "svc.cache.put") drops the insert and is
+  /// counted in store_faults.
+  void put(const CacheKey& key, const CanonicalOutcome& outcome);
 
   /// Boot-time insert of an entry recovered from durable storage.  The
   /// entry is flagged recovered (hits on it count as warm hits forever)
@@ -129,7 +149,7 @@ class MemoCache {
   /// they encode a valid partition).  Bypasses fault injection — the
   /// loader already filtered corrupt records.  Returns false when the
   /// entry exceeded the per-entry cap (counted as put_rejected).
-  bool load_recovered(const CacheKey& key, CanonicalOutcome outcome);
+  bool load_recovered(const CacheKey& key, const CanonicalOutcome& outcome);
 
   /// Clears the needs_verify flag after a successful independent check.
   void mark_verified(const CacheKey& key);
@@ -142,16 +162,18 @@ class MemoCache {
   /// Installs the corrupt-entry hook (invoked outside shard locks).
   void set_quarantine(QuarantineFn fn) { quarantine_ = std::move(fn); }
 
-  /// Visits every entry under its shard lock: `fn(key, outcome)`.
-  /// Used by snapshot compaction; `fn` must not reenter the cache.
+  /// Visits every entry, unpacked, under its shard lock:
+  /// `fn(key, outcome)`.  Used by snapshot compaction; `fn` must not
+  /// reenter the cache.
   void for_each(
       const std::function<void(const CacheKey&, const CanonicalOutcome&)>& fn)
       const;
 
-  /// Test hook: flips one bit of the stored outcome without updating
-  /// the integrity word, so the next read detects corruption.  Returns
-  /// whether the key was present.
-  bool corrupt_for_test(const CacheKey& key);
+  /// Test hook: flips bit `bit` (modulo their length) of the entry's
+  /// packed cut words, or of its objective when the cut is empty,
+  /// without updating the integrity word, so the next read detects
+  /// corruption.  Returns whether the key was present.
+  bool corrupt_for_test(const CacheKey& key, std::uint64_t bit = 0);
 
   CacheStats stats() const;
 
@@ -161,11 +183,17 @@ class MemoCache {
   std::size_t shard_entries(int shard) const;
 
  private:
+  /// A cached outcome, packed (see the top of this file).
   struct Entry {
     CacheKey key;
-    CanonicalOutcome outcome;
-    std::size_t bytes = 0;
-    std::uint32_t crc = 0;      // CRC32C over key + outcome content
+    graph::Weight objective = 0;
+    obs::SolveCounters counters;
+    std::vector<std::uint64_t> cut_words;  // L-bit low fields, then highs
+    std::size_t bytes = 0;                 // cost against the budget
+    int components = 1;
+    std::uint32_t cut_size = 0;            // edges in the cut
+    std::uint32_t crc = 0;      // CRC32C over key, scalars and cut_words
+    std::uint8_t cut_low_bits = 0;  // L, the width of each low field
     bool recovered = false;     // loaded from disk, not computed here
     bool needs_verify = false;  // independent check pending
   };
@@ -181,8 +209,14 @@ class MemoCache {
     std::uint64_t recovered_entries = 0, warm_hits = 0;
   };
 
-  void put_impl(Shard& s, const CacheKey& key, CanonicalOutcome&& outcome,
-                std::size_t cost, bool recovered, bool needs_verify);
+  /// Packs `outcome` under `key`, with its cost and CRC.
+  static Entry pack(const CacheKey& key, const CanonicalOutcome& outcome);
+  /// Unpacks `e` into `out`, reusing out's cut capacity.
+  static void unpack(const Entry& e, CanonicalOutcome& out);
+  /// Integrity word over everything a hit serves: the key, the scalars
+  /// and the packed cut.
+  static std::uint32_t entry_crc(const Entry& e);
+  void put_impl(Shard& s, Entry&& e);
   std::size_t entry_cap() const;
 
   std::size_t shard_budget_ = 0;

@@ -132,11 +132,6 @@ JobSpec JobSpec::for_tree(Problem p, graph::Weight K,
   return s;
 }
 
-std::size_t CanonicalOutcome::memory_bytes() const {
-  return sizeof(CanonicalOutcome) +
-         cut.edges.capacity() * sizeof(int);
-}
-
 namespace {
 
 // Arena whose high-water the solve accounting measures: the explicit one,

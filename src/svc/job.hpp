@@ -88,8 +88,6 @@ struct CanonicalOutcome {
   /// (canonical graph, problem, K) regardless of cache state or thread
   /// count (the threads-1-vs-8 differential test relies on this).
   obs::SolveCounters counters;
-  /// Approximate heap footprint, for the cache's byte budget.
-  std::size_t memory_bytes() const;
 };
 
 /// How a job ended — the service's error taxonomy.  Exactly one status

@@ -120,8 +120,8 @@ void PartitionService::recover_cache_store() {
     latest[key] = std::move(outcome);
   });
   recovery_duplicates_.store(decoded - latest.size());
-  for (auto& [key, outcome] : latest)
-    cache_.load_recovered(key, std::move(outcome));
+  for (const auto& [key, outcome] : latest)
+    cache_.load_recovered(key, outcome);
   // Corrupt entries detected at hit time are preserved for post-mortem
   // in the store's quarantine sidecar before being dropped.
   cache_.set_quarantine([this](const CacheKey& key,
@@ -604,16 +604,17 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
       throw util::InjectedFault("svc.worker.solve");
     if (spec.is_chain()) {
       // The fingerprint absorbs the chain in its canonical orientation,
-      // so the key and that orientation are all a hit needs.
+      // so the key and that orientation are all a hit needs.  validate_spec
+      // checked the chain at submit.
       const graph::Chain& chain = *spec.chain;
-      const graph::ChainOrientation orientation = [&] {
+      const auto [fingerprint, orientation] = [&] {
         TGP_SPAN("svc", "canonicalize");
-        return graph::chain_orientation(chain);
+        return std::pair{graph::chain_fingerprint(chain),
+                         graph::chain_orientation(chain)};
       }();
       std::optional<graph::CanonicalChain> canon;
-      serve(CacheKey::make(graph::chain_fingerprint(chain), spec.problem,
-                           spec.K),
-            orientation, [&]() -> const graph::Chain& {
+      serve(CacheKey::make(fingerprint, spec.problem, spec.K), orientation,
+            [&]() -> const graph::Chain& {
               if (!canon) canon.emplace(graph::canonical_chain(chain));
               return canon->chain;
             });

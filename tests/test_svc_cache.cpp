@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <thread>
+
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -283,6 +288,178 @@ TEST(MemoCache, DistinctGraphsGetDistinctEntries) {
               outcome(i));
   }
   EXPECT_EQ(cache.stats().entries, 50u);
+}
+
+// --- the packed entry: cuts as Elias–Fano codes --------------------------
+
+CanonicalOutcome outcome_with_cut(std::vector<int> cut) {
+  CanonicalOutcome o;
+  o.cut.edges = std::move(cut);
+  o.objective = 12.5;
+  o.components = static_cast<int>(o.cut.edges.size()) + 1;
+  o.counters.oracle_calls = 3;
+  o.counters.arena_bytes_peak = 4096;
+  return o;
+}
+
+/// The cut as the cache serves it: ascending as std::uint32_t.
+std::vector<int> ascending(std::vector<int> cut) {
+  std::sort(cut.begin(), cut.end(), [](int a, int b) {
+    return static_cast<std::uint32_t>(a) < static_cast<std::uint32_t>(b);
+  });
+  return cut;
+}
+
+TEST(MemoCache, PackedCutsRoundTrip) {
+  const int m = 1000;
+  std::vector<int> every_edge(m), every_other;
+  for (int e = 0; e < m; ++e) every_edge[static_cast<std::size_t>(e)] = e;
+  for (int e = 0; e < m; e += 2) every_other.push_back(e);
+  std::vector<std::vector<int>> cuts = {
+      {},
+      {0},
+      every_edge,
+      every_other,
+      {0, 1 << 30, 0x7FFFFFFF},  // low fields straddle words
+      {3, 7, 7, 12},             // a repeated edge
+      {40, 3, 17, 3000, 5},      // unsorted: served ascending
+      // Read as std::uint32_t this ascends, so it comes back as given.
+      {0, 5, static_cast<int>(0xFFFFFFFFu)},
+  };
+  // The last of every `step` edges: u/e = step, so the low fields are 1,
+  // 2 and 3 bits wide, over whole words and a part word; 3-bit fields
+  // straddle words.
+  for (int step : {2, 4, 9}) {
+    cuts.emplace_back();
+    for (int e = step - 1; e < m; e += step) cuts.back().push_back(e);
+  }
+  MemoCache cache(std::size_t{1} << 22, 4);
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    const CanonicalOutcome o = outcome_with_cut(cuts[i]);
+    const CacheKey put_key =
+        CacheKey::make(fp(11, i), Problem::kBandwidth, 1.0);
+    const CacheKey rec_key =
+        CacheKey::make(fp(12, i), Problem::kBandwidth, 1.0);
+    cache.put(put_key, o);
+    ASSERT_TRUE(cache.load_recovered(rec_key, o));
+    for (const CacheKey& k : {put_key, rec_key}) {
+      CanonicalOutcome out = outcome_with_cut({99, 98, 97});  // stale scratch
+      ASSERT_TRUE(cache.get_into(k, out)) << "cut " << i;
+      EXPECT_EQ(out.cut.edges, ascending(cuts[i])) << "cut " << i;
+      EXPECT_EQ(out.objective, o.objective);
+      EXPECT_EQ(out.components, o.components);
+      EXPECT_EQ(out.counters, o.counters);
+    }
+  }
+  std::size_t seen = 0;
+  cache.for_each([&](const CacheKey& k, const CanonicalOutcome& out) {
+    ++seen;
+    EXPECT_EQ(out.cut.edges, ascending(cuts[k.graph.lo]))
+        << "cut " << k.graph.lo;
+    EXPECT_EQ(out.counters, outcome_with_cut({}).counters);
+  });
+  EXPECT_EQ(seen, 2 * cuts.size());
+  CacheStats s = cache.stats();
+  EXPECT_EQ(s.put_rejected, 0u);
+  EXPECT_EQ(s.corrupt, 0u);
+}
+
+TEST(MemoCache, DenseTreeBottleneckCutFitsOneShard) {
+  // service_churn's tree shape: uniform attachment, vertex weights 1-50,
+  // edge weights 1-100, and a load bound 1% of the way from the heaviest
+  // vertex to the whole tree.  Its bottleneck cut keeps about half the
+  // edges, which at 4 bytes an edge did not fit a 16 KiB shard.
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    util::Pcg32 rng(seed, 0xDE45E);
+    const graph::Tree t =
+        graph::random_tree(rng, 16384, graph::WeightDist::uniform(1, 50),
+                           graph::WeightDist::uniform(1, 100));
+    const double K = t.max_vertex_weight() +
+                     0.01 * (t.total_vertex_weight() - t.max_vertex_weight());
+    const CanonicalOutcome o = solve_canonical_tree(
+        Problem::kBottleneck, graph::canonical_tree(t).tree, K);
+    ASSERT_GT(o.cut.size(), 4036) << "seed " << seed;
+    MemoCache cache(std::size_t{256} << 10, 16);
+    const CacheKey k = CacheKey::make(fp(13, seed), Problem::kBottleneck, K);
+    cache.put(k, o);
+    EXPECT_EQ(cache.stats().put_rejected, 0u) << "seed " << seed;
+    CanonicalOutcome out;
+    ASSERT_TRUE(cache.get_into(k, out)) << "seed " << seed;
+    EXPECT_EQ(out.cut.edges, o.cut.edges);
+    EXPECT_EQ(out.objective, o.objective);
+    EXPECT_EQ(out.components, o.components);
+  }
+}
+
+TEST(MemoCache, CorruptPackedWordsUnpackInsideTheEntry) {
+  // The quarantine hook unpacks an entry whose words failed their CRC.
+  // Whatever bits flipped, the unpack reads only the entry's own words
+  // (ASan builds fault otherwise) and yields at most the packed count.
+  std::vector<std::vector<int>> cuts = {{0, 1 << 30, 0x7FFFFFFF}, {}, {}};
+  for (int e = 0; e < 5000; e += 1 + e % 3) cuts[1].push_back(e);
+  for (int e = 3; e < 5000; e += 4) cuts[2].push_back(e);  // 2-bit lows
+  util::Pcg32 rng(31, 7);
+  int quarantined = 0;
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    for (int round = 0; round < 200; ++round) {
+      MemoCache cache(std::size_t{1} << 20, 1);
+      std::size_t served = 0;
+      cache.set_quarantine([&](const CacheKey&, const CanonicalOutcome& o) {
+        ++quarantined;
+        served = o.cut.edges.size();
+      });
+      const CacheKey k = CacheKey::make(fp(14, i), Problem::kProcMin, 2.0);
+      cache.put(k, outcome_with_cut(cuts[i]));
+      const int flips = 1 + round % 8;
+      for (int f = 0; f < flips; ++f)
+        ASSERT_TRUE(cache.corrupt_for_test(
+            k, rng.next() | (std::uint64_t{rng.next()} << 32)));
+      CanonicalOutcome out;
+      const bool hit = cache.get_into(k, out);
+      // An even number of flips can cancel out; then the entry is intact.
+      if (hit) {
+        EXPECT_EQ(out.cut.edges, cuts[i]);
+      } else {
+        EXPECT_LE(served, cuts[i].size());
+        EXPECT_EQ(cache.stats().corrupt, 1u);
+      }
+    }
+  }
+  EXPECT_GT(quarantined, 450);
+}
+
+TEST(MemoCache, HitsDecodeWhileOtherThreadsEvict) {
+  // One shard with room for one of these cuts (about 3.9 KB packed), so
+  // each put evicts the entry other threads may be decoding.  A hit
+  // decodes a copy of the words taken under the shard lock; decoding the
+  // entry's own words after releasing it would race with the eviction
+  // that frees them (TSan and ASan builds report it).
+  std::vector<std::vector<int>> cuts(8);
+  for (int c = 0; c < 8; ++c)
+    for (int e = c; e < 20000; e += 2)
+      cuts[static_cast<std::size_t>(c)].push_back(e);
+  MemoCache cache(std::size_t{6} << 10, 1);
+  std::atomic<int> hits{0}, mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      CanonicalOutcome out;
+      for (int round = 0; round < 200; ++round) {
+        const auto c = static_cast<std::size_t>(t + round) % cuts.size();
+        const CacheKey k =
+            CacheKey::make(fp(15, c), Problem::kBottleneck, 1.0);
+        if (!cache.get_into(k, out)) {
+          cache.put(k, outcome_with_cut(cuts[c]));
+          if (!cache.get_into(k, out)) continue;  // evicted in between
+        }
+        ++hits;
+        if (out.cut.edges != cuts[c]) ++mismatches;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -328,10 +328,11 @@ TEST(WarmStart, MalformedJournalRecordIsCountedAndSkipped) {
 
 TEST(WarmStart, VerifierQuarantinesASemanticallyCorruptRecord) {
   const std::string dir = fresh_dir("warmstart_verify");
-  // One deterministic chain job, and one tree job that the warm service
+  // Two deterministic chain jobs, and one tree job that the warm service
   // receives relabelled.
   graph::Chain chain{{2, 3, 1, 4, 2}, {5, 1, 7, 2}};
   JobSpec spec = JobSpec::for_chain(Problem::kBottleneck, 7, chain);
+  JobSpec procmin_spec = JobSpec::for_chain(Problem::kProcMin, 7, chain);
   TreePresentations tp = tree_presentations(7);
   JobSpec tree_spec = JobSpec::for_tree(Problem::kBottleneck, tp.K, tp.built);
   JobSpec relabelled_spec =
@@ -340,15 +341,15 @@ TEST(WarmStart, VerifierQuarantinesASemanticallyCorruptRecord) {
   std::vector<JobResult> cold;
   {
     PartitionService service(durable_config(dir));
-    cold = service.run_batch({spec, tree_spec});
-    ASSERT_EQ(cold[0].status, JobStatus::kOk);
-    ASSERT_EQ(cold[1].status, JobStatus::kOk);
+    cold = service.run_batch({spec, tree_spec, procmin_spec});
+    for (const JobResult& r : cold) ASSERT_EQ(r.status, JobStatus::kOk);
     ASSERT_FALSE(cold[1].cut.edges.empty()) << "K must force a cut";
     service.flush_durable();
   }
-  // Rewrite the stored records with a corrupted objective: framing CRC
-  // fine, semantics wrong — exactly what the independent verifier is
-  // for.
+  // Rewrite the stored records with a corrupted objective, or for the
+  // proc-min record an extra cut edge far out of range (0xFFFFFFFF, the
+  // largest index a record can hold): framing CRC fine, semantics wrong
+  // — exactly what the independent verifier is for.
   {
     dur::CacheStore::Config sc;
     sc.dir = dir;
@@ -358,27 +359,33 @@ TEST(WarmStart, VerifierQuarantinesASemanticallyCorruptRecord) {
     ASSERT_TRUE(store.load([&](std::span<const std::uint8_t> r) {
       entries.emplace_back(r.begin(), r.end());
     }));
-    ASSERT_EQ(entries.size(), 2u);
+    ASSERT_EQ(entries.size(), 3u);
     for (const std::vector<std::uint8_t>& entry : entries) {
       CacheKey key;
       CanonicalOutcome o;
       ASSERT_TRUE(decode_cache_record(entry, key, o));
-      o.objective += 1.0;  // now provably wrong for this cut
+      if (key.problem == Problem::kProcMin)
+        o.cut.edges.push_back(static_cast<int>(0xFFFFFFFFu));
+      else
+        o.objective += 1.0;  // now provably wrong for this cut
       ASSERT_TRUE(store.append(encode_cache_record(key, o)));
     }
     ASSERT_TRUE(store.flush_clean());
   }
   PartitionService warm_service(durable_config(dir));
-  std::vector<JobResult> warm = warm_service.run_batch({spec, relabelled_spec});
+  EXPECT_EQ(warm_service.metrics().durability.recovered_entries, 3u)
+      << "every record loads; only the verifier can reject them";
+  std::vector<JobResult> warm =
+      warm_service.run_batch({spec, relabelled_spec, procmin_spec});
   // Each corrupt entry was rejected at hit time and its job re-solved:
   // the answers are still the correct ones.  The tree job builds its
   // canonical tree to verify the hit and reuses it for the re-solve.
-  expect_same_results({cold[0]}, {warm[0]});
+  expect_same_results({cold[0], cold[2]}, {warm[0], warm[2]});
   expect_direct_payload(warm[1], relabelled_spec);
-  EXPECT_FALSE(warm[1].cache_hit);
+  for (const JobResult& r : warm) EXPECT_FALSE(r.cache_hit);
   MetricsSnapshot m = warm_service.metrics();
-  EXPECT_EQ(m.durability.verify_failed, 2u);
-  EXPECT_EQ(m.durability.quarantined, 2u);
+  EXPECT_EQ(m.durability.verify_failed, 3u);
+  EXPECT_EQ(m.durability.quarantined, 3u);
   EXPECT_GE(m.durability.verified_ok, 0u);
 }
 
