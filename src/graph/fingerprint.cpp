@@ -435,22 +435,24 @@ TreeLabelling canonical_labelling(const Tree& tree, util::Arena* arena) {
   return out;
 }
 
-Tree build_canonical_tree(const Tree& tree, const TreeLabelling& labelling) {
-  const std::size_t n = labelling.orig_vertex.size();
-  TGP_REQUIRE(n == static_cast<std::size_t>(tree.n()),
+Tree build_canonical_tree(const Tree& tree, const TreeKey& key,
+                          const TreeOrder& order) {
+  const std::size_t n = order.orig_vertex.size();
+  TGP_REQUIRE(n == static_cast<std::size_t>(tree.n()) &&
+                  key.orig_edge.size() + 1 == n,
               "labelling belongs to a tree of a different size");
   std::vector<Weight> vw(n);
   std::vector<Weight> pew(n, Weight{1});
   for (std::size_t c = 0; c < n; ++c)
-    vw[c] = tree.vertex_weight(labelling.orig_vertex[c]);
+    vw[c] = tree.vertex_weight(order.orig_vertex[c]);
   for (std::size_t c = 1; c < n; ++c)
-    pew[c] = tree.edge(labelling.orig_edge[c - 1]).weight;
-  return Tree::from_parents(std::move(vw), labelling.parent, pew);
+    pew[c] = tree.edge(key.orig_edge[c - 1]).weight;
+  return Tree::from_parents(std::move(vw), order.parent, pew);
 }
 
 CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena) {
   TreeLabelling labelling = canonical_labelling(tree, arena);
-  Tree built = build_canonical_tree(tree, labelling);
+  Tree built = build_canonical_tree(tree, labelling, labelling);
   return CanonicalTree{std::move(labelling), std::move(built)};
 }
 

@@ -14,6 +14,9 @@
 //     centroid and relabeled in preorder with children sorted by subtree
 //     hash: vertex/edge maps back to the submitted labeling, the
 //     canonical parent array and the fingerprint, from one hashing pass;
+//     its TreeKey part (fingerprint and edge map) is what
+//     Tree::canonical_key computes once per tree and keeps, the rest its
+//     TreeOrder;
 //   * build_canonical_tree — the relabeled Tree itself, built from the
 //     submitted tree and its labelling (canonical_tree does both steps);
 //   * fingerprint — a 128-bit hash of the canonical form, equal for
@@ -99,21 +102,31 @@ CanonicalChain canonical_chain(const Chain& chain);
 
 // ---- Trees ----------------------------------------------------------------
 
-/// The canonical relabeling of a tree, without the relabeled tree itself.
-/// orig_vertex[c] is the submitted index of canonical vertex c;
-/// orig_edge[c] the submitted index of canonical edge c; parent[c] the
-/// canonical parent of canonical vertex c (−1 for the root, vertex 0).
-/// `fingerprint` equals tree_fingerprint of the submitted tree.
-struct TreeLabelling {
-  std::vector<int> orig_vertex;
-  std::vector<int> orig_edge;
-  std::vector<int> parent;
+/// What a memo-cache hit on a tree needs: the cache key's fingerprint
+/// (equal to tree_fingerprint of the submitted tree) and orig_edge[c],
+/// the submitted index of canonical edge c.  Tree::canonical_key keeps
+/// one per Tree.
+struct TreeKey {
   Fingerprint fingerprint;
+  std::vector<int> orig_edge;
 
   int map_edge_back(int canonical_edge) const {
     return orig_edge[static_cast<std::size_t>(canonical_edge)];
   }
 };
+
+/// The rest of a labelling, which building the canonical tree needs
+/// beside the key: orig_vertex[c], the submitted index of canonical
+/// vertex c, and parent[c], the canonical parent of canonical vertex c
+/// (−1 for the root, vertex 0).
+struct TreeOrder {
+  std::vector<int> orig_vertex;
+  std::vector<int> parent;
+};
+
+/// The canonical relabeling of a tree, without the relabeled tree itself:
+/// its key and its vertex order.
+struct TreeLabelling : TreeKey, TreeOrder {};
 
 /// A labelling plus the tree relabeled into canonical form.
 struct CanonicalTree : TreeLabelling {
@@ -147,10 +160,12 @@ struct CanonicalTree : TreeLabelling {
 TreeLabelling canonical_labelling(const Tree& tree,
                                   util::Arena* arena = nullptr);
 
-/// The canonical Tree for `labelling`, which must come from
-/// canonical_labelling(tree).  Canonical edge c joins vertex c+1 to its
-/// parent.  O(n) plus Tree's own construction checks.
-Tree build_canonical_tree(const Tree& tree, const TreeLabelling& labelling);
+/// The canonical Tree for a labelling's `key` and `order`, which must
+/// come from canonical_labelling(tree) (a TreeLabelling passes as both).
+/// Canonical edge c joins vertex c+1 to its parent.  O(n) plus Tree's
+/// own construction checks.
+Tree build_canonical_tree(const Tree& tree, const TreeKey& key,
+                          const TreeOrder& order);
 
 /// canonical_labelling followed by build_canonical_tree.
 CanonicalTree canonical_tree(const Tree& tree, util::Arena* arena = nullptr);

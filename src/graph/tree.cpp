@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 
+#include "graph/fingerprint.hpp"
 #include "util/assert.hpp"
 
 namespace tgp::graph {
@@ -166,6 +168,32 @@ void Tree::root_at(int root, std::vector<int>& parent,
   }
   parent[static_cast<std::size_t>(root)] = -1;
   parent_edge[static_cast<std::size_t>(root)] = -1;
+}
+
+const TreeKey& Tree::canonical_key(util::Arena* arena,
+                                   std::optional<TreeOrder>* order) const {
+  if (order != nullptr) order->reset();
+  if (const TreeKey* kept = key_.key.load(std::memory_order_acquire))
+    return *kept;
+  TreeLabelling computed = canonical_labelling(*this, arena);
+  // Both parts move out of the labelling: the key to the heap, the order
+  // to the caller.  A loser's order matches the winner's key, since the
+  // labelling is a pure function of the tree.
+  auto fresh = std::make_unique<const TreeKey>(
+      std::move(static_cast<TreeKey&>(computed)));
+  if (order != nullptr)
+    order->emplace(std::move(static_cast<TreeOrder&>(computed)));
+  // Release publishes the key's contents; a loser acquires the winner's.
+  const TreeKey* kept = nullptr;
+  if (key_.key.compare_exchange_strong(kept, fresh.get(),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+    kept = fresh.release();
+  return *kept;
+}
+
+void Tree::KeySlot::reset(const TreeKey* next) noexcept {
+  delete key.exchange(next, std::memory_order_acq_rel);
 }
 
 }  // namespace tgp::graph

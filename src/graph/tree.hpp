@@ -2,13 +2,22 @@
 // minimization and §2.2 processor minimization problems.
 #pragma once
 
+#include <atomic>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/weight.hpp"
 
+namespace tgp::util {
+class Arena;
+}
+
 namespace tgp::graph {
+
+struct TreeKey;    // graph/fingerprint.hpp
+struct TreeOrder;  // graph/fingerprint.hpp
 
 /// One undirected tree edge between vertices u and v.
 struct TreeEdge {
@@ -21,7 +30,9 @@ struct TreeEdge {
 /// Construction validates connectivity and acyclicity; the adjacency index
 /// is built once and shared by all algorithms, and the largest vertex
 /// weight is recorded while the weights are checked, so the K ≥ max w
-/// checks of the service and the tree kernels cost O(1).
+/// checks of the service and the tree kernels cost O(1).  A Tree never
+/// changes once built, so it also keeps its canonical key once one is
+/// computed (canonical_key).
 class Tree {
  public:
   /// Build from an explicit edge list.  Throws std::invalid_argument unless
@@ -70,7 +81,43 @@ class Tree {
   void root_at(int root, std::vector<int>& parent,
                std::vector<int>& parent_edge) const;
 
+  /// The tree's memo-cache key (graph::TreeKey: the fingerprint and the
+  /// canonical-to-submitted edge map).  The first call computes it with
+  /// canonical_labelling, scratch from `arena` (null = per-thread
+  /// fallback), and publishes it with one compare-exchange, so threads
+  /// racing on a fresh tree all return the one copy that won; every later
+  /// call returns that copy.  It lives as long as the tree.  A copy of
+  /// the tree starts without a key; a moved-to tree takes the source's.
+  /// When `order` is given, it is set to the rest of the labelling if
+  /// this call ran canonical_labelling, so the caller can build the
+  /// canonical tree from the key and it without hashing again, and reset
+  /// if the key was already kept.
+  const TreeKey& canonical_key(
+      util::Arena* arena = nullptr,
+      std::optional<TreeOrder>* order = nullptr) const;
+
  private:
+  // Owns the kept key.  Copying gives an empty slot, since the copy is a
+  // new object that keys itself; moving takes the key along with the
+  // arrays it describes.
+  struct KeySlot {
+    mutable std::atomic<const TreeKey*> key{nullptr};
+
+    KeySlot() = default;
+    KeySlot(const KeySlot&) noexcept {}
+    KeySlot(KeySlot&& o) noexcept : key(o.key.exchange(nullptr)) {}
+    KeySlot& operator=(const KeySlot&) noexcept {
+      reset(nullptr);
+      return *this;
+    }
+    KeySlot& operator=(KeySlot&& o) noexcept {
+      reset(o.key.exchange(nullptr));
+      return *this;
+    }
+    ~KeySlot() { reset(nullptr); }
+    void reset(const TreeKey* next) noexcept;  // frees the key it held
+  };
+
   Tree() = default;
   void build_adjacency();
 
@@ -81,6 +128,7 @@ class Tree {
   // (edge-index order within a vertex), adj_off_ the n+1 group boundaries.
   std::vector<std::pair<int, int>> adj_;
   std::vector<int> adj_off_;
+  KeySlot key_;
 };
 
 }  // namespace tgp::graph

@@ -266,20 +266,20 @@ void apply_outcome(JobResult& r, const CanonicalOutcome& o,
 }
 
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
-                   const graph::TreeLabelling& labelling) {
+                   const graph::TreeKey& key) {
   fill_payload(r, o);
   // Mark the cut's submitted edges, then sweep all m edges in index
   // order: O(m + cut) without a sort, and without a branch in the sweep.
   // The sweep finds as many edges as the cut lists only if each was
   // marked exactly once.
   const std::vector<int>& in = o.cut.edges;
-  const std::size_t m = labelling.orig_edge.size();
+  const std::size_t m = key.orig_edge.size();
   util::ScratchFrame frame(nullptr);
   unsigned char* marked = frame->alloc_filled<unsigned char>(m, 0);
   for (int e : in) {
     TGP_ENSURE(0 <= e && static_cast<std::size_t>(e) < m,
                "cut edge out of range");
-    marked[labelling.map_edge_back(e)] = 1;
+    marked[key.map_edge_back(e)] = 1;
   }
   std::vector<int>& out = r.cut.edges;
   out.resize(in.size() + 1);  // the sweep writes one slot past the last

@@ -2,7 +2,8 @@
 //
 // A JobSpec names a problem (bottleneck / processor minimization /
 // bandwidth / the §2.1+§2.2 pipeline), carries the task graph (chain or
-// tree, shared so duplicate-heavy batches stay cheap) and the bound K.
+// tree, shared so duplicate-heavy batches stay cheap; a shared tree also
+// keeps its canonical key, so the service hashes it once) and the bound K.
 // execute_job() is the *direct path*: it canonicalizes the graph
 // (graph/fingerprint.hpp), runs the solver on the canonical form and maps
 // the cut back to the submitted labeling.  The service's cached path goes
@@ -183,13 +184,15 @@ CanonicalOutcome solve_canonical_tree(Problem problem,
 /// presentation (sorted edge indices), marking the result ok.  Shared by
 /// the direct path and the service's cache-hit path so both produce
 /// bit-identical results.  A chain needs only its orientation and a tree
-/// only its labelling (a graph::CanonicalChain and a graph::CanonicalTree
-/// are ones), not the canonical graph.  A tree cut is mapped by marking
-/// its edges and sweeping all of them; a cut that lists an edge twice or
-/// one out of range throws std::logic_error.
+/// only its key (a graph::CanonicalChain is an orientation; a
+/// graph::TreeLabelling, a graph::CanonicalTree and the key
+/// graph::Tree::canonical_key keeps are keys), not the canonical graph.
+/// A tree cut is mapped by marking its edges and sweeping all of them; a
+/// cut that lists an edge twice or one out of range throws
+/// std::logic_error.
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
                    const graph::ChainOrientation& orientation);
 void apply_outcome(JobResult& r, const CanonicalOutcome& o,
-                   const graph::TreeLabelling& labelling);
+                   const graph::TreeKey& key);
 
 }  // namespace tgp::svc

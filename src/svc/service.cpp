@@ -585,6 +585,9 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
     }
     CanonicalOutcome o = [&] {
       TGP_SPAN("svc", "solve");
+      // The solver's first poll comes after the canonical copy and its
+      // CSR build, which on a giant graph outlast a short deadline.
+      if (cancel != nullptr) cancel->poll();
       return solve_canonical(spec.problem, canonical(), spec.K, cancel,
                              &state.arena);
     }();
@@ -619,17 +622,27 @@ JobResult PartitionService::process(WorkerState& state, const JobSpec& spec,
               return canon->chain;
             });
     } else {
-      // One hashing pass yields both the cache key and the maps back.
-      const graph::TreeLabelling labelling = [&] {
-        TGP_SPAN("svc", "canonicalize");
-        return graph::canonical_labelling(*spec.tree, &state.arena);
+      // The tree keeps its key once a job has computed it, so a job on a
+      // tree keyed before hashes nothing for a hit.  The job that
+      // computes the key also gets the labelling's vertex order, and a
+      // miss or verify builds the canonical tree from the key and it; on
+      // a tree keyed before, that step runs canonical_tree.  Either way no
+      // job hashes twice.
+      const graph::Tree& tree = *spec.tree;
+      std::optional<graph::TreeOrder> order;
+      const graph::TreeKey& key = [&]() -> const graph::TreeKey& {
+        obs::Span span("svc", "canonicalize");
+        const graph::TreeKey& k = tree.canonical_key(&state.arena, &order);
+        span.arg("computed", order ? 1 : 0);
+        return k;
       }();
       std::optional<graph::Tree> canon;
-      serve(CacheKey::make(labelling.fingerprint, spec.problem, spec.K),
-            labelling, [&]() -> const graph::Tree& {
+      serve(CacheKey::make(key.fingerprint, spec.problem, spec.K), key,
+            [&]() -> const graph::Tree& {
               if (!canon)
-                canon.emplace(graph::build_canonical_tree(*spec.tree,
-                                                          labelling));
+                canon.emplace(
+                    order ? graph::build_canonical_tree(tree, key, *order)
+                          : graph::canonical_tree(tree, &state.arena).tree);
               return *canon;
             });
     }

@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <latch>
+#include <optional>
+#include <thread>
 
 #include "graph/cutset.hpp"
 #include "graph/generators.hpp"
@@ -412,6 +415,102 @@ TEST(CanonicalTree, GoldenDigestOfFlipCorpus) {
   const std::vector<Tree> corpus = flip_corpus();
   ASSERT_EQ(corpus.size(), 1000u);
   EXPECT_EQ(canonical_form_digest(corpus), 0x5684cba50090951dull);
+}
+
+// Tree::canonical_key keeps the labelling's key part: on both corpora
+// (relabelled trees, decimal weights, two centroids, isomorphic ties) it
+// equals canonical_labelling's fingerprint and edge map, and a second
+// call returns the kept object instead of computing again.
+TEST(TreeKey, KeptKeyEqualsTheLabelling) {
+  util::Arena arena;
+  for (const std::vector<Tree>& corpus : {tree_corpus(), flip_corpus()}) {
+    for (const Tree& t : corpus) {
+      const TreeLabelling l = canonical_labelling(t, &arena);
+      const TreeKey& k = t.canonical_key(&arena);
+      EXPECT_EQ(k.fingerprint, l.fingerprint) << "n=" << t.n();
+      EXPECT_EQ(k.orig_edge, l.orig_edge) << "n=" << t.n();
+      EXPECT_EQ(&t.canonical_key(), &k) << "n=" << t.n();
+    }
+  }
+}
+
+// The call that computes the key hands back the rest of the labelling it
+// came from, and the two build the canonical tree; a call that reads the
+// kept key resets it.
+TEST(TreeKey, ComputingCallHandsBackTheOrder) {
+  for (const Tree& t : tree_corpus()) {
+    std::optional<TreeOrder> got;
+    const TreeKey& k = t.canonical_key(nullptr, &got);
+    ASSERT_TRUE(got.has_value()) << "n=" << t.n();
+    const CanonicalTree want = canonical_tree(t);
+    EXPECT_EQ(got->orig_vertex, want.orig_vertex) << "n=" << t.n();
+    EXPECT_EQ(got->parent, want.parent) << "n=" << t.n();
+    const Tree built = build_canonical_tree(t, k, *got);
+    EXPECT_EQ(built.vertex_weights(), want.tree.vertex_weights())
+        << "n=" << t.n();
+    for (int e = 0; e < built.edge_count(); ++e) {
+      EXPECT_EQ(built.edge(e).u, want.tree.edge(e).u) << "n=" << t.n();
+      EXPECT_EQ(built.edge(e).v, want.tree.edge(e).v) << "n=" << t.n();
+      EXPECT_EQ(built.edge(e).weight, want.tree.edge(e).weight)
+          << "n=" << t.n();
+    }
+    EXPECT_EQ(&t.canonical_key(nullptr, &got), &k) << "n=" << t.n();
+    EXPECT_FALSE(got.has_value()) << "n=" << t.n();
+  }
+}
+
+// Eight threads asking a fresh tree for its key at once all get the one
+// object that won the publication.
+TEST(TreeKey, RacingFirstCallsShareOneKey) {
+  constexpr int kThreads = 8;
+  util::Pcg32 rng(27027, 3);
+  const WeightDist w = WeightDist::uniform(1, 20);
+  for (int round = 0; round < 10; ++round) {
+    const Tree t = relabel_tree(rng, random_tree(rng, 2000, w, w));
+    std::latch start(kThreads);
+    std::vector<const TreeKey*> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        got[static_cast<std::size_t>(i)] = &t.canonical_key();
+      });
+    for (std::thread& th : threads) th.join();
+    for (const TreeKey* k : got) EXPECT_EQ(k, got[0]) << "round " << round;
+    EXPECT_EQ(got[0]->fingerprint, tree_fingerprint(t)) << "round " << round;
+  }
+}
+
+// A copy is a new object and computes its own (equal) key, by copy
+// construction or copy assignment; a move takes the source's key along.
+TEST(TreeKey, CopyStartsWithoutAKeyAndMoveCarriesIt) {
+  util::Pcg32 rng(27028, 5);
+  const WeightDist w = WeightDist::uniform(1, 20);
+  Tree t = relabel_tree(rng, random_tree(rng, 300, w, w));
+  const TreeKey& k = t.canonical_key();
+  std::optional<TreeOrder> computed;
+  auto expect_own_equal_key = [&](const Tree& copy) {
+    const TreeKey& ck = copy.canonical_key(nullptr, &computed);
+    EXPECT_TRUE(computed.has_value());
+    EXPECT_NE(&ck, &k);
+    EXPECT_EQ(ck.fingerprint, k.fingerprint);
+    EXPECT_EQ(ck.orig_edge, k.orig_edge);
+  };
+  const Tree copied(t);
+  expect_own_equal_key(copied);
+  Tree assigned = random_tree(rng, 10, w, w);
+  (void)assigned.canonical_key();
+  assigned = t;
+  expect_own_equal_key(assigned);
+
+  Tree moved(std::move(t));
+  EXPECT_EQ(&moved.canonical_key(nullptr, &computed), &k);
+  EXPECT_FALSE(computed.has_value());
+  Tree move_assigned = random_tree(rng, 10, w, w);
+  (void)move_assigned.canonical_key();
+  move_assigned = std::move(moved);
+  EXPECT_EQ(&move_assigned.canonical_key(nullptr, &computed), &k);
+  EXPECT_FALSE(computed.has_value());
 }
 
 TEST(Fingerprint, HexRendersBothWords) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -473,6 +475,37 @@ TEST_F(TracedServiceTest, SpansCloseWhenDeadlineUnwindsMidSolve) {
   }
 }
 
+TEST_F(TracedServiceTest, CanonicalizeSpanTellsAComputedKeyFromAKeptOne) {
+  // Two jobs on one tree object, one worker: the first computes the key
+  // the tree then keeps, the second reads it.
+  util::Pcg32 rng(0xC0FFEE, 3);
+  const auto w = graph::WeightDist::uniform(1, 20);
+  const auto tree =
+      std::make_shared<const graph::Tree>(graph::random_tree(rng, 200, w, w));
+  const Weight K = tree->max_vertex_weight() +
+                   0.2 * (tree->total_vertex_weight() -
+                          tree->max_vertex_weight());
+  ServiceConfig config;
+  config.threads = 1;
+  {
+    PartitionService service(config);
+    for (const JobResult& r :
+         service.run_batch({JobSpec::for_tree(Problem::kBottleneck, K, tree),
+                            JobSpec::for_tree(Problem::kProcMin, K, tree)}))
+      ASSERT_TRUE(r.ok) << r.error;
+  }
+  obs::trace::set_enabled(false);
+  std::vector<std::int64_t> computed;
+  for (const obs::TraceEvent& ev : obs::trace::snapshot().events) {
+    if (std::string(ev.cat) != "svc" || std::string(ev.name) != "canonicalize")
+      continue;
+    for (const obs::TraceArg& a : ev.args)
+      if (a.name != nullptr && std::string(a.name) == "computed")
+        computed.push_back(a.value);
+  }
+  EXPECT_EQ(computed, (std::vector<std::int64_t>{1, 0}));
+}
+
 TEST_F(TracedServiceTest, CancelledGiantSolveUnwindsWithinDeadline) {
   // A giant chain solve hits its deadline.  The sweeps poll the token
   // every util::kPollStride items, so the worker unwinds with kTimeout
@@ -498,7 +531,8 @@ TEST_F(TracedServiceTest, CancelledGiantSolveUnwindsWithinDeadline) {
   ASSERT_EQ(status, JobStatus::kTimeout) << error;
   // Generous bound (sanitizers, ctest -j saturating every core) that is
   // still far below the multi-second full solve: the unwind must be
-  // prompt.  Observed worst case under a fully loaded suite: ~2.1s.
+  // prompt.  The job polls before the canonical copy, so under TSan in a
+  // fully loaded suite it took 0.45-0.8 s.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             4000);

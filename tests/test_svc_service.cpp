@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <latch>
+#include <memory>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -164,6 +168,86 @@ TEST(ApplyOutcome, TreeSweepMatchesSortedMapAndRejectsRepeats) {
     twice.cut.edges = {all[0], all[1], all[0]};
     JobResult r;
     EXPECT_THROW(apply_outcome(r, twice, l), std::logic_error) << "n " << n;
+  }
+}
+
+// A tree job keys the cache from the key its Tree keeps.  Every way a
+// job meets the cache — a hit, a miss at a new K, a hit checked under
+// verify_results and a recovered hit that must be verified — must give
+// what execute_job gives, both for the first job on a tree object (it
+// computes the key, and builds the canonical tree from its own
+// labelling) and for the next job on it (it reads the kept key, and runs
+// canonical_tree where it needs the tree).
+TEST(PartitionService, TreeJobsMatchTheDirectPathBeforeAndAfterTheKeyIsKept) {
+  util::Pcg32 rng(0x7EE4u, 29);
+  const auto w = graph::WeightDist::uniform(1, 20);
+  const graph::Tree base =
+      graph::relabel_tree(rng, graph::random_tree(rng, 300, w, w));
+  auto k_at = [&](double frac) {
+    return feasible_k(base.total_vertex_weight(), base.max_vertex_weight(),
+                      frac);
+  };
+  const Weight K1 = k_at(0.1), K2 = k_at(0.2), K3 = k_at(0.3);
+  const Problem p = Problem::kBottleneck;
+  auto job = [&](Weight K, std::shared_ptr<const graph::Tree> t) {
+    return JobSpec::for_tree(p, K, std::move(t));
+  };
+  // A copy of `base` starts without a key, and `base` is never keyed.
+  auto fresh = [&] { return std::make_shared<const graph::Tree>(base); };
+  // Runs `spec` alone, checks it against the direct path, and checks that
+  // its tree kept the key the job read or computed.
+  auto check = [&](PartitionService& service, const JobSpec& spec,
+                   bool want_hit, const char* what) {
+    const JobResult got = service.run_batch({spec})[0];
+    EXPECT_EQ(got.cache_hit, want_hit) << what;
+    expect_same_payload(got, execute_job_captured(spec), 0);
+    std::optional<graph::TreeOrder> computed;
+    (void)spec.tree->canonical_key(nullptr, &computed);
+    EXPECT_FALSE(computed.has_value()) << what;
+  };
+
+  {
+    ServiceConfig config;
+    config.threads = 1;
+    PartitionService service(config);
+    service.run_batch({job(K1, fresh())});
+    const auto t = fresh();
+    check(service, job(K1, t), true, "hit, key computed");
+    check(service, job(K1, t), true, "hit, key kept");
+    const auto u = fresh();
+    check(service, job(K2, u), false, "miss, key computed");
+    check(service, job(K3, u), false, "miss, key kept");
+  }
+  {
+    ServiceConfig config;
+    config.threads = 1;
+    config.verify_results = true;
+    PartitionService service(config);
+    service.run_batch({job(K1, fresh())});
+    const auto t = fresh();
+    check(service, job(K1, t), true, "verified hit, key computed");
+    check(service, job(K1, t), true, "verified hit, key kept");
+    EXPECT_EQ(service.metrics().durability.verify_failed, 0u);
+  }
+  {
+    const std::string dir = testing::TempDir() + "/tree_key_recovered";
+    std::filesystem::remove_all(dir);
+    ServiceConfig config;
+    config.threads = 1;
+    config.cache_dir = dir;
+    {
+      PartitionService cold(config);
+      cold.run_batch({job(K1, fresh()), job(K2, fresh())});
+    }
+    PartitionService service(config);
+    ASSERT_EQ(service.metrics().durability.recovered_entries, 2u);
+    const auto t = fresh();
+    check(service, job(K1, t), true, "recovered hit, key computed");
+    check(service, job(K2, t), true, "recovered hit, key kept");
+    const MetricsSnapshot m = service.metrics();
+    EXPECT_EQ(m.cache.warm_hits, 2u);
+    EXPECT_EQ(m.durability.verified_ok, 2u);
+    EXPECT_EQ(m.durability.verify_failed, 0u);
   }
 }
 

@@ -153,7 +153,7 @@ TEST(Tree, MaxVertexWeightRecordedAtBuild) {
                           heap,
                           relabel_tree(rng, heap),
                           path_tree(chain),
-                          build_canonical_tree(heap, canonical_labelling(heap))};
+                          canonical_tree(heap).tree};
     for (const Tree& t : trees) {
       EXPECT_EQ(t.max_vertex_weight(), kHeavy) << "heaviest vertex " << heavy;
       EXPECT_EQ(t.max_vertex_weight(),
